@@ -7,17 +7,10 @@ Exit codes: 0 success, 1 verification-suite failure, 2 invalid arguments,
 
 from __future__ import annotations
 
-import os
-
-# Pin BLAS to one thread before numpy loads so layer-parallel runs are
-# byte-reproducible regardless of --jobs.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-
 import argparse
 import concurrent.futures
 import json
+import os
 import platform
 import sys
 import time
@@ -28,31 +21,30 @@ import scipy
 
 from . import __version__
 from .calibration import split_batch
-from .gbs import (
-    GAMMA_GRID_DEFAULT,
-    LAMBDA_GRID_GBS_DEFAULT,
-    GbsConfig,
-    build_curvature,
-    profile_for,
-    run_gbs,
-    select_hparams_gbs,
+from .gbs import GAMMA_GRID_DEFAULT, LAMBDA_GRID_GBS_DEFAULT
+from .gs import ALPHA_GRID_DEFAULT, LAMBDA_GRID_GS_DEFAULT
+from .harness import (
+    METHODS,
+    SWEEP_METHODS,
+    SynthLayerSpec,
+    gen_calibration,
+    gen_layer,
+    layer_losses,
+    solve,
+    sweep_lambda,
+    sweep_layer,
 )
-from .gs import ALPHA_GRID_DEFAULT, LAMBDA_GRID_GS_DEFAULT, GsConfig, run_gs, select_lambda_gs
-from .harness import SynthLayerSpec, gen_calibration, gen_layer, sweep_lambda
 from .linalg import NumericalFailure
-from .objective import recon_loss, sar_loss, weight_drift
 from .oracles import (
     run_compensation_suite,
     run_gptq_equiv_suite,
     run_hoeffding_suite,
     run_supportedness_suite,
 )
-from .quantizer import PER_CHANNEL, PER_TENSOR, QuantScheme, rtn
-from .saliency import channel_stats, identity_profile, saliency_vector_gs
+from .quantizer import PER_CHANNEL, PER_TENSOR, QuantScheme
 from .seeds import substream
 from .tensorio import ManifestError, TensorFormatError, load_manifest, read_tensor, write_manifest, write_tensor
 
-METHODS = ("rtn", "awq", "gptq", "sarqc-gs", "sarqc-gbs")
 SUITES = ("compensation", "supportedness", "hoeffding", "gptq-equiv")
 SUITE_DEFAULT_TRIALS = {"compensation": 500, "supportedness": 1000, "hoeffding": 2000, "gptq-equiv": 100}
 
@@ -112,96 +104,41 @@ def _versions() -> dict:
 
 
 def _quantize_one(entry: dict, method: str, scheme: QuantScheme, args) -> tuple[str, dict, dict]:
-    layer_id = entry["layer_id"]
     w = read_tensor(entry["weights"])
-    x = read_tensor(entry["calib"])
-    batch = split_batch(x, args.val_fraction)
+    batch = split_batch(read_tensor(entry["calib"]), args.val_fraction)
     t0 = time.perf_counter()
-
-    chosen_lambda = None
-    chosen_gamma = None
-    chosen_alpha = None
-    jitter_used = 0.0
-    profile = identity_profile(w.shape[1])
-
-    if method == "rtn":
-        layer = rtn(w, scheme)
-    elif method in ("awq", "sarqc-gs"):
-        kind = "identity" if method == "awq" or args.saliency == "identity" else "gs"
-        lam = 0.0 if method == "awq" else args.lam  # awq is the pinned lambda-0 baseline
-        cfg = GsConfig(
-            scheme=scheme,
-            lam=lam if lam is not None else 0.0,
-            lambda_grid=args.lambda_grid if args.lambda_grid else LAMBDA_GRID_GS_DEFAULT,
-            saliency_kind=kind,
-            val_fraction=args.val_fraction,
-        )
-        if lam is not None:
-            res = run_gs(w, batch.train, cfg)
-        else:
-            res = select_lambda_gs(w, batch, cfg)
-        layer = res.layer
-        chosen_lambda = res.chosen_lambda
-        chosen_alpha = res.chosen_alpha
-        if kind == "gs":
-            profile = saliency_vector_gs(channel_stats(w, batch.train))
-    elif method in ("gptq", "sarqc-gbs"):
-        kind = "identity" if method == "gptq" or args.saliency == "identity" else "gbs"
-        if method == "gptq":
-            lam, gamma = 0.0, None
-        else:
-            lam, gamma = args.lam, args.gamma
-        if method == "gptq" or lam is not None:
-            gamma = gamma if gamma is not None else 0.5
-            prof = profile_for(w, batch.train, kind, gamma if kind == "gbs" else None)
-            curv = build_curvature(batch.train, prof, lam if lam is not None else 0.0, context=layer_id)
-            layer = run_gbs(w, curv, scheme, args.block)
-            chosen_lambda = curv.lam
-            chosen_gamma = gamma if kind == "gbs" else None
-            jitter_used = curv.jitter_used
-            profile = prof
-        else:
-            cfg = GbsConfig(
-                scheme=scheme,
-                lambda_grid=args.lambda_grid if args.lambda_grid else LAMBDA_GRID_GBS_DEFAULT,
-                gamma_grid=args.gamma_grid if args.gamma_grid else GAMMA_GRID_DEFAULT,
-                block_size=args.block,
-                saliency_kind=kind,
-                val_fraction=args.val_fraction,
-            )
-            sel = select_hparams_gbs(w, batch, cfg)
-            layer = sel.layer
-            chosen_lambda = sel.lam
-            chosen_gamma = sel.gamma
-            jitter_used = sel.jitter_used
-            profile = profile_for(w, batch.train, kind, sel.gamma)
-    else:
-        raise UsageError(f"unknown method {method!r}")
-
+    sol = solve(
+        method,
+        w,
+        batch,
+        scheme,
+        lam=args.lam,
+        gamma=args.gamma,
+        lambda_grid=args.lambda_grid,
+        gamma_grid=args.gamma_grid,
+        block=args.block,
+        saliency=args.saliency,
+    )
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    recon = recon_loss(w, layer.dequantized, batch.train)
+    losses, heldout_risk = layer_losses(w, sol, batch.train, batch.val)
     report = {
-        "layer_id": layer_id,
+        "layer_id": entry["layer_id"],
         "method": method,
-        "chosen_lambda": chosen_lambda,
-        "chosen_gamma": chosen_gamma,
-        "chosen_alpha": chosen_alpha,
-        "losses": {
-            "recon": recon,
-            "sar": sar_loss(w, layer.dequantized, profile),
-            "drift": weight_drift(w, layer.dequantized),
-        },
-        "heldout_risk": recon_loss(w, layer.dequantized, batch.val) / batch.n_val,
-        "jitter_used": jitter_used,
+        "chosen_lambda": sol.lam,
+        "chosen_gamma": sol.gamma,
+        "chosen_alpha": sol.alpha,
+        "losses": {"recon": losses.recon, "sar": losses.sar, "drift": losses.drift},
+        "heldout_risk": heldout_risk,
+        "jitter_used": sol.jitter_used,
         "wall_time_ms": wall_ms,
     }
     tensors = {
-        "codes": layer.codes,
-        "scales": layer.scales,
-        "zeros": layer.zero_points,
-        "dequant": layer.dequantized,
+        "codes": sol.layer.codes,
+        "scales": sol.layer.scales,
+        "zeros": sol.layer.zero_points,
+        "dequant": sol.layer.dequantized,
     }
-    return layer_id, tensors, report
+    return entry["layer_id"], tensors, report
 
 
 def cmd_quantize(args) -> int:
@@ -216,19 +153,15 @@ def cmd_quantize(args) -> int:
 
     layers = manifest["layers"]
     results = {}
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                pool.submit(_quantize_one, entry, method, scheme, args): entry["layer_id"]
-                for entry in layers
-            }
-            for fut in concurrent.futures.as_completed(futures):
+    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        futures = {pool.submit(_quantize_one, entry, method, scheme, args): entry["layer_id"] for entry in layers}
+        for fut in concurrent.futures.as_completed(futures):
+            try:
                 layer_id, tensors, report = fut.result()
-                results[layer_id] = (tensors, report)
-    except NumericalFailure as exc:
-        failing = next((lid for lid in futures.values() if lid not in results), "?")
-        print(f"numerical failure in layer {failing}: {exc}", file=sys.stderr)
-        return 4
+            except NumericalFailure as exc:
+                print(f"numerical failure in layer {futures[fut]}: {exc}", file=sys.stderr)
+                return 4
+            results[layer_id] = (tensors, report)
 
     report_layers = []
     for layer_id in sorted(results):
@@ -331,12 +264,11 @@ def cmd_sweep(args) -> int:
     if (args.spec is None) == (args.manifest is None):
         raise UsageError("exactly one of --spec / --manifest is required")
     lambda_grid = args.lambda_grid if args.lambda_grid else tuple(k / 10 for k in range(11))
-    method = {"sarqc-gs": "gs", "sarqc-gbs": "gbs", "gs": "gs", "gbs": "gbs"}.get(args.method)
-    if method is None:
+    method = args.method.removeprefix("sarqc-")
+    if method not in SWEEP_METHODS:
         raise UsageError(f"sweep supports sarqc-gs / sarqc-gbs, got {args.method!r}")
     scheme = _scheme_from(args, {})
 
-    records = []
     if args.spec is not None:
         spec = json.loads(Path(args.spec).read_text())
         layer_spec = SynthLayerSpec(
@@ -356,36 +288,21 @@ def cmd_sweep(args) -> int:
             n_calib=int(spec.get("n_calib", 192)),
             n_heldout=int(spec.get("n_heldout", 512)),
             m_x=float(spec.get("m_x", 1e18)),
-            gamma=args.gamma if args.gamma is not None else 0.5,
+            val_fraction=args.val_fraction,
             corr_rank=int(spec.get("corr_rank", 8)),
             corr_strength=float(spec.get("corr_strength", 2.0)),
+            gamma=args.gamma,
+            block_size=args.block,
         )
     else:
-        manifest = load_manifest(args.manifest)
-        from .harness import SweepRecord, _solve_at_lambda, evaluate
-
-        for entry in manifest["layers"]:
+        records = []
+        for entry in load_manifest(args.manifest)["layers"]:
             w = read_tensor(entry["weights"])
-            x = read_tensor(entry["calib"])
-            batch = split_batch(x, args.val_fraction)
-            for lam in lambda_grid:
-                layer, prof = _solve_at_lambda(
-                    w, batch, scheme, method, float(lam), args.gamma if args.gamma is not None else 0.5, args.block
-                )
-                # calibration-objective values plus risk on the held-out split
-                _, risk = evaluate(w, layer, batch.val, prof)
-                records.append(
-                    SweepRecord(
-                        lam=float(lam),
-                        gamma=(args.gamma if args.gamma is not None else 0.5) if method == "gbs" else None,
-                        recon=recon_loss(w, layer.dequantized, batch.train),
-                        sar=sar_loss(w, layer.dequantized, prof),
-                        drift=weight_drift(w, layer.dequantized),
-                        heldout_risk=risk,
-                        method=method,
-                        seed=args.seed,
-                    )
-                )
+            batch = split_batch(read_tensor(entry["calib"]), args.val_fraction)
+            # held-out risk is measured on the validation split
+            records += sweep_layer(
+                w, batch, batch.val, scheme, method, lambda_grid, gamma=args.gamma, block_size=args.block, seed=args.seed
+            )
         records.sort(key=lambda r: (r.seed, r.lam))
 
     lines = ["lambda,gamma,recon,sar,drift,heldout_risk,method,seed"]

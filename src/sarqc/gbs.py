@@ -44,7 +44,6 @@ class GbsConfig:
     saliency_kind: str = "gbs"  # "identity" | "gbs"
     subset_fraction: float = 0.25
     subset_min: int = 32
-    val_fraction: float = 0.25
 
     def __post_init__(self):
         lgrid = tuple(float(v) for v in self.lambda_grid)
@@ -63,8 +62,6 @@ class GbsConfig:
             raise ValueError(f"unknown saliency kind {self.saliency_kind!r}")
         if not 0.0 < self.subset_fraction <= 1.0:
             raise ValueError("subset_fraction must lie in (0, 1]")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must lie in (0, 1)")
         object.__setattr__(self, "lambda_grid", lgrid)
         object.__setattr__(self, "gamma_grid", ggrid)
 
@@ -182,6 +179,7 @@ class HparamSelection(NamedTuple):
     layer: QuantizedLayer
     jitter_used: float
     val_table: tuple[tuple[float, float | None, float], ...]
+    profile: SaliencyProfile  # the full-layer profile the winner was run with
 
 
 def select_hparams_gbs(w, batch: CalibrationBatch, config: GbsConfig) -> HparamSelection:
@@ -223,4 +221,6 @@ def select_hparams_gbs(w, batch: CalibrationBatch, config: GbsConfig) -> HparamS
     prof = profile_for(w, batch.train, config.saliency_kind, gamma)
     curv = build_curvature(batch.train, prof, lam, context="full layer")
     layer = run_gbs(w, curv, config.scheme, config.block_size)
-    return HparamSelection(lam=lam, gamma=gamma, layer=layer, jitter_used=curv.jitter_used, val_table=tuple(table))
+    return HparamSelection(
+        lam=lam, gamma=gamma, layer=layer, jitter_used=curv.jitter_used, val_table=tuple(table), profile=prof
+    )

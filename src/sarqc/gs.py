@@ -15,17 +15,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import CalibrationBatch
-from .linalg import NumericalFailure, as_matrix
+from .linalg import as_matrix
 from .objective import LossBreakdown, joint_score, minmax_normalize, recon_loss, sar_loss, weight_drift
 from .quantizer import QuantizedLayer, QuantScheme, quantize_matrix
-from .saliency import ChannelStats, channel_stats, identity_profile, saliency_vector_gs, scaling_vector_gs
+from .saliency import (
+    ChannelStats,
+    SaliencyProfile,
+    channel_stats,
+    identity_profile,
+    saliency_vector_gs,
+    scaling_vector_gs,
+)
 
 ALPHA_GRID_DEFAULT = tuple(k / 20 for k in range(21))
 LAMBDA_GRID_GS_DEFAULT = tuple(k / 10 for k in range(1, 11))
-
-
-class SolverFailure(RuntimeError):
-    """Every candidate on the grid failed numerically."""
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,6 @@ class GsConfig:
     lam: float = 0.0
     lambda_grid: tuple[float, ...] = LAMBDA_GRID_GS_DEFAULT
     saliency_kind: str = "gs"  # "identity" | "gs"
-    val_fraction: float = 0.25
 
     def __post_init__(self):
         grid = tuple(float(a) for a in self.alpha_grid)
@@ -52,8 +54,6 @@ class GsConfig:
             raise ValueError("lambda must be non-negative")
         if self.saliency_kind not in ("identity", "gs"):
             raise ValueError(f"unknown saliency kind {self.saliency_kind!r}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must lie in (0, 1)")
         object.__setattr__(self, "alpha_grid", grid)
         object.__setattr__(self, "lambda_grid", lgrid)
 
@@ -65,6 +65,7 @@ class GsResult:
     layer: QuantizedLayer
     losses: list[LossBreakdown]
     selected_index: int
+    profile: SaliencyProfile  # the profile the sar losses were scored with
     val_losses: list[tuple[float, float]] | None = None
 
 
@@ -103,45 +104,20 @@ def run_gs(w, x, config: GsConfig) -> GsResult:
     else:
         profile = saliency_vector_gs(stats)
 
-    layers: list[QuantizedLayer | None] = []
-    raw: list[tuple[float, float, float] | None] = []
-    for alpha in config.alpha_grid:
-        try:
-            ql = candidate(w, stats, alpha, config.scheme)
-        except NumericalFailure:
-            layers.append(None)
-            raw.append(None)
-            continue
-        layers.append(ql)
-        raw.append(
-            (
-                recon_loss(w, ql.dequantized, x),
-                sar_loss(w, ql.dequantized, profile),
-                weight_drift(w, ql.dequantized),
-            )
-        )
-
-    valid = [i for i, r in enumerate(raw) if r is not None]
-    if not valid:
-        raise SolverFailure("every scaling candidate failed numerically")
-    recon_raw = np.array([raw[i][0] for i in valid])
-    sar_raw = np.array([raw[i][1] for i in valid])
-    if len(valid) == 1:
-        sel_local, recon_n, sar_n, joint = 0, np.zeros(1), np.zeros(1), np.zeros(1)
-    else:
-        sel_local, recon_n, sar_n, joint = select_joint(recon_raw, sar_raw, config.lam)
-    selected = valid[sel_local]
-
-    losses = []
-    for k, i in enumerate(valid):
-        r, s_, d = raw[i]
-        losses.append(LossBreakdown(recon=r, sar=s_, drift=d, joint_normalized=float(joint[k])))
+    layers = [candidate(w, stats, alpha, config.scheme) for alpha in config.alpha_grid]
+    raw = [
+        (recon_loss(w, ql.dequantized, x), sar_loss(w, ql.dequantized, profile), weight_drift(w, ql.dequantized))
+        for ql in layers
+    ]
+    selected, _, _, joint = select_joint(np.array([r[0] for r in raw]), np.array([r[1] for r in raw]), config.lam)
+    losses = [LossBreakdown(recon=r, sar=s_, drift=d, joint_normalized=float(j)) for (r, s_, d), j in zip(raw, joint)]
     return GsResult(
         chosen_alpha=config.alpha_grid[selected],
         chosen_lambda=config.lam,
         layer=layers[selected],
         losses=losses,
         selected_index=selected,
+        profile=profile,
     )
 
 

@@ -1,9 +1,12 @@
-"""Synthetic layers, calibration batches, and desk-scale experiments.
+"""Method dispatch, synthetic layers, calibration batches, and desk-scale
+experiments.
 
-`sweep_lambda` traces the drift/reconstruction trade-off of a solver over a
-regularization grid with held-out risk per point; `calib_size_study` compares
-the λ = 0 baseline against hyperparameter-selected runs as the calibration
-set shrinks under a covariance shift.
+`solve` wires each method name to its solver; the command line, the sweeps
+and the studies all go through it. `sweep_lambda` traces the
+drift/reconstruction trade-off of a solver over a regularization grid with
+held-out risk per point; `calib_size_study` compares the λ = 0 baseline
+against hyperparameter-selected runs as the calibration set shrinks under a
+covariance shift.
 """
 
 from __future__ import annotations
@@ -15,15 +18,94 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import CalibrationBatch, split_batch
-from .gbs import GbsConfig, build_curvature, profile_for, run_gbs, select_hparams_gbs
-from .gs import GsConfig, run_gs
+from .gbs import (
+    GAMMA_GRID_DEFAULT,
+    LAMBDA_GRID_GBS_DEFAULT,
+    GbsConfig,
+    build_curvature,
+    profile_for,
+    run_gbs,
+    select_hparams_gbs,
+)
+from .gs import LAMBDA_GRID_GS_DEFAULT, GsConfig, run_gs, select_lambda_gs
 from .linalg import as_matrix
 from .objective import LossBreakdown, recon_loss, sar_loss, weight_drift
-from .quantizer import QuantizedLayer, QuantScheme
-from .saliency import SaliencyProfile, channel_stats, identity_profile, saliency_vector_gs
+from .quantizer import QuantizedLayer, QuantScheme, rtn
+from .saliency import SaliencyProfile, identity_profile
 from .seeds import substream
 
 UNCLIPPED = 1e18  # column-norm cap large enough to never bind
+METHODS = ("rtn", "awq", "gptq", "sarqc-gs", "sarqc-gbs")
+SWEEP_METHODS = {"gs": "sarqc-gs", "gbs": "sarqc-gbs"}
+GAMMA_FIXED_DEFAULT = 0.5  # γ of a fixed-λ sarqc-gbs run when none is given
+
+
+@dataclass(frozen=True)
+class Solution:
+    """A solved layer, the saliency profile its solver used, and the chosen
+    hyperparameters (None where the method has none)."""
+
+    layer: QuantizedLayer
+    profile: SaliencyProfile
+    lam: float | None = None
+    gamma: float | None = None
+    alpha: float | None = None
+    jitter_used: float = 0.0
+
+
+def solve(
+    method: str,
+    w,
+    batch: CalibrationBatch,
+    scheme: QuantScheme,
+    *,
+    lam: float | None = None,
+    gamma: float | None = None,
+    lambda_grid=None,
+    gamma_grid=None,
+    block: int = 128,
+    saliency: str = "saliency",
+) -> Solution:
+    """Quantize one layer with one of METHODS.
+
+    awq and gptq are the λ = 0, identity-profile cases of sarqc-gs and
+    sarqc-gbs. With `lam` given the solver runs once on the training split
+    (sarqc-gbs takes γ = `gamma`, default GAMMA_FIXED_DEFAULT); otherwise λ
+    (and γ for sarqc-gbs) are selected on the validation split from
+    `lambda_grid` / `gamma_grid`, the paper's grids when None.
+    `saliency="identity"` replaces the saliency profile with the identity.
+    """
+    if method == "rtn":
+        return Solution(rtn(w, scheme), identity_profile(w.shape[1]))
+    if method in ("awq", "gptq"):
+        lam, saliency = 0.0, "identity"
+    if method in ("awq", "sarqc-gs"):
+        cfg = GsConfig(
+            scheme=scheme,
+            lam=lam if lam is not None else 0.0,
+            lambda_grid=lambda_grid or LAMBDA_GRID_GS_DEFAULT,
+            saliency_kind="identity" if saliency == "identity" else "gs",
+        )
+        res = run_gs(w, batch.train, cfg) if lam is not None else select_lambda_gs(w, batch, cfg)
+        return Solution(res.layer, res.profile, lam=res.chosen_lambda, alpha=res.chosen_alpha)
+    if method in ("gptq", "sarqc-gbs"):
+        kind = "identity" if saliency == "identity" else "gbs"
+        if lam is None:
+            cfg = GbsConfig(
+                scheme=scheme,
+                lambda_grid=lambda_grid or LAMBDA_GRID_GBS_DEFAULT,
+                gamma_grid=gamma_grid or GAMMA_GRID_DEFAULT,
+                block_size=block,
+                saliency_kind=kind,
+            )
+            sel = select_hparams_gbs(w, batch, cfg)
+            return Solution(sel.layer, sel.profile, lam=sel.lam, gamma=sel.gamma, jitter_used=sel.jitter_used)
+        gamma = (gamma if gamma is not None else GAMMA_FIXED_DEFAULT) if kind == "gbs" else None
+        prof = profile_for(w, batch.train, kind, gamma)
+        curv = build_curvature(batch.train, prof, lam)
+        layer = run_gbs(w, curv, scheme, block)
+        return Solution(layer, prof, lam=curv.lam, gamma=gamma, jitter_used=curv.jitter_used)
+    raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -143,25 +225,46 @@ class SweepRecord:
     seed: int
 
 
-def _solve_at_lambda(
+def layer_losses(w, sol: Solution, x_train, x_heldout) -> tuple[LossBreakdown, float]:
+    """Reconstruction loss on the training columns, sar loss under the
+    solver's profile, drift, and held-out risk of a solved layer."""
+    heldout, risk = evaluate(w, sol.layer, x_heldout, sol.profile)
+    return replace(heldout, recon=recon_loss(w, sol.layer.dequantized, x_train)), risk
+
+
+def sweep_layer(
     w,
     batch: CalibrationBatch,
+    x_heldout,
     scheme: QuantScheme,
     method: str,
-    lam: float,
-    gamma: float,
-    block_size: int,
-):
-    """One solver run at fixed regularization; returns (layer, profile used)."""
-    if method == "gs":
-        cfg = GsConfig(scheme=scheme, lam=lam)
-        res = run_gs(w, batch.train, cfg)
-        return res.layer, saliency_vector_gs(channel_stats(w, batch.train))
-    if method == "gbs":
-        prof = profile_for(w, batch.train, "gbs", gamma)
-        curv = build_curvature(batch.train, prof, lam)
-        return run_gbs(w, curv, scheme, block_size), prof
-    raise ValueError(f"unknown sweep method {method!r}")
+    lambda_grid,
+    *,
+    gamma: float | None = None,
+    block_size: int = 128,
+    seed: int = 0,
+) -> list[SweepRecord]:
+    """One record per λ: a fixed-λ solve of one layer by `method` ("gs" or
+    "gbs"), scored by `layer_losses`."""
+    if method not in SWEEP_METHODS:
+        raise ValueError(f"unknown sweep method {method!r}")
+    records = []
+    for lam in lambda_grid:
+        sol = solve(SWEEP_METHODS[method], w, batch, scheme, lam=float(lam), gamma=gamma, block=block_size)
+        losses, risk = layer_losses(w, sol, batch.train, x_heldout)
+        records.append(
+            SweepRecord(
+                lam=float(lam),
+                gamma=sol.gamma,
+                recon=losses.recon,
+                sar=losses.sar,
+                drift=losses.drift,
+                heldout_risk=risk,
+                method=method,
+                seed=seed,
+            )
+        )
+    return records
 
 
 def sweep_lambda(
@@ -174,7 +277,7 @@ def sweep_lambda(
     n_calib: int = 192,
     n_heldout: int = 512,
     m_x: float = UNCLIPPED,
-    gamma: float = 0.5,
+    gamma: float | None = None,
     block_size: int = 128,
     val_fraction: float = 0.25,
     corr_rank: int = 8,
@@ -204,21 +307,9 @@ def sweep_lambda(
         heldout = gen_calibration(
             spec.d_in, n_heldout, m_x, int(seed), cov_factor=factor, stream="heldout"
         )
-        for lam in lambda_grid:
-            layer, prof = _solve_at_lambda(w, batch, scheme, method, float(lam), gamma, block_size)
-            _, risk = evaluate(w, layer, heldout.x, prof)
-            records.append(
-                SweepRecord(
-                    lam=float(lam),
-                    gamma=gamma if method == "gbs" else None,
-                    recon=recon_loss(w, layer.dequantized, batch.train),
-                    sar=sar_loss(w, layer.dequantized, prof),
-                    drift=weight_drift(w, layer.dequantized),
-                    heldout_risk=risk,
-                    method=method,
-                    seed=int(seed),
-                )
-            )
+        records += sweep_layer(
+            w, batch, heldout.x, scheme, method, lambda_grid, gamma=gamma, block_size=block_size, seed=int(seed)
+        )
     records.sort(key=lambda r: (r.seed, r.lam))
     return records
 
@@ -272,15 +363,9 @@ def calib_size_study(
             )
 
             # both methods solve on the same training columns
-            base_curv = build_curvature(batch.train, identity_profile(spec.d_in), 0.0)
-            base_layer = run_gbs(w, base_curv, scheme, block_size)
-            _, base_risk = evaluate(w, base_layer, heldout.x)
-            base_risks.append(base_risk)
-
-            cfg = GbsConfig(scheme=scheme, block_size=block_size)
-            sel = select_hparams_gbs(w, batch, cfg)
-            _, sel_risk = evaluate(w, sel.layer, heldout.x)
-            sel_risks.append(sel_risk)
+            for method, risks in (("gptq", base_risks), ("sarqc-gbs", sel_risks)):
+                sol = solve(method, w, batch, scheme, block=block_size)
+                risks.append(evaluate(w, sol.layer, heldout.x)[1])
         rows.append(
             {
                 "size": int(size),

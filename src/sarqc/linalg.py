@@ -80,6 +80,30 @@ def _check_square_symmetric(g: np.ndarray, name: str) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
+def _factor_with_jitter(g: np.ndarray, jitter_base: float | None, what: str, context: str, finish):
+    """Return finish(cho_factor(G + eps·I), eps), retrying with escalating eps.
+
+    eps starts at 0, then jitter_base (default 1e-6 · mean diag), doubling
+    up to MAX_JITTER_RETRIES times; `finish` raises LinAlgError to ask for
+    more jitter.
+    """
+    d = g.shape[0]
+    base = _default_jitter(g) if jitter_base is None else float(jitter_base)
+    if base <= 0.0:
+        base = 1e-6
+    eps = 0.0
+    for _ in range(MAX_JITTER_RETRIES + 1):
+        try:
+            work = g if eps == 0.0 else g + eps * np.eye(d)
+            return finish(scipy.linalg.cho_factor(work, lower=True), eps)
+        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
+            eps = base if eps == 0.0 else 2.0 * eps
+    raise NumericalFailure(
+        f"{what} failed for {context} (dim {d}) after "
+        f"{MAX_JITTER_RETRIES} jitter retries, final eps {eps:.3e}"
+    )
+
+
 def chol_upper_of_inverse(g, jitter_base: float | None = None, *, context: str = "matrix") -> TriangularFactor:
     """Upper-triangular M with MᵀM = G⁻¹.
 
@@ -89,27 +113,16 @@ def chol_upper_of_inverse(g, jitter_base: float | None = None, *, context: str =
     """
     g = _check_square_symmetric(as_matrix(g, "G"), "G")
     d = g.shape[0]
-    base = _default_jitter(g) if jitter_base is None else float(jitter_base)
-    if base <= 0.0:
-        base = 1e-6
-    eye = np.eye(d)
-    eps = 0.0
-    for _ in range(MAX_JITTER_RETRIES + 1):
-        try:
-            work = g if eps == 0.0 else g + eps * eye
-            cf = scipy.linalg.cho_factor(work, lower=True)
-            ginv = scipy.linalg.cho_solve(cf, eye)
-            ginv = (ginv + ginv.T) / 2.0
-            m = scipy.linalg.cholesky(ginv, lower=False)
-            if not np.isfinite(m).all():
-                raise scipy.linalg.LinAlgError("non-finite factor")
-            return TriangularFactor(dim=d, data=m, jitter=eps)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
-            eps = base if eps == 0.0 else 2.0 * eps
-    raise NumericalFailure(
-        f"Cholesky of inverse failed for {context} (dim {d}) after "
-        f"{MAX_JITTER_RETRIES} jitter retries, final eps {eps:.3e}"
-    )
+
+    def finish(cf, eps):
+        ginv = scipy.linalg.cho_solve(cf, np.eye(d))
+        ginv = (ginv + ginv.T) / 2.0
+        m = scipy.linalg.cholesky(ginv, lower=False)
+        if not np.isfinite(m).all():
+            raise scipy.linalg.LinAlgError("non-finite factor")
+        return TriangularFactor(dim=d, data=m, jitter=eps)
+
+    return _factor_with_jitter(g, jitter_base, "Cholesky of inverse", context, finish)
 
 
 def solve_spd(g, b, jitter_base: float | None = None, *, context: str = "system") -> np.ndarray:
@@ -118,24 +131,14 @@ def solve_spd(g, b, jitter_base: float | None = None, *, context: str = "system"
     rhs = np.asarray(b, dtype=np.float64)
     if rhs.shape[0] != g.shape[0]:
         raise ValueError("right-hand side length does not match G")
-    base = _default_jitter(g) if jitter_base is None else float(jitter_base)
-    if base <= 0.0:
-        base = 1e-6
-    eps = 0.0
-    for _ in range(MAX_JITTER_RETRIES + 1):
-        try:
-            work = g if eps == 0.0 else g + eps * np.eye(g.shape[0])
-            cf = scipy.linalg.cho_factor(work, lower=True)
-            y = scipy.linalg.cho_solve(cf, rhs)
-            if not np.isfinite(y).all():
-                raise scipy.linalg.LinAlgError("non-finite solution")
-            return y
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
-            eps = base if eps == 0.0 else 2.0 * eps
-    raise NumericalFailure(
-        f"SPD solve failed for {context} (dim {g.shape[0]}) after "
-        f"{MAX_JITTER_RETRIES} jitter retries, final eps {eps:.3e}"
-    )
+
+    def finish(cf, eps):
+        y = scipy.linalg.cho_solve(cf, rhs)
+        if not np.isfinite(y).all():
+            raise scipy.linalg.LinAlgError("non-finite solution")
+        return y
+
+    return _factor_with_jitter(g, jitter_base, "SPD solve", context, finish)
 
 
 def spd_inverse(g, jitter_base: float | None = None, *, context: str = "matrix") -> np.ndarray:

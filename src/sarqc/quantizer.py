@@ -17,6 +17,7 @@ from .linalg import as_matrix
 
 PER_CHANNEL = "per_channel"
 PER_TENSOR = "per_tensor"
+INT32_MAX = 2**31 - 1  # codes and zero points are stored as int32
 
 
 @dataclass(frozen=True)
@@ -26,20 +27,19 @@ class QuantScheme:
     bits: int = 4
     mode: str = "asymmetric"
     group_size: int | str = 128
-    rounding: str = "half_to_even"
 
     def __post_init__(self):
         if self.bits < 2:
             raise ValueError(f"bits must be >= 2, got {self.bits}")
         if self.mode not in ("symmetric", "asymmetric"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.qmax > INT32_MAX:
+            raise ValueError(f"{self.mode} {self.bits}-bit codes do not fit in int32")
         if isinstance(self.group_size, str):
             if self.group_size not in (PER_CHANNEL, PER_TENSOR):
                 raise ValueError(f"unknown granularity {self.group_size!r}")
         elif self.group_size < 1:
             raise ValueError("group_size must be >= 1")
-        if self.rounding != "half_to_even":
-            raise ValueError("only half_to_even rounding is supported")
 
     @property
     def qmax(self) -> int:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -201,6 +202,18 @@ class TestSweep:
         lines = (tmp_path / "m.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2  # header + layers x lambdas
 
+    def test_spec_mode_honours_val_fraction(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(self.SPEC))
+        common = [
+            "sweep", "--spec", p, "--method", "sarqc-gbs", "--lambda-grid", "0.5",
+            "--seeds", 1, "--bits", 4, "--group-size", 4, "--mode", "asym",
+        ]
+        assert run_cli(*common, "--out", tmp_path / "a.csv").returncode == 0
+        assert run_cli(*common, "--val-fraction", 0.5, "--out", tmp_path / "b.csv").returncode == 0
+        # fewer training columns change the calibration reconstruction loss
+        assert (tmp_path / "a.csv").read_text() != (tmp_path / "b.csv").read_text()
+
 
 class TestVerify:
     def test_zero_trials_invalid(self, tmp_path):
@@ -247,6 +260,41 @@ class TestExitCodes:
             ["quantize", "--manifest", str(tmp_path / "m.json"), "--method", "rtn", "--out", str(tmp_path / "q")]
         )
         assert rc == 4
+
+    def test_jobs_failure_names_the_failing_layer(self, tmp_path, monkeypatch, capsys):
+        from sarqc import cli
+        from sarqc.linalg import NumericalFailure
+
+        rng = np.random.default_rng(6)
+        entries = []
+        for lid in ("l0", "l1"):
+            write_tensor(tmp_path / f"{lid}.w.sqt", rng.standard_normal((4, 8)))
+            write_tensor(tmp_path / f"{lid}.x.sqt", rng.standard_normal((8, 16)))
+            entries.append({"layer_id": lid, "weights": f"{lid}.w.sqt", "calib": f"{lid}.x.sqt",
+                            "d_out": 4, "d_in": 8, "n": 16})
+        write_manifest(tmp_path / "m.json", entries, {})
+
+        def quantize_one(entry, method, scheme, args):
+            if entry["layer_id"] == "l1":
+                raise NumericalFailure("synthetic failure")
+            time.sleep(0.5)  # l0 is still running when l1 fails
+            return entry["layer_id"], {}, {}
+
+        monkeypatch.setattr(cli, "_quantize_one", quantize_one)
+        rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", "rtn",
+                       "--jobs", "2", "--out", str(tmp_path / "q")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "layer l1" in err and "layer l0" not in err
+
+    def test_int32_overflowing_bits_exit_2(self, tmp_path):
+        from sarqc import cli
+
+        lossless_manifest(tmp_path)
+        for bits, mode in ((32, "asym"), (33, "sym")):
+            rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", "rtn",
+                           "--bits", str(bits), "--mode", mode, "--out", str(tmp_path / "q")])
+            assert rc == 2
 
     def test_missing_manifest_maps_to_3(self, tmp_path):
         r = run_cli("quantize", "--manifest", tmp_path / "missing.json", "--method", "rtn", "--out", tmp_path / "q")

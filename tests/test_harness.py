@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from sarqc.gbs import profile_for
 from sarqc.harness import (
+    METHODS,
     SynthLayerSpec,
     activation_factor,
     calib_size_study,
@@ -9,10 +11,12 @@ from sarqc.harness import (
     gen_calibration,
     gen_layer,
     outlier_channel_indices,
+    solve,
     sweep_lambda,
 )
 from sarqc.objective import recon_loss
 from sarqc.quantizer import QuantScheme, quantize_matrix
+from sarqc.saliency import channel_stats, saliency_vector_gs
 
 
 class TestGenLayer:
@@ -145,3 +149,42 @@ class TestCalibSizeStudy:
         scheme = QuantScheme(bits=4, mode="asymmetric", group_size=8)
         rows = calib_size_study(spec, scheme, [16, 512], seeds=range(5), n_heldout=256)
         assert rows[0]["baseline_median"] >= rows[1]["baseline_median"]
+
+
+class TestSolve:
+    SCHEME = QuantScheme(bits=4, mode="asymmetric", group_size=8)
+
+    @pytest.fixture
+    def layer(self):
+        spec = SynthLayerSpec(d_out=6, d_in=16, outlier_channels=2, outlier_scale=6.0, seed=4)
+        return gen_layer(spec), gen_calibration(16, 48, 1e18, seed=4)
+
+    def test_profile_is_the_one_the_solver_used(self, layer):
+        w, batch = layer
+        kinds = {"rtn": "identity", "awq": "identity", "gptq": "identity", "sarqc-gs": "gs", "sarqc-gbs": "gbs"}
+        for method in METHODS:
+            assert solve(method, w, batch, self.SCHEME).profile.kind == kinds[method]
+        gs = solve("sarqc-gs", w, batch, self.SCHEME)
+        assert np.array_equal(gs.profile.values, saliency_vector_gs(channel_stats(w, batch.train)).values)
+        gbs = solve("sarqc-gbs", w, batch, self.SCHEME)
+        assert np.array_equal(gbs.profile.values, profile_for(w, batch.train, "gbs", gbs.gamma).values)
+
+    def test_lambda_zero_baselines(self, layer):
+        w, batch = layer
+        pairs = (("awq", "sarqc-gs"), ("gptq", "sarqc-gbs"))
+        for base, method in pairs:
+            a = solve(base, w, batch, self.SCHEME, lam=0.7)  # the baselines pin lambda to 0
+            b = solve(method, w, batch, self.SCHEME, lam=0.0, saliency="identity")
+            assert np.array_equal(a.layer.dequantized, b.layer.dequantized)
+            assert (a.lam, a.gamma, a.alpha) == (b.lam, b.gamma, b.alpha)
+
+    def test_fixed_lambda_gbs_defaults_gamma(self, layer):
+        w, batch = layer
+        sol = solve("sarqc-gbs", w, batch, self.SCHEME, lam=0.5)
+        assert (sol.lam, sol.gamma) == (0.5, 0.5)
+        assert solve("sarqc-gbs", w, batch, self.SCHEME, lam=0.5, saliency="identity").gamma is None
+
+    def test_unknown_method(self, layer):
+        w, batch = layer
+        with pytest.raises(ValueError):
+            solve("magic", w, batch, self.SCHEME)

@@ -79,10 +79,20 @@ class TestCholUpperOfInverse:
         assert f.jitter > 0.0
         assert np.all(np.isfinite(f.data))
 
-    def test_indefinite_fails_after_retries(self):
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            lambda g, context: chol_upper_of_inverse(g, context=context),
+            lambda g, context: solve_spd(g, np.ones(3), context=context),
+        ],
+        ids=["chol_upper_of_inverse", "solve_spd"],
+    )
+    def test_indefinite_fails_after_retries(self, factor):
         with pytest.raises(NumericalFailure) as exc:
-            chol_upper_of_inverse(-np.eye(3), context="layer_007 curvature")
-        assert "layer_007" in str(exc.value)
+            factor(-np.eye(3), context="layer_007 curvature")
+        msg = str(exc.value)
+        # base jitter 1e-6 (mean diagonal is negative), doubled after each of 10 retries
+        assert "layer_007" in msg and "(dim 3)" in msg and "final eps 1.024e-03" in msg
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,13 @@ class TestScheme:
             QuantScheme(mode="ternary")
         with pytest.raises(ValueError):
             QuantScheme(group_size=0)
+        # codes and zero points are int32: larger ranges would wrap
+        with pytest.raises(ValueError):
+            QuantScheme(bits=32, mode="asymmetric")
+        with pytest.raises(ValueError):
+            QuantScheme(bits=33, mode="symmetric")
+        assert QuantScheme(bits=31, mode="asymmetric").qmax == 2**31 - 1
+        assert QuantScheme(bits=32, mode="symmetric").qmax == 2**31 - 1
 
     def test_ragged_groups(self):
         s = QuantScheme(group_size=2)
