@@ -155,13 +155,17 @@ def cmd_quantize(args) -> int:
     results = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
         futures = {pool.submit(_quantize_one, entry, method, scheme, args): entry["layer_id"] for entry in layers}
-        for fut in concurrent.futures.as_completed(futures):
-            try:
-                layer_id, tensors, report = fut.result()
-            except NumericalFailure as exc:
-                print(f"numerical failure in layer {futures[fut]}: {exc}", file=sys.stderr)
-                return 4
-            results[layer_id] = (tensors, report)
+        try:
+            for fut in concurrent.futures.as_completed(futures):
+                try:
+                    layer_id, tensors, report = fut.result()
+                except NumericalFailure as exc:
+                    print(f"numerical failure in layer {futures[fut]}: {exc}", file=sys.stderr)
+                    return 4
+                results[layer_id] = (tensors, report)
+        finally:
+            # on a failure, drop the queued layers; only those already running are waited for
+            pool.shutdown(cancel_futures=True)
 
     report_layers = []
     for layer_id in sorted(results):
@@ -294,22 +298,24 @@ def cmd_sweep(args) -> int:
             gamma=args.gamma,
             block_size=args.block,
         )
+        rows = [(r, "") for r in records]
     else:
-        records = []
+        # manifest order, then grid order; the layer column tells layers apart
+        rows = []
         for entry in load_manifest(args.manifest)["layers"]:
             w = read_tensor(entry["weights"])
             batch = split_batch(read_tensor(entry["calib"]), args.val_fraction)
             # held-out risk is measured on the validation split
-            records += sweep_layer(
+            records = sweep_layer(
                 w, batch, batch.val, scheme, method, lambda_grid, gamma=args.gamma, block_size=args.block, seed=args.seed
             )
-        records.sort(key=lambda r: (r.seed, r.lam))
+            rows += [(r, entry["layer_id"]) for r in records]
 
-    lines = ["lambda,gamma,recon,sar,drift,heldout_risk,method,seed"]
-    for r in records:
+    lines = ["lambda,gamma,recon,sar,drift,heldout_risk,method,seed,layer"]
+    for r, layer_id in rows:
         gamma = "" if r.gamma is None else repr(r.gamma)
         lines.append(
-            f"{r.lam!r},{gamma},{r.recon!r},{r.sar!r},{r.drift!r},{r.heldout_risk!r},{r.method},{r.seed}"
+            f"{r.lam!r},{gamma},{r.recon!r},{r.sar!r},{r.drift!r},{r.heldout_risk!r},{r.method},{r.seed},{layer_id}"
         )
     Path(args.out).write_text("\n".join(lines) + "\n")
     return 0

@@ -6,11 +6,15 @@ by min-max-normalized reconstruction error plus λ times the normalized
 saliency-weighted drift; λ itself can be picked on a held-out validation
 split. With λ = 0 the selection reduces to the plain activation-aware
 reconstruction argmin.
+
+The candidates and their raw losses do not depend on λ, only the argmin of
+the joint score does, so λ selection scores the grid once and re-picks the
+winner for each λ from the stored losses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,6 +71,7 @@ class GsResult:
     selected_index: int
     profile: SaliencyProfile  # the profile the sar losses were scored with
     val_losses: list[tuple[float, float]] | None = None
+    candidates: tuple[QuantizedLayer, ...] = field(default=(), repr=False)  # one per α, in grid order
 
 
 def candidate(w, stats: ChannelStats, alpha: float, scheme: QuantScheme) -> QuantizedLayer:
@@ -94,6 +99,22 @@ def select_joint(recon_raw, sar_raw, lam: float):
     return int(np.argmin(joint)), recon_n, sar_n, joint
 
 
+def _pick(alpha_grid, candidates, losses: list[LossBreakdown], profile: SaliencyProfile, lam: float) -> GsResult:
+    """The grid result at λ: the joint-score winner among scored candidates."""
+    selected, _, _, joint = select_joint(
+        np.array([l.recon for l in losses]), np.array([l.sar for l in losses]), lam
+    )
+    return GsResult(
+        chosen_alpha=alpha_grid[selected],
+        chosen_lambda=lam,
+        layer=candidates[selected],
+        losses=[replace(l, joint_normalized=float(j)) for l, j in zip(losses, joint)],
+        selected_index=selected,
+        profile=profile,
+        candidates=candidates,
+    )
+
+
 def run_gs(w, x, config: GsConfig) -> GsResult:
     """Full grid pass at a fixed λ over the training columns x."""
     w = as_matrix(w, "W")
@@ -104,33 +125,38 @@ def run_gs(w, x, config: GsConfig) -> GsResult:
     else:
         profile = saliency_vector_gs(stats)
 
-    layers = [candidate(w, stats, alpha, config.scheme) for alpha in config.alpha_grid]
-    raw = [
-        (recon_loss(w, ql.dequantized, x), sar_loss(w, ql.dequantized, profile), weight_drift(w, ql.dequantized))
+    layers = tuple(candidate(w, stats, alpha, config.scheme) for alpha in config.alpha_grid)
+    losses = [
+        LossBreakdown(
+            recon=recon_loss(w, ql.dequantized, x),
+            sar=sar_loss(w, ql.dequantized, profile),
+            drift=weight_drift(w, ql.dequantized),
+        )
         for ql in layers
     ]
-    selected, _, _, joint = select_joint(np.array([r[0] for r in raw]), np.array([r[1] for r in raw]), config.lam)
-    losses = [LossBreakdown(recon=r, sar=s_, drift=d, joint_normalized=float(j)) for (r, s_, d), j in zip(raw, joint)]
-    return GsResult(
-        chosen_alpha=config.alpha_grid[selected],
-        chosen_lambda=config.lam,
-        layer=layers[selected],
-        losses=losses,
-        selected_index=selected,
-        profile=profile,
-    )
+    return _pick(config.alpha_grid, layers, losses, profile, config.lam)
 
 
 def select_lambda_gs(w, batch: CalibrationBatch, config: GsConfig) -> GsResult:
     """Pick λ from the grid by reconstruction error on the validation split;
-    ties go to the smallest λ."""
+    ties go to the smallest λ.
+
+    One `run_gs` pass scores every α candidate on the training split; each λ
+    then only re-picks the joint-score winner, and the validation loss is
+    computed once per distinct winning candidate. The result equals running
+    `run_gs` at every λ of the grid.
+    """
     w = as_matrix(w, "W")
+    scored = run_gs(w, batch.train, config)
+    val_of: dict[int, float] = {}
     best: GsResult | None = None
     best_v = np.inf
     table: list[tuple[float, float]] = []
     for lam in config.lambda_grid:
-        res = run_gs(w, batch.train, replace(config, lam=lam))
-        v = recon_loss(w, res.layer.dequantized, batch.val)
+        res = _pick(config.alpha_grid, scored.candidates, scored.losses, scored.profile, lam)
+        if res.selected_index not in val_of:
+            val_of[res.selected_index] = recon_loss(w, res.layer.dequantized, batch.val)
+        v = val_of[res.selected_index]
         table.append((lam, v))
         if v < best_v:
             best, best_v = res, v

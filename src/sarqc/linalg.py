@@ -50,20 +50,35 @@ class TriangularFactor:
 
 
 def gram(x) -> np.ndarray:
-    """XXᵀ for X of shape (d_in, n); output is exactly symmetric."""
+    """XXᵀ for X of shape (d_in, n); output is exactly symmetric.
+
+    Raises NumericalFailure when XXᵀ overflows.
+    """
     x = as_matrix(x, "X")
-    g = x @ x.T
-    return (g + g.T) / 2.0
+    with np.errstate(over="ignore"):
+        g = x @ x.T
+        g = (g + g.T) / 2.0
+    if not np.isfinite(g).all():
+        raise NumericalFailure(f"Gram matrix of X {x.shape} is not finite")
+    return g
 
 
 def frobenius_sq(a) -> float:
     """Sum of squared entries.
 
-    Uses order-independent exact summation so that transposed inputs give
-    bit-identical results.
+    The squares are sorted before they are summed, so the result depends
+    only on the multiset of entries: transposed or row/column-permuted
+    inputs give bit-identical results. Raises NumericalFailure when the sum
+    overflows.
     """
     m = as_matrix(a, "A")
-    return math.fsum((m * m).ravel().tolist())
+    with np.errstate(over="ignore"):
+        sq = np.square(m).ravel()
+        sq.sort()
+        total = float(sq.sum())
+    if not math.isfinite(total):
+        raise NumericalFailure(f"sum of squares of a {m.shape} matrix is not finite")
+    return total
 
 
 def _default_jitter(g: np.ndarray) -> float:

@@ -172,8 +172,9 @@ class TestSweep:
         )
         assert r.returncode == 0, r.stderr
         lines = (tmp_path / "out.csv").read_text().strip().splitlines()
-        assert lines[0] == "lambda,gamma,recon,sar,drift,heldout_risk,method,seed"
+        assert lines[0] == "lambda,gamma,recon,sar,drift,heldout_risk,method,seed,layer"
         assert len(lines) == 2
+        assert lines[1].endswith(",0,")  # seed 0, no layer in --spec mode
 
     def test_rerun_byte_identical(self, tmp_path):
         p = tmp_path / "s.json"
@@ -201,6 +202,24 @@ class TestSweep:
         assert r.returncode == 0, r.stderr
         lines = (tmp_path / "m.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2  # header + layers x lambdas
+
+    def test_manifest_rows_name_their_layer(self, tmp_path):
+        spec = gen_spec(tmp_path, layers=2, d_in=12, n=24)
+        assert run_cli("gen", "--spec", spec, "--out", tmp_path / "d", "--seed", 4).returncode == 0
+        r = run_cli(
+            "sweep", "--manifest", tmp_path / "d" / "manifest.json", "--method", "sarqc-gs",
+            "--lambda-grid", "0.5,0,1", "--bits", 4, "--group-size", 4, "--mode", "asym",
+            "--seed", 4, "--out", tmp_path / "m.csv",
+        )
+        assert r.returncode == 0, r.stderr
+        header, *rows = (tmp_path / "m.csv").read_text().strip().splitlines()
+        assert header.split(",")[-1] == "layer"
+        # manifest order, then grid order
+        cells = [row.split(",") for row in rows]
+        assert [(c[0], c[-1]) for c in cells] == [
+            (lam, lid) for lid in ("layer_000", "layer_001") for lam in ("0.5", "0.0", "1.0")
+        ]
+        assert all(c[7] == "4" for c in cells)
 
     def test_spec_mode_honours_val_fraction(self, tmp_path):
         p = tmp_path / "s.json"
@@ -286,6 +305,48 @@ class TestExitCodes:
         assert rc == 4
         err = capsys.readouterr().err
         assert "layer l1" in err and "layer l0" not in err
+
+    @pytest.mark.parametrize("error, code", [("numerical", 4), ("invalid", 2)])
+    def test_jobs_failure_cancels_queued_layers(self, tmp_path, monkeypatch, error, code):
+        from sarqc import cli
+        from sarqc.linalg import NumericalFailure
+
+        rng = np.random.default_rng(7)
+        entries = []
+        for i in range(6):
+            lid = f"l{i}"
+            write_tensor(tmp_path / f"{lid}.w.sqt", rng.standard_normal((4, 8)))
+            write_tensor(tmp_path / f"{lid}.x.sqt", rng.standard_normal((8, 16)))
+            entries.append({"layer_id": lid, "weights": f"{lid}.w.sqt", "calib": f"{lid}.x.sqt",
+                            "d_out": 4, "d_in": 8, "n": 16})
+        write_manifest(tmp_path / "m.json", entries, {})
+        started = []
+
+        def quantize_one(entry, method, scheme, args):
+            started.append(entry["layer_id"])
+            if entry["layer_id"] == "l0":
+                raise NumericalFailure("synthetic failure") if error == "numerical" else ValueError("synthetic")
+            time.sleep(0.2)
+            return entry["layer_id"], {}, {}
+
+        monkeypatch.setattr(cli, "_quantize_one", quantize_one)
+        rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", "rtn",
+                       "--jobs", "2", "--out", str(tmp_path / "q")])
+        assert rc == code
+        # besides l0, only l1 (already running) and at most one layer the freed
+        # worker took before the queue was cancelled have started
+        assert "l0" in started and len(started) <= 1 + 2
+
+    @pytest.mark.parametrize("method", ["gptq", "sarqc-gbs"])
+    def test_overflowing_activations_exit_4(self, tmp_path, method, capsys):
+        from sarqc import cli
+
+        lossless_manifest(tmp_path)
+        write_tensor(tmp_path / "x.sqt", 1e160 * read_tensor(tmp_path / "x.sqt"))
+        rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", method,
+                       "--out", str(tmp_path / "q")])
+        assert rc == 4
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_int32_overflowing_bits_exit_2(self, tmp_path):
         from sarqc import cli

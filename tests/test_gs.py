@@ -1,10 +1,16 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sarqc import gs
 from sarqc.calibration import split_batch
-from sarqc.gs import GsConfig, candidate, run_gs, select_joint, select_lambda_gs
+from sarqc.gs import GsConfig, GsResult, candidate, run_gs, select_joint, select_lambda_gs
 from sarqc.objective import recon_loss
-from sarqc.quantizer import QuantScheme, rtn
+from sarqc.quantizer import QuantizedLayer, QuantScheme, rtn
+from sarqc.saliency import SaliencyProfile
 from sarqc.saliency import ChannelStats, channel_stats
 
 SYM3 = QuantScheme(bits=3, mode="symmetric", group_size="per_channel")
@@ -172,3 +178,79 @@ class TestSelectLambdaGs:
         assert res.val_losses == table
         best = min(table, key=lambda t: (t[1], t[0]))
         assert res.chosen_lambda == best[0]
+
+
+def per_lambda_reference(w, batch, cfg):
+    """λ selection as one full `run_gs` pass per λ; ties go to the smallest λ."""
+    best, best_v, table = None, np.inf, []
+    for lam in cfg.lambda_grid:
+        res = run_gs(w, batch.train, replace(cfg, lam=lam))
+        v = recon_loss(w, res.layer.dequantized, batch.val)
+        table.append((lam, v))
+        if v < best_v:
+            best, best_v = res, v
+    best.val_losses = table
+    return best
+
+
+def assert_bit_equal(a, b):
+    if isinstance(a, (QuantizedLayer, SaliencyProfile)):
+        assert type(a) is type(b)
+        for f in fields(a):
+            assert_bit_equal(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_bit_equal(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    else:
+        assert a == b
+
+
+class TestOnePassSelection:
+    SCHEMES = (SYM4, QuantScheme(bits=3, mode="asymmetric", group_size=2))
+
+    def assert_same_result(self, w, batch, cfg):
+        got = select_lambda_gs(w, batch, cfg)
+        want = per_lambda_reference(w, batch, cfg)
+        for f in fields(GsResult):
+            assert_bit_equal(getattr(got, f.name), getattr(want, f.name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d_out=st.integers(1, 4),
+        d_in=st.integers(2, 6),
+        n=st.integers(4, 12),
+        scheme=st.sampled_from(SCHEMES),
+        saliency_kind=st.sampled_from(("gs", "identity")),
+    )
+    @example(seed=0, d_out=1, d_in=2, n=4, scheme=SYM4, saliency_kind="gs")
+    def test_equals_per_lambda_loop(self, seed, d_out, d_in, n, scheme, saliency_kind):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((d_out, d_in)) * rng.uniform(0.5, 4.0, d_in)
+        x = rng.standard_normal((d_in, n)) * rng.uniform(0.2, 5.0, (d_in, 1))
+        cfg = GsConfig(scheme=scheme, saliency_kind=saliency_kind)
+        self.assert_same_result(w, split_batch(x, 0.25), cfg)
+
+    def test_lossless_ties_equal_per_lambda_loop(self):
+        w, x = lossless_instance()
+        cfg = GsConfig(scheme=SYM4, alpha_grid=(0.0, 0.5, 1.0), lambda_grid=(0.1, 0.5, 1.0))
+        self.assert_same_result(w, split_batch(x, 0.25), cfg)
+
+    def test_candidates_built_once(self, monkeypatch):
+        calls = []
+
+        def counting_candidate(*args, **kwargs):
+            calls.append(args[2])
+            return candidate(*args, **kwargs)
+
+        monkeypatch.setattr(gs, "candidate", counting_candidate)
+        rng = np.random.default_rng(8)
+        w = rng.standard_normal((3, 6))
+        batch = split_batch(rng.standard_normal((6, 12)), 0.25)
+        cfg = GsConfig(scheme=SYM4)
+        select_lambda_gs(w, batch, cfg)
+        assert calls == list(cfg.alpha_grid)

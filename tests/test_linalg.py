@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,11 @@ class TestGram:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             gram([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_overflow_is_numerical_failure(self):
+        # finite input whose products overflow float64
+        with pytest.raises(NumericalFailure, match="not finite"):
+            gram(np.full((2, 3), 1e160))
 
 
 class TestCholUpperOfInverse:
@@ -119,6 +126,31 @@ class TestFrobeniusSq:
     )
     def test_transpose_exact(self, a):
         assert frobenius_sq(a) == frobenius_sq(a.T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=16),
+            elements=st.floats(-1e6, 1e6, allow_nan=False),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_permutation_exact_and_close_to_fsum(self, a, seed):
+        rng = np.random.default_rng(seed)
+        permuted = a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])]
+        total = frobenius_sq(a)
+        assert frobenius_sq(a.T) == total
+        assert frobenius_sq(permuted) == total
+        assert frobenius_sq(permuted.T) == total
+        exact = math.fsum((a * a).ravel().tolist())
+        assert abs(total - exact) <= 1e-13 * exact
+
+    def test_overflow_is_numerical_failure(self):
+        with pytest.raises(NumericalFailure, match="not finite"):
+            frobenius_sq([[1e154, 1e154], [1e154, 1e154]])
+        with pytest.raises(NumericalFailure):
+            frobenius_sq([[1e160]])
 
 
 class TestSolveSpd:
