@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--saliency", choices=("saliency", "identity"), default="saliency")
     q.add_argument("--val-fraction", type=float, default=0.25)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--jobs", type=int, default=int(os.environ.get("SARQC_JOBS", "1")))
+    q.add_argument("--jobs", type=int, default=os.environ.get("SARQC_JOBS", "1"))
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_quantize)
 

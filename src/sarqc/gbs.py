@@ -9,6 +9,10 @@ update per block. λ = 0 recovers the undamped Gram-only pass.
 Group quantization parameters are frozen from the working matrix at the
 moment a group's first column is reached and are held fixed for the rest of
 the pass, so the per-coordinate quantizer stays affine during compensation.
+
+Callers build the Gram G0 = XXᵀ once and pass it to `profile_for` (for h̄,
+its mean diagonal) and `build_curvature`. `select_hparams_gbs` only picks
+(λ, γ); `harness.solve` runs the full layer.
 """
 
 from __future__ import annotations
@@ -79,7 +83,16 @@ def h_bar_of_gram(g0: np.ndarray) -> float:
     return float(np.mean(np.diag(g0)))
 
 
-def _curvature_from_gram(g0: np.ndarray, profile: SaliencyProfile, lam: float, context: str) -> CurvatureFactor:
+def build_curvature(g0, profile: SaliencyProfile, lam: float, *, context: str = "curvature") -> CurvatureFactor:
+    """G = G0 + λ·diag(s²) and its inverse-Cholesky factor, for the Gram
+    G0 = XXᵀ of the training activations.
+
+    The profile must already be scale-normalized; an identity profile is
+    normalized internally with the mean Gram diagonal, so identity + λ is
+    plain isotropic damping of magnitude λ·h̄.
+    """
+    if profile.values.shape[0] != g0.shape[0]:
+        raise ValueError("profile length does not match input channels")
     h_bar = h_bar_of_gram(g0)
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
@@ -93,19 +106,6 @@ def _curvature_from_gram(g0: np.ndarray, profile: SaliencyProfile, lam: float, c
         g = g0 + np.diag(lam * profile.values**2)
     m = chol_upper_of_inverse(g, context=context)
     return CurvatureFactor(g=g, m=m, lam=float(lam), h_bar=h_bar, jitter_used=m.jitter)
-
-
-def build_curvature(x, profile: SaliencyProfile, lam: float, *, context: str = "curvature") -> CurvatureFactor:
-    """G = XXᵀ + λ·diag(s²) and its inverse-Cholesky factor.
-
-    The profile must already be scale-normalized; an identity profile is
-    normalized internally with the mean Gram diagonal, so identity + λ is
-    plain isotropic damping of magnitude λ·h̄.
-    """
-    x = as_matrix(x, "X")
-    if profile.values.shape[0] != x.shape[0]:
-        raise ValueError("profile length does not match input channels")
-    return _curvature_from_gram(gram(x), profile, lam, context)
 
 
 def run_gbs(w, curv: CurvatureFactor, scheme: QuantScheme, block_size: int = 128) -> QuantizedLayer:
@@ -162,34 +162,32 @@ def run_gbs(w, curv: CurvatureFactor, scheme: QuantScheme, block_size: int = 128
     return QuantizedLayer(codes=codes, scales=scales, zero_points=zps, dequantized=qhat, scheme=scheme)
 
 
-def profile_for(w, x, kind: str, gamma: float | None) -> SaliencyProfile:
-    """Scale-normalized saliency profile for the given weights/activations."""
+def profile_for(w, x, kind: str, gamma: float | None, g0: np.ndarray) -> SaliencyProfile:
+    """Scale-normalized saliency profile for the given weights/activations;
+    g0 is the Gram XXᵀ of x, whose mean diagonal sets the scale."""
     if kind == "identity":
         return identity_profile(np.asarray(w).shape[1])
     if gamma is None:
         raise ValueError("gamma is required for the gbs saliency profile")
     stats = channel_stats(w, x)
     raw = saliency_vector_gbs(stats, gamma)
-    return scale_normalize_gbs(raw, h_bar_of_gram(gram(x)), gamma=gamma)
+    return scale_normalize_gbs(raw, h_bar_of_gram(g0), gamma=gamma)
 
 
 class HparamSelection(NamedTuple):
     lam: float
     gamma: float | None
-    layer: QuantizedLayer
-    jitter_used: float
     val_table: tuple[tuple[float, float | None, float], ...]
-    profile: SaliencyProfile  # the full-layer profile the winner was run with
 
 
 def select_hparams_gbs(w, batch: CalibrationBatch, config: GbsConfig) -> HparamSelection:
-    """Search (λ, γ) on a contiguous low-index channel subset, then apply the
-    winner to the full layer.
+    """Search (λ, γ) on a contiguous low-index channel subset.
 
-    Each pair is scored by reconstruction error on the validation split
-    restricted to the subset channels; ties go to the smallest λ, then the
-    smallest γ. The winning pair is re-run on the full layer with the full
-    training split.
+    The subset Gram and one profile per γ are built once and shared across
+    the λ grid. Each pair is scored by reconstruction error on the
+    validation split restricted to the subset channels; ties go to the
+    smallest λ, then the smallest γ. The full layer is not run here: the
+    caller applies the winning pair with the full training split.
     """
     w = as_matrix(w, "W")
     d_in = w.shape[1]
@@ -203,24 +201,17 @@ def select_hparams_gbs(w, batch: CalibrationBatch, config: GbsConfig) -> HparamS
     gammas = config.gamma_grid if config.saliency_kind == "gbs" else (None,)
 
     g0_sub = gram(x_train_sub)
+    profiles = {gamma: profile_for(w_sub, x_train_sub, config.saliency_kind, gamma, g0_sub) for gamma in gammas}
     best: tuple[float, float | None] | None = None
     best_v = np.inf
     table: list[tuple[float, float | None, float]] = []
     for lam in config.lambda_grid:
         for gamma in gammas:
-            prof = profile_for(w_sub, x_train_sub, config.saliency_kind, gamma)
-            curv = _curvature_from_gram(g0_sub, prof, lam, context="hparam subset")
+            curv = build_curvature(g0_sub, profiles[gamma], lam, context="hparam subset")
             ql = run_gbs(w_sub, curv, config.scheme, config.block_size)
             v = recon_loss(w_sub, ql.dequantized, x_val_sub)
             table.append((lam, gamma, v))
             if v < best_v:
                 best, best_v = (lam, gamma), v
     assert best is not None
-
-    lam, gamma = best
-    prof = profile_for(w, batch.train, config.saliency_kind, gamma)
-    curv = build_curvature(batch.train, prof, lam, context="full layer")
-    layer = run_gbs(w, curv, config.scheme, config.block_size)
-    return HparamSelection(
-        lam=lam, gamma=gamma, layer=layer, jitter_used=curv.jitter_used, val_table=tuple(table), profile=prof
-    )
+    return HparamSelection(lam=best[0], gamma=best[1], val_table=tuple(table))

@@ -28,7 +28,7 @@ from .gbs import (
     select_hparams_gbs,
 )
 from .gs import LAMBDA_GRID_GS_DEFAULT, GsConfig, run_gs, select_lambda_gs
-from .linalg import as_matrix
+from .linalg import as_matrix, gram
 from .objective import LossBreakdown, recon_loss, sar_loss, weight_drift
 from .quantizer import QuantizedLayer, QuantScheme, rtn
 from .saliency import SaliencyProfile, identity_profile
@@ -99,10 +99,12 @@ def solve(
                 saliency_kind=kind,
             )
             sel = select_hparams_gbs(w, batch, cfg)
-            return Solution(sel.layer, sel.profile, lam=sel.lam, gamma=sel.gamma, jitter_used=sel.jitter_used)
-        gamma = (gamma if gamma is not None else GAMMA_FIXED_DEFAULT) if kind == "gbs" else None
-        prof = profile_for(w, batch.train, kind, gamma)
-        curv = build_curvature(batch.train, prof, lam)
+            lam, gamma = sel.lam, sel.gamma
+        else:
+            gamma = (gamma if gamma is not None else GAMMA_FIXED_DEFAULT) if kind == "gbs" else None
+        g0 = gram(batch.train)
+        prof = profile_for(w, batch.train, kind, gamma, g0)
+        curv = build_curvature(g0, prof, lam, context="full layer")
         layer = run_gbs(w, curv, scheme, block)
         return Solution(layer, prof, lam=curv.lam, gamma=gamma, jitter_used=curv.jitter_used)
     raise ValueError(f"unknown method {method!r}")

@@ -81,11 +81,6 @@ def frobenius_sq(a) -> float:
     return total
 
 
-def _default_jitter(g: np.ndarray) -> float:
-    md = float(np.mean(np.diag(g)))
-    return 1e-6 * md if md > 0.0 else 1e-6
-
-
 def _check_square_symmetric(g: np.ndarray, name: str) -> np.ndarray:
     if g.shape[0] != g.shape[1]:
         raise ValueError(f"{name} must be square, got shape {g.shape}")
@@ -95,16 +90,15 @@ def _check_square_symmetric(g: np.ndarray, name: str) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def _factor_with_jitter(g: np.ndarray, jitter_base: float | None, what: str, context: str, finish):
+def _factor_with_jitter(g: np.ndarray, what: str, context: str, finish):
     """Return finish(cho_factor(G + eps·I), eps), retrying with escalating eps.
 
-    eps starts at 0, then jitter_base (default 1e-6 · mean diag), doubling
-    up to MAX_JITTER_RETRIES times; `finish` raises LinAlgError to ask for
-    more jitter.
+    eps starts at 0, then 1e-6 · mean diag, doubling up to MAX_JITTER_RETRIES
+    times; `finish` raises LinAlgError to ask for more jitter.
     """
     d = g.shape[0]
-    base = _default_jitter(g) if jitter_base is None else float(jitter_base)
-    if base <= 0.0:
+    base = 1e-6 * float(np.mean(np.diag(g)))
+    if not base > 0.0:  # non-positive mean diagonal, or the product underflowed
         base = 1e-6
     eps = 0.0
     for _ in range(MAX_JITTER_RETRIES + 1):
@@ -119,11 +113,11 @@ def _factor_with_jitter(g: np.ndarray, jitter_base: float | None, what: str, con
     )
 
 
-def chol_upper_of_inverse(g, jitter_base: float | None = None, *, context: str = "matrix") -> TriangularFactor:
+def chol_upper_of_inverse(g, *, context: str = "matrix") -> TriangularFactor:
     """Upper-triangular M with MᵀM = G⁻¹.
 
-    On factorization failure, adds eps·I with eps starting at jitter_base
-    (default 1e-6 · mean diag) and doubling, up to MAX_JITTER_RETRIES times.
+    On factorization failure, adds eps·I with eps starting at 1e-6 · mean
+    diag and doubling, up to MAX_JITTER_RETRIES times.
     The jitter actually used is recorded on the returned factor.
     """
     g = _check_square_symmetric(as_matrix(g, "G"), "G")
@@ -137,10 +131,10 @@ def chol_upper_of_inverse(g, jitter_base: float | None = None, *, context: str =
             raise scipy.linalg.LinAlgError("non-finite factor")
         return TriangularFactor(dim=d, data=m, jitter=eps)
 
-    return _factor_with_jitter(g, jitter_base, "Cholesky of inverse", context, finish)
+    return _factor_with_jitter(g, "Cholesky of inverse", context, finish)
 
 
-def solve_spd(g, b, jitter_base: float | None = None, *, context: str = "system") -> np.ndarray:
+def solve_spd(g, b, *, context: str = "system") -> np.ndarray:
     """Solve G y = b for symmetric positive definite G (after jitter policy)."""
     g = _check_square_symmetric(as_matrix(g, "G"), "G")
     rhs = np.asarray(b, dtype=np.float64)
@@ -153,11 +147,11 @@ def solve_spd(g, b, jitter_base: float | None = None, *, context: str = "system"
             raise scipy.linalg.LinAlgError("non-finite solution")
         return y
 
-    return _factor_with_jitter(g, jitter_base, "SPD solve", context, finish)
+    return _factor_with_jitter(g, "SPD solve", context, finish)
 
 
-def spd_inverse(g, jitter_base: float | None = None, *, context: str = "matrix") -> np.ndarray:
+def spd_inverse(g, *, context: str = "matrix") -> np.ndarray:
     """G⁻¹ via the Cholesky factor, symmetrized on output."""
-    f = chol_upper_of_inverse(g, jitter_base, context=context)
+    f = chol_upper_of_inverse(g, context=context)
     ginv = f.data.T @ f.data
     return (ginv + ginv.T) / 2.0

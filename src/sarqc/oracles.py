@@ -536,9 +536,10 @@ def run_gptq_equiv_suite(trials: int, seed: int, *, d_in_max: int = 64, n: int =
         group: int | str = [16, 32, "per_channel"][int(rng.integers(3))]
         scheme = QuantScheme(bits=int(rng.integers(3, 5)), mode=mode, group_size=group)
 
-        curv = build_curvature(x, identity_profile(d_in), 0.0)
+        g0 = gram(x)
+        curv = build_curvature(g0, identity_profile(d_in), 0.0)
         solver = run_gbs(w, curv, scheme, block_size=128)
-        ref = greedy_sequential_reference(w, gram(x), scheme)
+        ref = greedy_sequential_reference(w, g0, scheme)
         if not (
             np.array_equal(solver.codes, ref.codes)
             and np.array_equal(solver.scales, ref.scales)

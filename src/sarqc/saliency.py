@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import NumericalFailure, as_matrix
 
 STAT_FLOOR = 1e-8
 
@@ -69,11 +69,17 @@ def channel_stats(w, x) -> ChannelStats:
 
 def scaling_vector_gs(stats: ChannelStats, alpha: float) -> np.ndarray:
     """Candidate-generating channel scaling, normalized by the geometric
-    mean of its extrema so that max(s) · min(s) = 1."""
+    mean of its extrema so that max(s) · min(s) = 1. Raises NumericalFailure
+    when that product over- or underflows and s is not finite and positive.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     s = stats.mean_abs_x**alpha / stats.mean_abs_w ** (1.0 - alpha)
-    return s / np.sqrt(s.max() * s.min())
+    with np.errstate(over="ignore", divide="ignore"):
+        s = s / np.sqrt(s.max() * s.min())
+    if not (np.isfinite(s).all() and np.all(s > 0.0)):
+        raise NumericalFailure(f"scaling vector for alpha {alpha} is not finite and positive")
+    return s
 
 
 def saliency_vector_gs(stats: ChannelStats) -> SaliencyProfile:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,11 +10,12 @@ import pytest
 from sarqc.tensorio import read_tensor, write_manifest, write_tensor
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "sarqc.cli", *map(str, args)],
         capture_output=True,
         text=True,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -265,6 +267,18 @@ class TestVerify:
 
 
 class TestExitCodes:
+    def test_malformed_sarqc_jobs_leaves_verify_working(self, tmp_path):
+        r = run_cli("verify", "--suite", "compensation", "--trials", 5, "--out", tmp_path / "v.json",
+                    env={"SARQC_JOBS": "abc"})
+        assert r.returncode == 0, r.stderr
+
+    def test_malformed_sarqc_jobs_is_a_quantize_usage_error(self, tmp_path):
+        lossless_manifest(tmp_path)
+        r = run_cli("quantize", "--manifest", tmp_path / "m.json", "--method", "rtn", "--out", tmp_path / "q",
+                    env={"SARQC_JOBS": "abc"})
+        assert r.returncode == 2
+        assert "--jobs" in r.stderr and "Traceback" not in r.stderr
+
     def test_numerical_failure_maps_to_4(self, tmp_path, monkeypatch):
         from sarqc import cli
         from sarqc.linalg import NumericalFailure

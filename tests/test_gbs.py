@@ -11,6 +11,7 @@ from sarqc.gbs import (
     run_gbs,
     select_hparams_gbs,
 )
+from sarqc.harness import solve
 from sarqc.linalg import TriangularFactor, gram, spd_inverse
 from sarqc.objective import recon_loss
 from sarqc.oracles import greedy_sequential_reference, oracle_row_update
@@ -30,27 +31,27 @@ def identity_curvature(d):
 class TestBuildCurvature:
     def test_identity_inputs_unit_lambda(self):
         prof = scale_normalize_gbs(np.ones(2), h_bar=1.0)
-        curv = build_curvature(np.eye(2), prof, lam=1.0)
+        curv = build_curvature(gram(np.eye(2)), prof, lam=1.0)
         assert np.allclose(curv.g, 2.0 * np.eye(2))
         assert np.allclose(curv.m.data, np.eye(2) / np.sqrt(2.0))
 
     def test_lambda_zero_is_plain_gram(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 9))
-        curv = build_curvature(x, identity_profile(4), 0.0)
+        curv = build_curvature(gram(x), identity_profile(4), 0.0)
         assert np.array_equal(curv.g, gram(x))
 
     def test_identity_profile_hand_example(self):
         # rows (1,0) and (1,1): gram [[1,1],[1,2]], h_bar 1.5, damping 0.75
         x = np.array([[1.0, 0.0], [1.0, 1.0]])
-        curv = build_curvature(x, identity_profile(2), lam=0.5)
+        curv = build_curvature(gram(x), identity_profile(2), lam=0.5)
         assert curv.h_bar == pytest.approx(1.5)
         assert np.allclose(curv.g, np.array([[1.75, 1.0], [1.0, 2.75]]))
 
     def test_identity_profile_hand_example_transposed(self):
         # with the transposed inputs the gram is [[2,1],[1,1]], same h_bar
         x = np.array([[1.0, 1.0], [0.0, 1.0]])
-        curv = build_curvature(x, identity_profile(2), lam=0.5)
+        curv = build_curvature(gram(x), identity_profile(2), lam=0.5)
         assert curv.h_bar == pytest.approx(1.5)
         assert np.allclose(curv.g, np.array([[2.75, 1.0], [1.0, 1.75]]))
 
@@ -58,7 +59,7 @@ class TestBuildCurvature:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, 20))
         lam = 0.7
-        curv = build_curvature(x, identity_profile(6), lam)
+        curv = build_curvature(gram(x), identity_profile(6), lam)
         g0 = gram(x)
         hb = h_bar_of_gram(g0)
         assert np.max(np.abs(curv.g - (g0 + lam * hb * np.eye(6)))) < 1e-10
@@ -70,7 +71,7 @@ class TestRunGbs:
         w = rng.integers(-7, 8, size=(3, 5)).astype(np.float64)
         w[:, 0] = 7.0
         x = rng.standard_normal((5, 16))
-        curv = build_curvature(x, identity_profile(5), 0.0)
+        curv = build_curvature(gram(x), identity_profile(5), 0.0)
         out = run_gbs(w, curv, SYM4, block_size=128)
         assert np.array_equal(out.dequantized, w)
 
@@ -96,7 +97,7 @@ class TestRunGbs:
         w = rng.standard_normal((8, d_in))
         x = rng.standard_normal((d_in, 64))
         scheme = QuantScheme(bits=4, mode="asymmetric", group_size=8)
-        curv = build_curvature(x, identity_profile(d_in), 0.3)
+        curv = build_curvature(gram(x), identity_profile(d_in), 0.3)
         outs = [run_gbs(w, curv, scheme, block_size=b) for b in (1, 5, d_in)]
         for other in outs[1:]:
             assert np.max(np.abs(outs[0].dequantized - other.dequantized)) <= 1e-9
@@ -115,7 +116,7 @@ class TestGptqEquivalence:
             x = rng.standard_normal((d_in, 128))
             mode = "symmetric" if trial % 2 else "asymmetric"
             scheme = QuantScheme(bits=4, mode=mode, group_size=8)
-            curv = build_curvature(x, identity_profile(d_in), 0.0)
+            curv = build_curvature(gram(x), identity_profile(d_in), 0.0)
             solver = run_gbs(w, curv, scheme, block_size=128)
             ref = greedy_sequential_reference(w, gram(x), scheme)
             assert np.array_equal(solver.codes, ref.codes)
@@ -128,7 +129,7 @@ class TestGptqEquivalence:
         w = rng.standard_normal((4, d_in))
         x = rng.standard_normal((d_in, 40))
         lam = 0.5
-        curv = build_curvature(x, identity_profile(d_in), lam)
+        curv = build_curvature(gram(x), identity_profile(d_in), lam)
         out = run_gbs(w, curv, SYM4, block_size=128)
         damped = gram(x) + lam * h_bar_of_gram(gram(x)) * np.eye(d_in)
         ref = greedy_sequential_reference(w, damped, SYM4)
@@ -143,7 +144,7 @@ class TestCompensationOptimality:
         d_in, d_out = 6, 3
         w = rng.standard_normal((d_out, d_in))
         x = rng.standard_normal((d_in, 30))
-        curv = build_curvature(x, identity_profile(d_in), 0.2)
+        curv = build_curvature(gram(x), identity_profile(d_in), 0.2)
         g, m = curv.g, curv.m.data
 
         scheme = SYM4
@@ -173,12 +174,12 @@ class TestSelectHparams:
         d_in = 10
         w = rng.standard_normal((4, d_in))
         batch = split_batch(rng.standard_normal((d_in, 24)), 0.25)
-        cfg = GbsConfig(scheme=SYM4, lambda_grid=(0.5,), gamma_grid=(0.35,), subset_min=4, subset_fraction=1.0)
-        sel = select_hparams_gbs(w, batch, cfg)
-        prof = profile_for(w, batch.train, "gbs", 0.35)
-        direct = run_gbs(w, build_curvature(batch.train, prof, 0.5), SYM4, cfg.block_size)
-        assert (sel.lam, sel.gamma) == (0.5, 0.35)
-        assert np.array_equal(sel.layer.dequantized, direct.dequantized)
+        sol = solve("sarqc-gbs", w, batch, SYM4, lambda_grid=(0.5,), gamma_grid=(0.35,))
+        g0 = gram(batch.train)
+        prof = profile_for(w, batch.train, "gbs", 0.35, g0)
+        direct = run_gbs(w, build_curvature(g0, prof, 0.5), SYM4)
+        assert (sol.lam, sol.gamma) == (0.5, 0.35)
+        assert np.array_equal(sol.layer.dequantized, direct.dequantized)
 
     def test_lossless_ties_pick_smallest_pair(self):
         w = np.array([[-7.0, 7.0, 7.0, -7.0]])
@@ -199,11 +200,12 @@ class TestSelectHparams:
         # rebuild the subset table independently and check the tie-break order
         k = max(cfg.subset_min, int(np.ceil(cfg.subset_fraction * 48)))
         w_sub, x_tr, x_val = w[:, :k], batch.train[:k], batch.val[:k]
+        g0 = gram(x_tr)
         table = []
         for lam in cfg.lambda_grid:
             for gamma in cfg.gamma_grid:
-                prof = profile_for(w_sub, x_tr, "gbs", gamma)
-                layer = run_gbs(w_sub, build_curvature(x_tr, prof, lam), cfg.scheme, cfg.block_size)
+                prof = profile_for(w_sub, x_tr, "gbs", gamma, g0)
+                layer = run_gbs(w_sub, build_curvature(g0, prof, lam), cfg.scheme, cfg.block_size)
                 table.append((lam, gamma, recon_loss(w_sub, layer.dequantized, x_val)))
         best = min(table, key=lambda t: (t[2], t[0], t[1]))
         assert (sel.lam, sel.gamma) == (best[0], best[1])
@@ -221,9 +223,8 @@ class TestSelectHparams:
         rng = np.random.default_rng(11)
         w = rng.standard_normal((4, 40))
         batch = split_batch(rng.standard_normal((40, 32)), 0.25)
-        cfg = GbsConfig(scheme=SYM4)
-        a = select_hparams_gbs(w, batch, cfg)
-        b = select_hparams_gbs(w, batch, cfg)
+        a = solve("sarqc-gbs", w, batch, SYM4)
+        b = solve("sarqc-gbs", w, batch, SYM4)
         assert (a.lam, a.gamma) == (b.lam, b.gamma)
         assert np.array_equal(a.layer.codes, b.layer.codes)
         assert np.array_equal(a.layer.dequantized, b.layer.dequantized)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sarqc.gbs import profile_for
+from sarqc.gbs import GAMMA_GRID_DEFAULT, profile_for
 from sarqc.harness import (
     METHODS,
     SynthLayerSpec,
@@ -14,6 +14,7 @@ from sarqc.harness import (
     solve,
     sweep_lambda,
 )
+from sarqc.linalg import gram
 from sarqc.objective import recon_loss
 from sarqc.quantizer import QuantScheme, quantize_matrix
 from sarqc.saliency import channel_stats, saliency_vector_gs
@@ -167,7 +168,8 @@ class TestSolve:
         gs = solve("sarqc-gs", w, batch, self.SCHEME)
         assert np.array_equal(gs.profile.values, saliency_vector_gs(channel_stats(w, batch.train)).values)
         gbs = solve("sarqc-gbs", w, batch, self.SCHEME)
-        assert np.array_equal(gbs.profile.values, profile_for(w, batch.train, "gbs", gbs.gamma).values)
+        g0 = gram(batch.train)
+        assert np.array_equal(gbs.profile.values, profile_for(w, batch.train, "gbs", gbs.gamma, g0).values)
 
     def test_lambda_zero_baselines(self, layer):
         w, batch = layer
@@ -188,3 +190,41 @@ class TestSolve:
         w, batch = layer
         with pytest.raises(ValueError):
             solve("magic", w, batch, self.SCHEME)
+
+    def test_selected_gbs_builds_each_gram_and_profile_once(self, monkeypatch):
+        import sarqc.gbs
+        import sarqc.harness
+
+        d_in = 48  # the default subset is the first 32 channels
+        w = gen_layer(SynthLayerSpec(d_out=6, d_in=d_in, outlier_channels=4, outlier_scale=6.0, seed=5))
+        batch = gen_calibration(d_in, 64, 1e18, seed=5)
+        gram_rows, profile_rows = [], []
+
+        def counted(fn, rows, x_arg):
+            def wrapper(*args, **kwargs):
+                rows.append(np.asarray(args[x_arg]).shape[0])  # channels of the activations passed
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for mod in (sarqc.gbs, sarqc.harness):
+            monkeypatch.setattr(mod, "gram", counted(gram, gram_rows, 0), raising=False)
+            monkeypatch.setattr(mod, "profile_for", counted(profile_for, profile_rows, 1))
+        sol = solve("sarqc-gbs", w, batch, self.SCHEME)
+        assert sol.gamma is not None
+        assert sorted(gram_rows) == [32, d_in]
+        assert sorted(profile_rows) == [32] * len(GAMMA_GRID_DEFAULT) + [d_in]
+
+    @pytest.mark.parametrize("saliency", ["saliency", "identity"])
+    def test_selected_gbs_equals_fixed_lambda_at_the_chosen_pair(self, layer, saliency):
+        w, batch = layer
+        sel = solve("sarqc-gbs", w, batch, self.SCHEME, saliency=saliency)
+        fixed = solve("sarqc-gbs", w, batch, self.SCHEME, lam=sel.lam, gamma=sel.gamma, saliency=saliency)
+        for field in ("codes", "scales", "zero_points", "dequantized"):
+            assert np.array_equal(getattr(sel.layer, field), getattr(fixed.layer, field))
+        assert np.array_equal(sel.profile.values, fixed.profile.values)
+        for field in ("kind", "gamma", "h_bar"):
+            assert getattr(sel.profile, field) == getattr(fixed.profile, field)
+        for field in ("lam", "gamma", "alpha", "jitter_used"):
+            assert getattr(sel, field) == getattr(fixed, field)
+        assert sel.layer.scheme == fixed.layer.scheme

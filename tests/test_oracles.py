@@ -98,7 +98,7 @@ class TestExhaustiveQuantMin:
             d = 3
             w = rng.standard_normal((1, d))
             x = rng.standard_normal((d, 12))
-            curv = build_curvature(x, identity_profile(d), 0.1)
+            curv = build_curvature(gram(x), identity_profile(d), 0.1)
             out = run_gbs(w, curv, scheme, block_size=128)
             scale = out.scales[0, 0]
             grid = [scale * q for q in range(scheme.qmin, scheme.qmax + 1)]

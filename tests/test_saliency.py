@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sarqc.linalg import NumericalFailure
 from sarqc.saliency import (
     STAT_FLOOR,
     SaliencyProfile,
@@ -75,6 +76,13 @@ class TestScalingVectorGs:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             scaling_vector_gs(stats_from([1.0], [1.0]), 1.5)
+
+    def test_overflow_is_numerical_failure(self):
+        # max(s) · min(s) overflows, which would zero s and make NaN candidates
+        rng = np.random.default_rng(0)
+        stats = channel_stats(rng.standard_normal((4, 8)), rng.standard_normal((8, 16)) * 1e160)
+        with pytest.raises(NumericalFailure, match="scaling vector"):
+            scaling_vector_gs(stats, 1.0)
 
 
 class TestSaliencyVectors:
