@@ -6,6 +6,12 @@ compensated into the later ones through rows of M = chol(G⁻¹)ᵀ. Updates
 inside a block are applied immediately, trailing columns get one batched
 update per block. λ = 0 recovers the undamped Gram-only pass.
 
+The pass works on a transposed (d_in, d_out) copy of W, so each column it
+quantizes and each in-block update is a contiguous row; the outputs are
+transposed back to the (d_out, ·) layout. The arithmetic, including the
+orientation of the per-block products, is that of a (d_out, d_in) pass, so
+the bytes do not depend on the layout.
+
 Group quantization parameters are frozen from the working matrix at the
 moment a group's first column is reached and are held fixed for the rest of
 the pass, so the per-coordinate quantizer stays affine during compensation.
@@ -120,13 +126,14 @@ def run_gbs(w, curv: CurvatureFactor, scheme: QuantScheme, block_size: int = 128
 
     slices = scheme.group_slices(d_in)
     grp_idx = scheme.group_index(d_in)
-    codes = np.empty((d_out, d_in), dtype=np.int32)
-    qhat = np.empty_like(w)
-    scales = np.empty((d_out, len(slices)), dtype=np.float64)
-    zps = np.empty((d_out, len(slices)), dtype=np.int32)
+    # transposed working copy: column j of W is the contiguous row u[j]
+    codes = np.empty((d_in, d_out), dtype=np.int32)
+    qhat = np.empty((d_in, d_out))
+    scales = np.empty((len(slices), d_out))
+    zps = np.empty((len(slices), d_out), dtype=np.int32)
     ready = np.zeros(len(slices), dtype=bool)
 
-    u = w.copy()
+    u = w.T.copy()
     for i in range(0, d_in, block_size):
         i_end = min(i + block_size, d_in)
         e_blk = np.empty((d_out, i_end - i))
@@ -135,30 +142,33 @@ def run_gbs(w, curv: CurvatureFactor, scheme: QuantScheme, block_size: int = 128
             if not ready[gi]:
                 if scheme.per_tensor:
                     s1, z1 = group_params(u.reshape(1, -1), scheme)
-                    scales[:, gi] = s1[0]
-                    zps[:, gi] = z1[0]
+                    scales[gi] = s1[0]
+                    zps[gi] = z1[0]
                 else:
                     sl = slices[gi]
-                    g_slice = u[:, sl]
+                    g_slice = u[sl]
                     if sl.stop > i_end and j > i:
                         # group columns past the block boundary are missing the
                         # pending updates from columns [i, j); fold them in so
                         # group parameters are block-size independent
                         g_slice = g_slice.copy()
-                        g_slice[:, i_end - sl.start :] -= e_blk[:, : j - i] @ m[i:j, i_end : sl.stop]
-                    scales[:, gi], zps[:, gi] = group_params(g_slice, scheme)
+                        g_slice[i_end - sl.start :] -= (e_blk[:, : j - i] @ m[i:j, i_end : sl.stop]).T
+                    scales[gi], zps[gi] = group_params(g_slice.T, scheme)
                 ready[gi] = True
-            s = scales[:, gi]
-            z = zps[:, gi]
-            c = quantize_with_params(u[:, j], s, z, scheme)
+            s = scales[gi]
+            z = zps[gi]
+            c = quantize_with_params(u[j], s, z, scheme)
             qcol = dequantize_with_params(c, s, z)
-            codes[:, j] = c
-            qhat[:, j] = qcol
-            e = (u[:, j] - qcol) / m[j, j]
+            codes[j] = c
+            qhat[j] = qcol
+            e = (u[j] - qcol) / m[j, j]
             e_blk[:, j - i] = e
-            u[:, j:i_end] -= np.outer(e, m[j, j:i_end])
+            u[j:i_end] -= np.outer(m[j, j:i_end], e)
         if i_end < d_in:
-            u[:, i_end:] -= e_blk @ m[i:i_end, i_end:]
+            # the fold is the (d_out, ·) GEMM, transposed; m[…].T @ e_blk.T
+            # sums in another order and moves bytes
+            u[i_end:] -= (e_blk @ m[i:i_end, i_end:]).T
+    codes, qhat, scales, zps = (np.ascontiguousarray(a.T) for a in (codes, qhat, scales, zps))
     return QuantizedLayer(codes=codes, scales=scales, zero_points=zps, dequantized=qhat, scheme=scheme)
 
 

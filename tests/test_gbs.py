@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sarqc.calibration import split_batch
 from sarqc.gbs import (
@@ -20,6 +22,50 @@ from sarqc.saliency import identity_profile, scale_normalize_gbs
 
 SYM3 = QuantScheme(bits=3, mode="symmetric", group_size="per_channel")
 SYM4 = QuantScheme(bits=4, mode="symmetric", group_size="per_channel")
+
+
+def run_gbs_column_layout(w, m, scheme, block_size):
+    """The blocked pass on a (d_out, d_in) working copy, as run_gbs computed
+    it before it moved to a transposed one; kept as its byte reference."""
+    d_out, d_in = w.shape
+    slices = scheme.group_slices(d_in)
+    grp_idx = scheme.group_index(d_in)
+    codes = np.empty((d_out, d_in), dtype=np.int32)
+    qhat = np.empty_like(w)
+    scales = np.empty((d_out, len(slices)), dtype=np.float64)
+    zps = np.empty((d_out, len(slices)), dtype=np.int32)
+    ready = np.zeros(len(slices), dtype=bool)
+    u = w.copy()
+    for i in range(0, d_in, block_size):
+        i_end = min(i + block_size, d_in)
+        e_blk = np.empty((d_out, i_end - i))
+        for j in range(i, i_end):
+            gi = int(grp_idx[j])
+            if not ready[gi]:
+                if scheme.per_tensor:
+                    s1, z1 = group_params(u.reshape(1, -1), scheme)
+                    scales[:, gi] = s1[0]
+                    zps[:, gi] = z1[0]
+                else:
+                    sl = slices[gi]
+                    g_slice = u[:, sl]
+                    if sl.stop > i_end and j > i:
+                        g_slice = g_slice.copy()
+                        g_slice[:, i_end - sl.start :] -= e_blk[:, : j - i] @ m[i:j, i_end : sl.stop]
+                    scales[:, gi], zps[:, gi] = group_params(g_slice, scheme)
+                ready[gi] = True
+            s = scales[:, gi]
+            z = zps[:, gi]
+            c = quantize_with_params(u[:, j], s, z, scheme)
+            qcol = dequantize_with_params(c, s, z)
+            codes[:, j] = c
+            qhat[:, j] = qcol
+            e = (u[:, j] - qcol) / m[j, j]
+            e_blk[:, j - i] = e
+            u[:, j:i_end] -= np.outer(e, m[j, j:i_end])
+        if i_end < d_in:
+            u[:, i_end:] -= e_blk @ m[i:i_end, i_end:]
+    return codes, scales, zps, qhat
 
 
 def identity_curvature(d):
@@ -105,6 +151,30 @@ class TestRunGbs:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             run_gbs(np.zeros((2, 3)), identity_curvature(4), SYM4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d_out=st.integers(1, 300),
+        d_in=st.integers(1, 300),
+        block=st.sampled_from([1, 3, 8, 16, 32, 128]),
+        group=st.sampled_from([4, 16, 32, "per_channel", "per_tensor"]),
+        mode=st.sampled_from(["symmetric", "asymmetric"]),
+        bits=st.integers(2, 4),
+        lam=st.floats(0.05, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_match_column_layout_loop(self, d_out, d_in, block, group, mode, bits, lam, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((d_out, d_in))
+        x = rng.standard_normal((d_in, int(rng.integers(1, 2 * d_in + 2))))
+        scheme = QuantScheme(bits=bits, mode=mode, group_size=group)
+        curv = build_curvature(gram(x), identity_profile(d_in), lam)
+        out = run_gbs(w, curv, scheme, block_size=block)
+        ref = run_gbs_column_layout(w, curv.m.data, scheme, block)
+        for got, want in zip((out.codes, out.scales, out.zero_points, out.dequantized), ref):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
 
 
 class TestGptqEquivalence:
