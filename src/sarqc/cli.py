@@ -121,6 +121,9 @@ def _quantize_one(entry: dict, method: str, scheme: QuantScheme, args) -> tuple[
     )
     wall_ms = (time.perf_counter() - t0) * 1000.0
     losses, heldout_risk = layer_losses(w, sol, batch.train, batch.val)
+    factor = None  # gptq and sarqc-gbs only
+    if sol.factor is not None:
+        factor = {"jitter": sol.factor.jitter, "retries": sol.factor.retries, "min_pivot": sol.factor.min_pivot}
     report = {
         "layer_id": entry["layer_id"],
         "method": method,
@@ -130,6 +133,7 @@ def _quantize_one(entry: dict, method: str, scheme: QuantScheme, args) -> tuple[
         "losses": {"recon": losses.recon, "sar": losses.sar, "drift": losses.drift},
         "heldout_risk": heldout_risk,
         "jitter_used": sol.jitter_used,
+        "factor": factor,
         "wall_time_ms": wall_ms,
     }
     tensors = {

@@ -28,7 +28,7 @@ from .gbs import (
     select_hparams_gbs,
 )
 from .gs import LAMBDA_GRID_GS_DEFAULT, GsConfig, run_gs, select_lambda_gs
-from .linalg import as_matrix, gram
+from .linalg import TriangularFactor, as_matrix, gram
 from .objective import LossBreakdown, recon_loss, sar_loss, weight_drift
 from .quantizer import QuantizedLayer, QuantScheme, rtn
 from .saliency import SaliencyProfile, identity_profile
@@ -42,15 +42,20 @@ GAMMA_FIXED_DEFAULT = 0.5  # γ of a fixed-λ sarqc-gbs run when none is given
 
 @dataclass(frozen=True)
 class Solution:
-    """A solved layer, the saliency profile its solver used, and the chosen
-    hyperparameters (None where the method has none)."""
+    """A solved layer, the saliency profile its solver used, the chosen
+    hyperparameters (None where the method has none) and the curvature
+    factor of the GBS methods."""
 
     layer: QuantizedLayer
     profile: SaliencyProfile
     lam: float | None = None
     gamma: float | None = None
     alpha: float | None = None
-    jitter_used: float = 0.0
+    factor: TriangularFactor | None = None
+
+    @property
+    def jitter_used(self) -> float:
+        return self.factor.jitter if self.factor is not None else 0.0
 
 
 def solve(
@@ -106,7 +111,7 @@ def solve(
         prof = profile_for(w, batch.train, kind, gamma, g0)
         curv = build_curvature(g0, prof, lam, context="full layer")
         layer = run_gbs(w, curv, scheme, block)
-        return Solution(layer, prof, lam=curv.lam, gamma=gamma, jitter_used=curv.jitter_used)
+        return Solution(layer, prof, lam=curv.lam, gamma=gamma, factor=curv.m)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -3,6 +3,11 @@
 Gram products, squared Frobenius norms, upper-triangular factors of inverse
 SPD matrices, and SPD solves. Everything runs in float64. Factorizations
 that fail get escalating diagonal jitter before giving up.
+
+The upper factor M of G⁻¹ comes from one Cholesky factorization and one
+triangular inverse: with P the matrix that reverses the index order and
+P·G·P = L·Lᵀ, M = P·L⁻¹·P is upper triangular and MᵀM = P·L⁻ᵀ·L⁻¹·P = G⁻¹.
+Neither G⁻¹ nor a second factorization is formed.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import scipy.linalg
 
 
 MAX_JITTER_RETRIES = 10
+SYMMETRY_TILE = 256  # edge of the square tiles the symmetry check compares
 
 
 class NumericalFailure(RuntimeError):
@@ -33,11 +39,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class TriangularFactor:
-    """Upper-triangular M with MᵀM = (G + jitter·I)⁻¹ and positive diagonal."""
+    """Upper-triangular M with MᵀM = (G + jitter·I)⁻¹ and positive diagonal.
+
+    `retries` counts the factorization attempts that failed before the one
+    that produced M, each of which raised the jitter.
+    """
 
     dim: int
     data: np.ndarray
     jitter: float = 0.0
+    retries: int = 0
 
     def __post_init__(self):
         d = self.data
@@ -47,6 +58,12 @@ class TriangularFactor:
             raise ValueError("factor diagonal must be strictly positive")
         if np.any(np.tril(d, k=-1) != 0.0):
             raise ValueError("factor must be upper triangular")
+
+    @property
+    def min_pivot(self) -> float:
+        """Smallest diagonal entry of the Cholesky factor M was built from,
+        1 / max(diag(M))."""
+        return 1.0 / float(np.max(np.diag(self.data)))
 
 
 def gram(x) -> np.ndarray:
@@ -82,29 +99,48 @@ def frobenius_sq(a) -> float:
 
 
 def _check_square_symmetric(g: np.ndarray, name: str) -> np.ndarray:
-    if g.shape[0] != g.shape[1]:
+    """Reject G unless |G - Gᵀ| ≤ 1e-8·(1 + max|G|); return (G + Gᵀ)/2, or
+    G itself when it is exactly symmetric.
+
+    Upper tiles are compared with the transposed lower ones, so G - Gᵀ is
+    never built in full.
+    """
+    d = g.shape[0]
+    if d != g.shape[1]:
         raise ValueError(f"{name} must be square, got shape {g.shape}")
-    scale = 1.0 + float(np.max(np.abs(g))) if g.size else 1.0
-    if float(np.max(np.abs(g - g.T), initial=0.0)) > 1e-8 * scale:
-        raise ValueError(f"{name} is not symmetric")
-    return (g + g.T) / 2.0
+    amax = max(float(g.max()), -float(g.min())) if g.size else 0.0
+    tol = 1e-8 * (1.0 + amax)
+    exact = True
+    for i in range(0, d, SYMMETRY_TILE):
+        rows = slice(i, i + SYMMETRY_TILE)
+        for j in range(i, d, SYMMETRY_TILE):
+            cols = slice(j, j + SYMMETRY_TILE)
+            worst = float(np.max(np.abs(g[rows, cols] - g[cols, rows].T)))
+            if worst > tol:
+                raise ValueError(f"{name} is not symmetric")
+            exact = exact and worst == 0.0
+    return g if exact else (g + g.T) / 2.0
 
 
-def _factor_with_jitter(g: np.ndarray, what: str, context: str, finish):
-    """Return finish(cho_factor(G + eps·I), eps), retrying with escalating eps.
+def _factor_with_jitter(g: np.ndarray, what: str, context: str, finish, *, reverse: bool = False):
+    """Return finish(cho_factor(A + eps·I), eps, retries), retrying with
+    escalating eps; A is G, or P·G·P with the index order reversed when
+    `reverse` is set.
 
-    eps starts at 0, then 1e-6 · mean diag, doubling up to MAX_JITTER_RETRIES
-    times; `finish` raises LinAlgError to ask for more jitter.
+    eps starts at 0, then 1e-6 · mean diag of G, doubling up to
+    MAX_JITTER_RETRIES times; `retries` counts the failed attempts, and
+    `finish` raises LinAlgError to ask for more jitter.
     """
     d = g.shape[0]
     base = 1e-6 * float(np.mean(np.diag(g)))
     if not base > 0.0:  # non-positive mean diagonal, or the product underflowed
         base = 1e-6
+    a = g[::-1, ::-1] if reverse else g
     eps = 0.0
-    for _ in range(MAX_JITTER_RETRIES + 1):
+    for retries in range(MAX_JITTER_RETRIES + 1):
         try:
-            work = g if eps == 0.0 else g + eps * np.eye(d)
-            return finish(scipy.linalg.cho_factor(work, lower=True), eps)
+            work = a if eps == 0.0 else a + eps * np.eye(d)
+            return finish(scipy.linalg.cho_factor(work, lower=True), eps, retries)
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
             eps = base if eps == 0.0 else 2.0 * eps
     raise NumericalFailure(
@@ -114,24 +150,29 @@ def _factor_with_jitter(g: np.ndarray, what: str, context: str, finish):
 
 
 def chol_upper_of_inverse(g, *, context: str = "matrix") -> TriangularFactor:
-    """Upper-triangular M with MᵀM = G⁻¹.
+    """Upper-triangular M with MᵀM = G⁻¹, as M = P·L⁻¹·P for the lower
+    Cholesky factor L of P·G·P, where P reverses the index order.
 
     On factorization failure, adds eps·I with eps starting at 1e-6 · mean
     diag and doubling, up to MAX_JITTER_RETRIES times.
-    The jitter actually used is recorded on the returned factor.
+    The jitter actually used and the failed attempts are recorded on the
+    returned factor.
     """
     g = _check_square_symmetric(as_matrix(g, "G"), "G")
     d = g.shape[0]
 
-    def finish(cf, eps):
-        ginv = scipy.linalg.cho_solve(cf, np.eye(d))
-        ginv = (ginv + ginv.T) / 2.0
-        m = scipy.linalg.cholesky(ginv, lower=False)
+    def finish(cf, eps, retries):
+        linv, info = scipy.linalg.lapack.dtrtri(cf[0], lower=1, overwrite_c=True)
+        if info != 0:
+            raise scipy.linalg.LinAlgError(f"triangular inverse failed (info {info})")
+        # cho_factor leaves the input in the strict upper triangle of L;
+        # after the reversal that is the strict lower triangle of M
+        m = np.triu(linv[::-1, ::-1])
         if not np.isfinite(m).all():
             raise scipy.linalg.LinAlgError("non-finite factor")
-        return TriangularFactor(dim=d, data=m, jitter=eps)
+        return TriangularFactor(dim=d, data=m, jitter=eps, retries=retries)
 
-    return _factor_with_jitter(g, "Cholesky of inverse", context, finish)
+    return _factor_with_jitter(g, "Cholesky of inverse", context, finish, reverse=True)
 
 
 def solve_spd(g, b, *, context: str = "system") -> np.ndarray:
@@ -141,7 +182,7 @@ def solve_spd(g, b, *, context: str = "system") -> np.ndarray:
     if rhs.shape[0] != g.shape[0]:
         raise ValueError("right-hand side length does not match G")
 
-    def finish(cf, eps):
+    def finish(cf, eps, retries):
         y = scipy.linalg.cho_solve(cf, rhs)
         if not np.isfinite(y).all():
             raise scipy.linalg.LinAlgError("non-finite solution")

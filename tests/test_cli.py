@@ -106,6 +106,30 @@ class TestQuantize:
         rb = json.loads((tmp_path / "b" / "report.json").read_text())["layers"][0]["losses"]
         assert ra["recon"] == rb["recon"] and ra["drift"] == rb["drift"]
 
+    def test_report_records_factor_diagnostics(self, tmp_path):
+        from sarqc import cli
+
+        lossless_manifest(tmp_path)
+        x = read_tensor(tmp_path / "x.sqt").copy()
+        x[3] = 0.0  # a dead input channel: XXᵀ is singular, so the first factorization fails
+        write_tensor(tmp_path / "x.sqt", x)
+        reports = {}
+        for method in ("gptq", "gptq", "rtn"):
+            out = tmp_path / f"q-{method}-{len(reports)}"
+            rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", method, "--out", str(out)])
+            assert rc == 0
+            entry = json.loads((out / "report.json").read_text())["layers"][0]
+            entry.pop("wall_time_ms")
+            reports[len(reports)] = entry
+        factor = reports[0]["factor"]
+        assert factor["retries"] >= 1
+        assert factor["jitter"] == reports[0]["jitter_used"] > 0.0
+        # a Cholesky pivot is at most the square root of its diagonal entry,
+        # which is the jitter alone for the dead channel
+        assert 0.0 < factor["min_pivot"] <= 1.000001 * np.sqrt(factor["jitter"])
+        assert reports[1] == reports[0]
+        assert reports[2]["factor"] is None
+
     def test_sarqc_gs_defaults_select_from_paper_grids(self, tmp_path):
         rng = np.random.default_rng(5)
         w = rng.standard_normal((4, 8)) * 3

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sarqc.linalg import (
+    SYMMETRY_TILE,
     NumericalFailure,
+    _check_square_symmetric,
     chol_upper_of_inverse,
     frobenius_sq,
     gram,
@@ -104,6 +107,68 @@ class TestCholUpperOfInverse:
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):
             chol_upper_of_inverse([[1.0, 5.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("d", [1, 7, 300])
+    def test_exact_upper_factor_of_the_inverse(self, d):
+        # 300 is not a multiple of the symmetry tile
+        g = random_spd(np.random.default_rng(d), d)
+        f = chol_upper_of_inverse(g)
+        assert np.all(np.tril(f.data, k=-1) == 0.0)
+        assert np.all(np.diag(f.data) > 0.0)
+        assert (f.jitter, f.retries) == (0.0, 0)
+        assert np.max(np.abs(f.data @ g @ f.data.T - np.eye(d))) <= 1e-9
+
+    def test_jittered_rank_deficient_gram(self):
+        g = gram(np.random.default_rng(12).standard_normal((40, 10)))
+        f = chol_upper_of_inverse(g)
+        # one failed attempt, then the first jitter step: 1e-6 · mean diag of
+        # G in its own index order (the reversed order can round differently)
+        assert f.retries == 1
+        assert f.jitter == 1e-6 * float(np.mean(np.diag(g)))
+        assert np.all(np.tril(f.data, k=-1) == 0.0)
+        assert np.max(np.abs(f.data @ (g + f.jitter * np.eye(40)) @ f.data.T - np.eye(40))) <= 1e-8
+        assert f.min_pivot == 1.0 / np.max(np.diag(f.data))
+
+    def test_matches_inverse_then_cholesky(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            d = int(rng.integers(1, 65))
+            g = random_spd(rng, d)
+            old = scipy.linalg.cholesky(scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), np.eye(d)))
+            m = chol_upper_of_inverse(g).data
+            assert np.max(np.abs(m - old)) <= 1e-10 * np.max(np.abs(old))
+
+    def test_min_pivot_is_the_smallest_cholesky_pivot(self):
+        g = np.diag([4.0, 0.25, 9.0])
+        f = chol_upper_of_inverse(g)
+        assert f.min_pivot == 0.5
+
+
+class TestSymmetryCheck:
+    D = SYMMETRY_TILE + 44
+
+    def symmetric(self):
+        return gram(np.random.default_rng(14).standard_normal((self.D, 8)))
+
+    def test_exactly_symmetric_is_returned_as_is(self):
+        g = self.symmetric()
+        assert _check_square_symmetric(g, "G") is g
+
+    def test_tiny_asymmetry_is_averaged(self):
+        g = self.symmetric()
+        g[3, self.D - 1] += 1e-12
+        assert np.array_equal(_check_square_symmetric(g, "G"), (g + g.T) / 2.0)
+
+    @pytest.mark.parametrize(
+        "where",
+        [(SYMMETRY_TILE + 20, 10), (SYMMETRY_TILE + 43, SYMMETRY_TILE + 5)],
+        ids=["below-diagonal tile", "last partial tile"],
+    )
+    def test_planted_asymmetry_is_rejected(self, where):
+        g = self.symmetric()
+        g[where] += 1e-3 * np.max(np.abs(g))
+        with pytest.raises(ValueError, match="G is not symmetric"):
+            _check_square_symmetric(g, "G")
 
 
 class TestFrobeniusSq:
