@@ -82,7 +82,6 @@ class CurvatureFactor:
     m: TriangularFactor
     lam: float
     h_bar: float
-    jitter_used: float
 
 
 def h_bar_of_gram(g0: np.ndarray) -> float:
@@ -111,7 +110,7 @@ def build_curvature(g0, profile: SaliencyProfile, lam: float, *, context: str = 
             profile = scale_normalize_gbs(np.ones(g0.shape[0]), h_bar)
         g = g0 + np.diag(lam * profile.values**2)
     m = chol_upper_of_inverse(g, context=context)
-    return CurvatureFactor(g=g, m=m, lam=float(lam), h_bar=h_bar, jitter_used=m.jitter)
+    return CurvatureFactor(g=g, m=m, lam=float(lam), h_bar=h_bar)
 
 
 def run_gbs(w, curv: CurvatureFactor, scheme: QuantScheme, block_size: int = 128) -> QuantizedLayer:

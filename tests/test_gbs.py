@@ -69,9 +69,7 @@ def run_gbs_column_layout(w, m, scheme, block_size):
 
 
 def identity_curvature(d):
-    return CurvatureFactor(
-        g=np.eye(d), m=TriangularFactor(dim=d, data=np.eye(d)), lam=0.0, h_bar=1.0, jitter_used=0.0
-    )
+    return CurvatureFactor(g=np.eye(d), m=TriangularFactor(dim=d, data=np.eye(d)), lam=0.0, h_bar=1.0)
 
 
 class TestBuildCurvature:
