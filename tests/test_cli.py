@@ -113,14 +113,14 @@ class TestQuantize:
         x = read_tensor(tmp_path / "x.sqt").copy()
         x[3] = 0.0  # a dead input channel: XXᵀ is singular, so the first factorization fails
         write_tensor(tmp_path / "x.sqt", x)
-        reports = {}
-        for method in ("gptq", "gptq", "rtn"):
-            out = tmp_path / f"q-{method}-{len(reports)}"
+        reports = []
+        for i, method in enumerate(("gptq", "gptq", "rtn")):
+            out = tmp_path / f"q{i}"
             rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", method, "--out", str(out)])
             assert rc == 0
             entry = json.loads((out / "report.json").read_text())["layers"][0]
             entry.pop("wall_time_ms")
-            reports[len(reports)] = entry
+            reports.append(entry)
         factor = reports[0]["factor"]
         assert factor["retries"] >= 1
         assert factor["jitter"] == reports[0]["jitter_used"] > 0.0

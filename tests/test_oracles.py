@@ -7,12 +7,12 @@ from sarqc.gbs import build_curvature, run_gbs
 from sarqc.linalg import gram, spd_inverse
 from sarqc.oracles import (
     FiniteCandidate,
-    greedy_sequential_reference,
     PreconditionError,
     WORKED_FRONTIER,
     closed_form_row_update,
     exhaustive_quant_min,
     exhaustive_tradeoff_sweep,
+    greedy_sequential_reference,
     hoeffding_bound,
     hoeffding_check,
     lambda_interval,
