@@ -13,7 +13,6 @@ from .calibration import CalibrationBatch, split_batch
 from .gbs import (
     GAMMA_GRID_DEFAULT,
     LAMBDA_GRID_GBS_DEFAULT,
-    CurvatureFactor,
     GbsConfig,
     build_curvature,
     profile_for,
@@ -48,8 +47,6 @@ from .objective import (
 from .quantizer import (
     QuantizedLayer,
     QuantScheme,
-    dequantize_group,
-    quantize_group,
     quantize_matrix,
     rtn,
 )

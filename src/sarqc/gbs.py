@@ -16,21 +16,23 @@ Group quantization parameters are frozen from the working matrix at the
 moment a group's first column is reached and are held fixed for the rest of
 the pass, so the per-coordinate quantizer stays affine during compensation.
 
-Callers build the Gram G0 = XXᵀ once and pass it to `profile_for` (for h̄,
-its mean diagonal) and `build_curvature`. `select_hparams_gbs` only picks
-(λ, γ); `harness.solve` runs the full layer.
+Callers build the Gram G0 = XXᵀ and the channel statistics of a layer once
+and pass them to `profile_for` (h̄ is the mean diagonal of G0) and
+`build_curvature`. `select_hparams_gbs` only picks (λ, γ), reading the
+leading block of the layer's G0 and the leading entries of its statistics;
+`harness.solve` runs the full layer with the same G0 and statistics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .calibration import CalibrationBatch
-from .linalg import TriangularFactor, as_matrix, chol_upper_of_inverse, gram
+from .linalg import TriangularFactor, as_matrix, chol_upper_of_inverse
 from .objective import recon_loss
 from .quantizer import (
     QuantizedLayer,
@@ -39,7 +41,7 @@ from .quantizer import (
     group_params,
     quantize_with_params,
 )
-from .saliency import SaliencyProfile, channel_stats, identity_profile, saliency_vector_gbs, scale_normalize_gbs
+from .saliency import ChannelStats, SaliencyProfile, identity_profile, saliency_vector_gbs, scale_normalize_gbs
 
 LAMBDA_GRID_GBS_DEFAULT = (0.25, 0.5, 0.75)
 GAMMA_GRID_DEFAULT = (0.1, 0.15, 0.35, 0.5)
@@ -76,20 +78,12 @@ class GbsConfig:
         object.__setattr__(self, "gamma_grid", ggrid)
 
 
-@dataclass(frozen=True)
-class CurvatureFactor:
-    g: np.ndarray
-    m: TriangularFactor
-    lam: float
-    h_bar: float
-
-
 def h_bar_of_gram(g0: np.ndarray) -> float:
     return float(np.mean(np.diag(g0)))
 
 
-def build_curvature(g0, profile: SaliencyProfile, lam: float, *, context: str = "curvature") -> CurvatureFactor:
-    """G = G0 + λ·diag(s²) and its inverse-Cholesky factor, for the Gram
+def build_curvature(g0, profile: SaliencyProfile, lam: float, *, context: str = "curvature") -> TriangularFactor:
+    """The inverse-Cholesky factor of G = G0 + λ·diag(s²), for the Gram
     G0 = XXᵀ of the training activations.
 
     The profile must already be scale-normalized; an identity profile is
@@ -98,26 +92,26 @@ def build_curvature(g0, profile: SaliencyProfile, lam: float, *, context: str = 
     """
     if profile.values.shape[0] != g0.shape[0]:
         raise ValueError("profile length does not match input channels")
-    h_bar = h_bar_of_gram(g0)
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
     if lam == 0.0:
         g = g0
     else:
         if profile.kind == "identity":
+            h_bar = h_bar_of_gram(g0)
             if not h_bar > 0.0:
                 raise ValueError("cannot scale-normalize: mean Gram diagonal is not positive")
             profile = scale_normalize_gbs(np.ones(g0.shape[0]), h_bar)
         g = g0 + np.diag(lam * profile.values**2)
-    m = chol_upper_of_inverse(g, context=context)
-    return CurvatureFactor(g=g, m=m, lam=float(lam), h_bar=h_bar)
+    return chol_upper_of_inverse(g, context=context)
 
 
-def run_gbs(w, curv: CurvatureFactor, scheme: QuantScheme, block_size: int = 128) -> QuantizedLayer:
-    """Blockwise sequential quantization with closed-form compensation."""
+def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 128) -> QuantizedLayer:
+    """Blockwise sequential quantization with closed-form compensation,
+    given the upper factor M of the inverse curvature."""
     w = as_matrix(w, "W")
     d_out, d_in = w.shape
-    m = curv.m.data
+    m = factor.data
     if m.shape[0] != d_in:
         raise ValueError(f"curvature dim {m.shape[0]} does not match d_in {d_in}")
     if block_size < 1:
@@ -171,14 +165,16 @@ def run_gbs(w, curv: CurvatureFactor, scheme: QuantScheme, block_size: int = 128
     return QuantizedLayer(codes=codes, scales=scales, zero_points=zps, dequantized=qhat, scheme=scheme)
 
 
-def profile_for(w, x, kind: str, gamma: float | None, g0: np.ndarray) -> SaliencyProfile:
-    """Scale-normalized saliency profile for the given weights/activations;
-    g0 is the Gram XXᵀ of x, whose mean diagonal sets the scale."""
+def profile_for(stats: ChannelStats | None, kind: str, gamma: float | None, g0: np.ndarray) -> SaliencyProfile:
+    """Scale-normalized saliency profile from the channel statistics of the
+    weights and activations; g0 is the Gram XXᵀ of those activations, whose
+    mean diagonal sets the scale. The identity kind reads only d_in from g0."""
     if kind == "identity":
-        return identity_profile(np.asarray(w).shape[1])
+        return identity_profile(g0.shape[0])
     if gamma is None:
         raise ValueError("gamma is required for the gbs saliency profile")
-    stats = channel_stats(w, x)
+    if stats is None:
+        raise ValueError("channel statistics are required for the gbs saliency profile")
     raw = saliency_vector_gbs(stats, gamma)
     return scale_normalize_gbs(raw, h_bar_of_gram(g0), gamma=gamma)
 
@@ -189,35 +185,43 @@ class HparamSelection(NamedTuple):
     val_table: tuple[tuple[float, float | None, float], ...]
 
 
-def select_hparams_gbs(w, batch: CalibrationBatch, config: GbsConfig) -> HparamSelection:
-    """Search (λ, γ) on a contiguous low-index channel subset.
+def select_hparams_gbs(
+    w, batch: CalibrationBatch, config: GbsConfig, g0: np.ndarray, stats: ChannelStats | None
+) -> HparamSelection:
+    """Search (λ, γ) on a contiguous low-index channel subset of k channels.
 
-    The subset Gram and one profile per γ are built once and shared across
-    the λ grid. Each pair is scored by reconstruction error on the
-    validation split restricted to the subset channels; ties go to the
-    smallest λ, then the smallest γ. The full layer is not run here: the
-    caller applies the winning pair with the full training split.
+    g0 is the Gram of the full training split and stats the channel
+    statistics of W and that split (None for the identity kind). The
+    subset reads their leading k×k block and first k entries, which are
+    what the subset's own Gram and statistics would be, so neither is
+    recomputed. One profile per γ is built and shared across the λ grid.
+    Each pair is scored by reconstruction error on the validation split
+    restricted to the subset channels; ties go to the smallest λ, then the
+    smallest γ. The full layer is not run here: the caller applies the
+    winning pair with the full training split.
     """
     w = as_matrix(w, "W")
     d_in = w.shape[1]
     if batch.d_in != d_in:
         raise ValueError("calibration batch does not match layer input width")
+    if g0.shape != (d_in, d_in):
+        raise ValueError("Gram does not match layer input width")
     k = min(d_in, max(config.subset_min, math.ceil(config.subset_fraction * d_in)))
     w_sub = w[:, :k]
-    x_train_sub = batch.train[:k, :]
     x_val_sub = batch.val[:k, :]
+    g0_sub = g0[:k, :k]
+    stats_sub = None if stats is None else ChannelStats(*(getattr(stats, f.name)[:k] for f in fields(stats)))
     gammas: tuple[float | None, ...]
     gammas = config.gamma_grid if config.saliency_kind == "gbs" else (None,)
 
-    g0_sub = gram(x_train_sub)
-    profiles = {gamma: profile_for(w_sub, x_train_sub, config.saliency_kind, gamma, g0_sub) for gamma in gammas}
+    profiles = {gamma: profile_for(stats_sub, config.saliency_kind, gamma, g0_sub) for gamma in gammas}
     best: tuple[float, float | None] | None = None
     best_v = np.inf
     table: list[tuple[float, float | None, float]] = []
     for lam in config.lambda_grid:
         for gamma in gammas:
-            curv = build_curvature(g0_sub, profiles[gamma], lam, context="hparam subset")
-            ql = run_gbs(w_sub, curv, config.scheme, config.block_size)
+            factor = build_curvature(g0_sub, profiles[gamma], lam, context="hparam subset")
+            ql = run_gbs(w_sub, factor, config.scheme, config.block_size)
             v = recon_loss(w_sub, ql.dequantized, x_val_sub)
             table.append((lam, gamma, v))
             if v < best_v:

@@ -161,5 +161,4 @@ def select_lambda_gs(w, batch: CalibrationBatch, config: GsConfig) -> GsResult:
         if v < best_v:
             best, best_v = res, v
     assert best is not None
-    best.val_losses = table
-    return best
+    return replace(best, val_losses=table)

@@ -31,7 +31,7 @@ from .gs import LAMBDA_GRID_GS_DEFAULT, GsConfig, run_gs, select_lambda_gs
 from .linalg import TriangularFactor, as_matrix, gram
 from .objective import LossBreakdown, recon_loss, sar_loss, weight_drift
 from .quantizer import QuantizedLayer, QuantScheme, rtn
-from .saliency import SaliencyProfile, identity_profile
+from .saliency import SaliencyProfile, channel_stats, identity_profile
 from .seeds import substream
 
 UNCLIPPED = 1e18  # column-norm cap large enough to never bind
@@ -95,6 +95,9 @@ def solve(
         return Solution(res.layer, res.profile, lam=res.chosen_lambda, alpha=res.chosen_alpha)
     if method in ("gptq", "sarqc-gbs"):
         kind = "identity" if saliency == "identity" else "gbs"
+        # one Gram and one stats pass per layer; selection reads their leading block
+        g0 = gram(batch.train)
+        stats = channel_stats(w, batch.train) if kind == "gbs" else None
         if lam is None:
             cfg = GbsConfig(
                 scheme=scheme,
@@ -103,15 +106,14 @@ def solve(
                 block_size=block,
                 saliency_kind=kind,
             )
-            sel = select_hparams_gbs(w, batch, cfg)
+            sel = select_hparams_gbs(w, batch, cfg, g0, stats)
             lam, gamma = sel.lam, sel.gamma
         else:
             gamma = (gamma if gamma is not None else GAMMA_FIXED_DEFAULT) if kind == "gbs" else None
-        g0 = gram(batch.train)
-        prof = profile_for(w, batch.train, kind, gamma, g0)
-        curv = build_curvature(g0, prof, lam, context="full layer")
-        layer = run_gbs(w, curv, scheme, block)
-        return Solution(layer, prof, lam=curv.lam, gamma=gamma, factor=curv.m)
+        prof = profile_for(stats, kind, gamma, g0)
+        factor = build_curvature(g0, prof, lam, context="full layer")
+        layer = run_gbs(w, factor, scheme, block)
+        return Solution(layer, prof, lam=float(lam), gamma=gamma, factor=factor)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -20,7 +20,7 @@ import scipy.linalg
 
 
 MAX_JITTER_RETRIES = 10
-SYMMETRY_TILE = 256  # edge of the square tiles the symmetry check compares
+SYMMETRY_TILE = 256  # edge of the tiles the symmetry and triangle checks scan
 
 
 class NumericalFailure(RuntimeError):
@@ -56,8 +56,12 @@ class TriangularFactor:
             raise ValueError("factor shape does not match dim")
         if not np.all(np.diag(d) > 0.0):
             raise ValueError("factor diagonal must be strictly positive")
-        if np.any(np.tril(d, k=-1) != 0.0):
-            raise ValueError("factor must be upper triangular")
+        # row tiles: the part left of the diagonal tile, then the strict lower
+        # triangle of the diagonal tile, so no d×d copy or mask is built
+        for i in range(0, self.dim, SYMMETRY_TILE):
+            rows = d[i : i + SYMMETRY_TILE]
+            if rows[:, :i].any() or np.tril(rows[:, i : i + SYMMETRY_TILE], k=-1).any():
+                raise ValueError("factor must be upper triangular")
 
     @property
     def min_pivot(self) -> float:

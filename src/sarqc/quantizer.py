@@ -137,23 +137,6 @@ def dequantize_with_params(codes, scale, zp) -> np.ndarray:
     return s * (codes - z)
 
 
-def quantize_group(w, scheme: QuantScheme):
-    """Quantize one group vector; returns (codes, scale, zero_point)."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("quantize_group expects a nonempty 1-D vector")
-    if not np.isfinite(w).all():
-        raise ValueError("group contains non-finite values")
-    scale, zp = group_params(w[None, :], scheme)
-    codes = quantize_with_params(w[None, :], scale, zp, scheme)
-    return codes[0], float(scale[0]), int(zp[0])
-
-
-def dequantize_group(codes, scale, zero_point) -> np.ndarray:
-    """scale · (codes - zero_point)."""
-    return dequantize_with_params(np.asarray(codes), float(scale), float(zero_point))
-
-
 def quantize_matrix(w, scheme: QuantScheme) -> QuantizedLayer:
     """Group-wise quantization of every (row, group) slice of w."""
     w = as_matrix(w, "W")

@@ -130,6 +130,32 @@ class TestQuantize:
         assert reports[1] == reports[0]
         assert reports[2]["factor"] is None
 
+    def test_jobs_bytes_match_at_production_shape(self, tmp_path):
+        from sarqc import cli
+
+        spec = gen_spec(tmp_path, layers=2, d_out=512, d_in=2048, n=512, outlier_channels=16)
+        assert cli.main(["gen", "--spec", str(spec), "--out", str(tmp_path / "d"), "--seed", "7"]) == 0
+        reports = []
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}"
+            rc = cli.main([
+                "quantize", "--manifest", str(tmp_path / "d" / "manifest.json"), "--method", "sarqc-gbs",
+                "--bits", "4", "--group-size", "128", "--mode", "asym", "--jobs", str(jobs), "--out", str(out),
+            ])
+            assert rc == 0
+            doc = json.loads((out / "report.json").read_text())
+            for layer in doc["layers"]:
+                layer.pop("wall_time_ms")
+            for key in ("jobs", "out"):
+                doc["config"].pop(key)
+            reports.append(doc)
+        assert reports[0] == reports[1]
+        assert all(layer["chosen_gamma"] is not None for layer in reports[0]["layers"])
+        tensors = sorted(p.name for p in (tmp_path / "j1").glob("*.sqt"))
+        assert len(tensors) == 2 * 4
+        for name in tensors:
+            assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
+
     def test_sarqc_gs_defaults_select_from_paper_grids(self, tmp_path):
         rng = np.random.default_rng(5)
         w = rng.standard_normal((4, 8)) * 3

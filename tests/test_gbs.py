@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from sarqc.calibration import split_batch
 from sarqc.gbs import (
-    CurvatureFactor,
     GbsConfig,
     build_curvature,
     h_bar_of_gram,
@@ -14,11 +13,11 @@ from sarqc.gbs import (
     select_hparams_gbs,
 )
 from sarqc.harness import solve
-from sarqc.linalg import TriangularFactor, gram, spd_inverse
+from sarqc.linalg import TriangularFactor, chol_upper_of_inverse, gram, spd_inverse
 from sarqc.objective import recon_loss
 from sarqc.oracles import greedy_sequential_reference, oracle_row_update
 from sarqc.quantizer import QuantScheme, dequantize_with_params, group_params, quantize_with_params, rtn
-from sarqc.saliency import identity_profile, scale_normalize_gbs
+from sarqc.saliency import channel_stats, identity_profile, scale_normalize_gbs
 
 SYM3 = QuantScheme(bits=3, mode="symmetric", group_size="per_channel")
 SYM4 = QuantScheme(bits=4, mode="symmetric", group_size="per_channel")
@@ -69,44 +68,50 @@ def run_gbs_column_layout(w, m, scheme, block_size):
 
 
 def identity_curvature(d):
-    return CurvatureFactor(g=np.eye(d), m=TriangularFactor(dim=d, data=np.eye(d)), lam=0.0, h_bar=1.0)
+    return TriangularFactor(dim=d, data=np.eye(d))
+
+
+def assert_factor_of(factor, g, tol=1e-12):
+    """factor is the inverse-Cholesky factor of the curvature g."""
+    want = chol_upper_of_inverse(g).data
+    assert factor.data.shape == want.shape
+    assert np.max(np.abs(factor.data - want)) <= tol * np.max(np.abs(want))
 
 
 class TestBuildCurvature:
     def test_identity_inputs_unit_lambda(self):
         prof = scale_normalize_gbs(np.ones(2), h_bar=1.0)
-        curv = build_curvature(gram(np.eye(2)), prof, lam=1.0)
-        assert np.allclose(curv.g, 2.0 * np.eye(2))
-        assert np.allclose(curv.m.data, np.eye(2) / np.sqrt(2.0))
+        factor = build_curvature(gram(np.eye(2)), prof, lam=1.0)
+        assert_factor_of(factor, 2.0 * np.eye(2))
+        assert np.allclose(factor.data, np.eye(2) / np.sqrt(2.0))
 
     def test_lambda_zero_is_plain_gram(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 9))
-        curv = build_curvature(gram(x), identity_profile(4), 0.0)
-        assert np.array_equal(curv.g, gram(x))
+        factor = build_curvature(gram(x), identity_profile(4), 0.0)
+        assert np.array_equal(factor.data, chol_upper_of_inverse(gram(x)).data)
 
     def test_identity_profile_hand_example(self):
         # rows (1,0) and (1,1): gram [[1,1],[1,2]], h_bar 1.5, damping 0.75
         x = np.array([[1.0, 0.0], [1.0, 1.0]])
-        curv = build_curvature(gram(x), identity_profile(2), lam=0.5)
-        assert curv.h_bar == pytest.approx(1.5)
-        assert np.allclose(curv.g, np.array([[1.75, 1.0], [1.0, 2.75]]))
+        assert h_bar_of_gram(gram(x)) == pytest.approx(1.5)
+        factor = build_curvature(gram(x), identity_profile(2), lam=0.5)
+        assert_factor_of(factor, np.array([[1.75, 1.0], [1.0, 2.75]]))
 
     def test_identity_profile_hand_example_transposed(self):
         # with the transposed inputs the gram is [[2,1],[1,1]], same h_bar
         x = np.array([[1.0, 1.0], [0.0, 1.0]])
-        curv = build_curvature(gram(x), identity_profile(2), lam=0.5)
-        assert curv.h_bar == pytest.approx(1.5)
-        assert np.allclose(curv.g, np.array([[2.75, 1.0], [1.0, 1.75]]))
+        assert h_bar_of_gram(gram(x)) == pytest.approx(1.5)
+        factor = build_curvature(gram(x), identity_profile(2), lam=0.5)
+        assert_factor_of(factor, np.array([[2.75, 1.0], [1.0, 1.75]]))
 
     def test_identity_plus_lambda_is_isotropic_damping(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, 20))
         lam = 0.7
-        curv = build_curvature(gram(x), identity_profile(6), lam)
+        factor = build_curvature(gram(x), identity_profile(6), lam)
         g0 = gram(x)
-        hb = h_bar_of_gram(g0)
-        assert np.max(np.abs(curv.g - (g0 + lam * hb * np.eye(6)))) < 1e-10
+        assert_factor_of(factor, g0 + lam * h_bar_of_gram(g0) * np.eye(6), tol=1e-10)
 
 
 class TestRunGbs:
@@ -115,8 +120,8 @@ class TestRunGbs:
         w = rng.integers(-7, 8, size=(3, 5)).astype(np.float64)
         w[:, 0] = 7.0
         x = rng.standard_normal((5, 16))
-        curv = build_curvature(gram(x), identity_profile(5), 0.0)
-        out = run_gbs(w, curv, SYM4, block_size=128)
+        factor = build_curvature(gram(x), identity_profile(5), 0.0)
+        out = run_gbs(w, factor, SYM4, block_size=128)
         assert np.array_equal(out.dequantized, w)
 
     def test_diagonal_curvature_equals_rtn(self):
@@ -141,8 +146,8 @@ class TestRunGbs:
         w = rng.standard_normal((8, d_in))
         x = rng.standard_normal((d_in, 64))
         scheme = QuantScheme(bits=4, mode="asymmetric", group_size=8)
-        curv = build_curvature(gram(x), identity_profile(d_in), 0.3)
-        outs = [run_gbs(w, curv, scheme, block_size=b) for b in (1, 5, d_in)]
+        factor = build_curvature(gram(x), identity_profile(d_in), 0.3)
+        outs = [run_gbs(w, factor, scheme, block_size=b) for b in (1, 5, d_in)]
         for other in outs[1:]:
             assert np.max(np.abs(outs[0].dequantized - other.dequantized)) <= 1e-9
 
@@ -166,9 +171,9 @@ class TestRunGbs:
         w = rng.standard_normal((d_out, d_in))
         x = rng.standard_normal((d_in, int(rng.integers(1, 2 * d_in + 2))))
         scheme = QuantScheme(bits=bits, mode=mode, group_size=group)
-        curv = build_curvature(gram(x), identity_profile(d_in), lam)
-        out = run_gbs(w, curv, scheme, block_size=block)
-        ref = run_gbs_column_layout(w, curv.m.data, scheme, block)
+        factor = build_curvature(gram(x), identity_profile(d_in), lam)
+        out = run_gbs(w, factor, scheme, block_size=block)
+        ref = run_gbs_column_layout(w, factor.data, scheme, block)
         for got, want in zip((out.codes, out.scales, out.zero_points, out.dequantized), ref):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.flags.c_contiguous
@@ -184,8 +189,8 @@ class TestGptqEquivalence:
             x = rng.standard_normal((d_in, 128))
             mode = "symmetric" if trial % 2 else "asymmetric"
             scheme = QuantScheme(bits=4, mode=mode, group_size=8)
-            curv = build_curvature(gram(x), identity_profile(d_in), 0.0)
-            solver = run_gbs(w, curv, scheme, block_size=128)
+            factor = build_curvature(gram(x), identity_profile(d_in), 0.0)
+            solver = run_gbs(w, factor, scheme, block_size=128)
             ref = greedy_sequential_reference(w, gram(x), scheme)
             assert np.array_equal(solver.codes, ref.codes)
             assert np.array_equal(solver.scales, ref.scales)
@@ -197,8 +202,8 @@ class TestGptqEquivalence:
         w = rng.standard_normal((4, d_in))
         x = rng.standard_normal((d_in, 40))
         lam = 0.5
-        curv = build_curvature(gram(x), identity_profile(d_in), lam)
-        out = run_gbs(w, curv, SYM4, block_size=128)
+        factor = build_curvature(gram(x), identity_profile(d_in), lam)
+        out = run_gbs(w, factor, SYM4, block_size=128)
         damped = gram(x) + lam * h_bar_of_gram(gram(x)) * np.eye(d_in)
         ref = greedy_sequential_reference(w, damped, SYM4)
         assert np.max(np.abs(out.dequantized - ref.dequantized)) < 1e-9
@@ -212,8 +217,12 @@ class TestCompensationOptimality:
         d_in, d_out = 6, 3
         w = rng.standard_normal((d_out, d_in))
         x = rng.standard_normal((d_in, 30))
-        curv = build_curvature(gram(x), identity_profile(d_in), 0.2)
-        g, m = curv.g, curv.m.data
+        lam = 0.2
+        g0 = gram(x)
+        g = g0 + lam * h_bar_of_gram(g0) * np.eye(d_in)
+        factor = build_curvature(g0, identity_profile(d_in), lam)
+        assert_factor_of(factor, g)
+        m = factor.data
 
         scheme = SYM4
         scales, zps = group_params(w, scheme)
@@ -244,7 +253,7 @@ class TestSelectHparams:
         batch = split_batch(rng.standard_normal((d_in, 24)), 0.25)
         sol = solve("sarqc-gbs", w, batch, SYM4, lambda_grid=(0.5,), gamma_grid=(0.35,))
         g0 = gram(batch.train)
-        prof = profile_for(w, batch.train, "gbs", 0.35, g0)
+        prof = profile_for(channel_stats(w, batch.train), "gbs", 0.35, g0)
         direct = run_gbs(w, build_curvature(g0, prof, 0.5), SYM4)
         assert (sol.lam, sol.gamma) == (0.5, 0.35)
         assert np.array_equal(sol.layer.dequantized, direct.dequantized)
@@ -253,7 +262,7 @@ class TestSelectHparams:
         w = np.array([[-7.0, 7.0, 7.0, -7.0]])
         batch = split_batch(np.sign(np.random.default_rng(9).standard_normal((4, 12))), 0.25)
         cfg = GbsConfig(scheme=SYM4, subset_min=2, subset_fraction=1.0)
-        sel = select_hparams_gbs(w, batch, cfg)
+        sel = select_hparams_gbs(w, batch, cfg, gram(batch.train), channel_stats(w, batch.train))
         assert sel.lam == min(cfg.lambda_grid)
         assert sel.gamma == min(cfg.gamma_grid)
 
@@ -264,15 +273,17 @@ class TestSelectHparams:
         w = gen_layer(spec)
         batch = gen_calibration(48, 64, 1e18, 7)
         cfg = GbsConfig(scheme=QuantScheme(bits=3, mode="asymmetric", group_size=16))
-        sel = select_hparams_gbs(w, batch, cfg)
-        # rebuild the subset table independently and check the tie-break order
+        sel = select_hparams_gbs(w, batch, cfg, gram(batch.train), channel_stats(w, batch.train))
+        # rebuild the subset table from the subset's own Gram and statistics
+        # and check the tie-break order
         k = max(cfg.subset_min, int(np.ceil(cfg.subset_fraction * 48)))
         w_sub, x_tr, x_val = w[:, :k], batch.train[:k], batch.val[:k]
         g0 = gram(x_tr)
+        stats = channel_stats(w_sub, x_tr)
         table = []
         for lam in cfg.lambda_grid:
             for gamma in cfg.gamma_grid:
-                prof = profile_for(w_sub, x_tr, "gbs", gamma, g0)
+                prof = profile_for(stats, "gbs", gamma, g0)
                 layer = run_gbs(w_sub, build_curvature(g0, prof, lam), cfg.scheme, cfg.block_size)
                 table.append((lam, gamma, recon_loss(w_sub, layer.dequantized, x_val)))
         best = min(table, key=lambda t: (t[2], t[0], t[1]))
@@ -284,7 +295,7 @@ class TestSelectHparams:
         w = rng.standard_normal((3, 8))
         batch = split_batch(rng.standard_normal((8, 16)), 0.25)
         cfg = GbsConfig(scheme=SYM4, saliency_kind="identity", subset_min=4, subset_fraction=1.0)
-        sel = select_hparams_gbs(w, batch, cfg)
+        sel = select_hparams_gbs(w, batch, cfg, gram(batch.train), None)
         assert sel.gamma is None
 
     def test_deterministic(self):

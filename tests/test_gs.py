@@ -189,8 +189,7 @@ def per_lambda_reference(w, batch, cfg):
         table.append((lam, v))
         if v < best_v:
             best, best_v = res, v
-    best.val_losses = table
-    return best
+    return replace(best, val_losses=table)
 
 
 def assert_bit_equal(a, b):

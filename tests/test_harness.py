@@ -169,7 +169,8 @@ class TestSolve:
         assert np.array_equal(gs.profile.values, saliency_vector_gs(channel_stats(w, batch.train)).values)
         gbs = solve("sarqc-gbs", w, batch, self.SCHEME)
         g0 = gram(batch.train)
-        assert np.array_equal(gbs.profile.values, profile_for(w, batch.train, "gbs", gbs.gamma, g0).values)
+        want = profile_for(channel_stats(w, batch.train), "gbs", gbs.gamma, g0)
+        assert np.array_equal(gbs.profile.values, want.values)
 
     def test_lambda_zero_baselines(self, layer):
         w, batch = layer
@@ -198,21 +199,24 @@ class TestSolve:
         d_in = 48  # the default subset is the first 32 channels
         w = gen_layer(SynthLayerSpec(d_out=6, d_in=d_in, outlier_channels=4, outlier_scale=6.0, seed=5))
         batch = gen_calibration(d_in, 64, 1e18, seed=5)
-        gram_rows, profile_rows = [], []
+        gram_rows, stats_rows, profile_rows = [], [], []
 
-        def counted(fn, rows, x_arg):
+        def counted(fn, rows, arg, axis):
             def wrapper(*args, **kwargs):
-                rows.append(np.asarray(args[x_arg]).shape[0])  # channels of the activations passed
+                rows.append(np.asarray(args[arg]).shape[axis])  # channels of the argument passed
                 return fn(*args, **kwargs)
 
             return wrapper
 
         for mod in (sarqc.gbs, sarqc.harness):
-            monkeypatch.setattr(mod, "gram", counted(gram, gram_rows, 0), raising=False)
-            monkeypatch.setattr(mod, "profile_for", counted(profile_for, profile_rows, 1))
+            monkeypatch.setattr(mod, "gram", counted(gram, gram_rows, 0, 0), raising=False)
+            monkeypatch.setattr(mod, "channel_stats", counted(channel_stats, stats_rows, 0, 1), raising=False)
+            monkeypatch.setattr(mod, "profile_for", counted(profile_for, profile_rows, 3, 0))
         sol = solve("sarqc-gbs", w, batch, self.SCHEME)
         assert sol.gamma is not None
-        assert sorted(gram_rows) == [32, d_in]
+        assert gram_rows == [d_in]
+        assert stats_rows == [d_in]
+        # the γ profiles read the leading 32×32 block of the layer's Gram
         assert sorted(profile_rows) == [32] * len(GAMMA_GRID_DEFAULT) + [d_in]
 
     @pytest.mark.parametrize("saliency", ["saliency", "identity"])

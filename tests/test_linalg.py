@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from sarqc.linalg import (
     SYMMETRY_TILE,
     NumericalFailure,
+    TriangularFactor,
     _check_square_symmetric,
     chol_upper_of_inverse,
     frobenius_sq,
@@ -169,6 +170,28 @@ class TestSymmetryCheck:
         g[where] += 1e-3 * np.max(np.abs(g))
         with pytest.raises(ValueError, match="G is not symmetric"):
             _check_square_symmetric(g, "G")
+
+
+class TestTriangularFactor:
+    D = 2 * SYMMETRY_TILE + 7  # the last row tile is partial
+
+    def upper(self):
+        return np.triu(np.random.default_rng(15).uniform(0.5, 1.0, (self.D, self.D)))
+
+    def test_upper_triangular_is_accepted(self):
+        f = TriangularFactor(dim=self.D, data=self.upper())
+        assert f.dim == self.D
+
+    @pytest.mark.parametrize(
+        "where",
+        [(D - 1, D - 2), (D - 1, 0), (SYMMETRY_TILE + 1, SYMMETRY_TILE)],
+        ids=["last tile diagonal block", "last tile first column", "inner diagonal block"],
+    )
+    def test_planted_lower_entry_is_rejected(self, where):
+        m = self.upper()
+        m[where] = 1e-300
+        with pytest.raises(ValueError, match="factor must be upper triangular"):
+            TriangularFactor(dim=self.D, data=m)
 
 
 class TestFrobeniusSq:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sarqc.gbs import build_curvature, run_gbs
-from sarqc.linalg import gram, spd_inverse
+from sarqc.gbs import build_curvature, h_bar_of_gram, run_gbs
+from sarqc.linalg import chol_upper_of_inverse, gram, spd_inverse
 from sarqc.oracles import (
     FiniteCandidate,
     PreconditionError,
@@ -107,13 +107,16 @@ class TestExhaustiveQuantMin:
             d = 3
             w = rng.standard_normal((1, d))
             x = rng.standard_normal((d, 12))
-            curv = build_curvature(gram(x), identity_profile(d), 0.1)
-            out = run_gbs(w, curv, scheme, block_size=128)
+            g0 = gram(x)
+            g = g0 + 0.1 * h_bar_of_gram(g0) * np.eye(d)
+            factor = build_curvature(g0, identity_profile(d), 0.1)
+            assert np.max(np.abs(factor.data - chol_upper_of_inverse(g).data)) <= 1e-12 * np.max(np.abs(factor.data))
+            out = run_gbs(w, factor, scheme, block_size=128)
             scale = out.scales[0, 0]
             grid = [scale * q for q in range(scheme.qmin, scheme.qmax + 1)]
-            _, best = exhaustive_quant_min(w[0], curv.g, [grid] * d)
+            _, best = exhaustive_quant_min(w[0], g, [grid] * d)
             delta = out.dequantized[0] - w[0]
-            greedy = 0.5 * float(delta @ curv.g @ delta)
+            greedy = 0.5 * float(delta @ g @ delta)
             assert best <= greedy + 1e-12
 
 

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from sarqc.quantizer import (
     QuantScheme,
-    dequantize_group,
-    quantize_group,
+    dequantize_with_params,
+    group_params,
     quantize_matrix,
+    quantize_with_params,
     rtn,
 )
 
@@ -41,44 +42,53 @@ class TestScheme:
         assert list(s.group_index(5)) == [0, 0, 1, 1, 2]
 
 
+def quantize_rows(w, scheme):
+    """Each row of w as one group: (codes, scales, zero points)."""
+    w = np.atleast_2d(np.asarray(w, dtype=np.float64))
+    scale, zp = group_params(w, scheme)
+    return quantize_with_params(w, scale, zp, scheme), scale, zp
+
+
 class TestQuantizeGroup:
+    """One group quantized with group_params and quantize_with_params."""
+
     def test_symmetric_unit_scale(self):
-        codes, scale, zp = quantize_group(np.array([-7.0, 0.0, 3.0, 7.0]), SYM4)
-        assert scale == 1.0 and zp == 0
-        assert np.array_equal(codes, [-7, 0, 3, 7])
-        assert np.array_equal(dequantize_group(codes, scale, zp), [-7.0, 0.0, 3.0, 7.0])
+        codes, scale, zp = quantize_rows([-7.0, 0.0, 3.0, 7.0], SYM4)
+        assert np.array_equal(scale, [1.0]) and np.array_equal(zp, [0])
+        assert np.array_equal(codes, [[-7, 0, 3, 7]])
+        assert np.array_equal(dequantize_with_params(codes, scale, zp), [[-7.0, 0.0, 3.0, 7.0]])
 
     def test_symmetric_all_zero(self):
-        codes, scale, zp = quantize_group(np.zeros(4), SYM4)
-        assert scale == 1.0 and zp == 0
-        assert np.array_equal(codes, np.zeros(4))
+        codes, scale, zp = quantize_rows(np.zeros(4), SYM4)
+        assert np.array_equal(scale, [1.0]) and np.array_equal(zp, [0])
+        assert np.array_equal(codes, np.zeros((1, 4)))
 
     def test_asymmetric_endpoints(self):
-        codes, scale, zp = quantize_group(np.array([0.0, 1.5]), ASYM4)
-        assert scale == pytest.approx(0.1)
-        assert zp == 0
-        assert np.array_equal(codes, [0, 15])
-        assert dequantize_group(codes, scale, zp) == pytest.approx([0.0, 1.5])
+        codes, scale, zp = quantize_rows([0.0, 1.5], ASYM4)
+        assert scale[0] == pytest.approx(0.1)
+        assert np.array_equal(zp, [0])
+        assert np.array_equal(codes, [[0, 15]])
+        assert dequantize_with_params(codes, scale, zp)[0] == pytest.approx([0.0, 1.5])
 
     def test_asymmetric_constant_reproduced_exactly(self):
-        for c in (0.0, 2.7, -1.3):
-            codes, scale, zp = quantize_group(np.full(5, c), ASYM4)
-            assert np.array_equal(dequantize_group(codes, scale, zp), np.full(5, c))
+        w = np.array([[c] * 5 for c in (0.0, 2.7, -1.3)])
+        codes, scale, zp = quantize_rows(w, ASYM4)
+        assert np.array_equal(dequantize_with_params(codes, scale, zp), w)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            quantize_group(np.array([]), SYM4)
+        with pytest.raises(ValueError, match="empty quantization group"):
+            group_params(np.empty((1, 0)), SYM4)
 
 
 class TestDequantizeGroup:
     def test_zeros(self):
-        assert np.array_equal(dequantize_group([0, 0], 1.0, 0), [0.0, 0.0])
+        assert np.array_equal(dequantize_with_params([0, 0], 1.0, 0), [0.0, 0.0])
 
     def test_unit_scale(self):
-        assert np.array_equal(dequantize_group([-7, 7], 1.0, 0), [-7.0, 7.0])
+        assert np.array_equal(dequantize_with_params([-7, 7], 1.0, 0), [-7.0, 7.0])
 
     def test_with_zero_point(self):
-        out = dequantize_group(np.array([3, 12]), 0.1, 3)
+        out = dequantize_with_params(np.array([3, 12]), 0.1, 3)
         assert out == pytest.approx([0.0, 0.9])
 
 
@@ -174,9 +184,9 @@ class TestContractProperties:
     )
     def test_codes_monotone_within_group(self, values, mode):
         scheme = QuantScheme(bits=4, mode=mode, group_size="per_channel")
-        codes, _, _ = quantize_group(np.array(values), scheme)
+        codes, _, _ = quantize_rows(values, scheme)
         order = np.argsort(values, kind="stable")
-        assert np.all(np.diff(codes[order]) >= 0)
+        assert np.all(np.diff(codes[0, order]) >= 0)
 
     def test_codes_within_range(self):
         rng = np.random.default_rng(6)
