@@ -23,6 +23,7 @@ from .gs import (
     ALPHA_GRID_DEFAULT,
     LAMBDA_GRID_GS_DEFAULT,
     GsConfig,
+    GsGrid,
     GsResult,
     candidate,
     run_gs,

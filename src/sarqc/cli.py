@@ -132,7 +132,6 @@ def _quantize_one(entry: dict, method: str, scheme: QuantScheme, args) -> tuple[
         "chosen_alpha": sol.alpha,
         "losses": {"recon": losses.recon, "sar": losses.sar, "drift": losses.drift},
         "heldout_risk": heldout_risk,
-        "jitter_used": sol.jitter_used,
         "factor": factor,
         "wall_time_ms": wall_ms,
     }
@@ -213,8 +212,15 @@ def cmd_quantize(args) -> int:
 # gen
 
 
+def _load_spec(path) -> dict:
+    spec = json.loads(Path(path).read_text())
+    if not isinstance(spec, dict):
+        raise ManifestError(f"{path}: spec is not a JSON object")
+    return spec
+
+
 def cmd_gen(args) -> int:
-    spec = json.loads(Path(args.spec).read_text())
+    spec = _load_spec(args.spec)
     n_layers = int(spec.get("layers", 1))
     d_out = int(spec.get("d_out", 64))
     d_in = int(spec.get("d_in", 128))
@@ -278,7 +284,7 @@ def cmd_sweep(args) -> int:
     scheme = _scheme_from(args, {})
 
     if args.spec is not None:
-        spec = json.loads(Path(args.spec).read_text())
+        spec = _load_spec(args.spec)
         layer_spec = SynthLayerSpec(
             d_out=int(spec.get("d_out", 64)),
             d_in=int(spec.get("d_in", 128)),

@@ -45,6 +45,9 @@ from .saliency import ChannelStats, SaliencyProfile, identity_profile, saliency_
 
 LAMBDA_GRID_GBS_DEFAULT = (0.25, 0.5, 0.75)
 GAMMA_GRID_DEFAULT = (0.1, 0.15, 0.35, 0.5)
+# selection runs on the first max(SUBSET_MIN, ceil(SUBSET_FRACTION · d_in)) channels
+SUBSET_FRACTION = 0.25
+SUBSET_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,6 @@ class GbsConfig:
     gamma_grid: tuple[float, ...] = GAMMA_GRID_DEFAULT
     block_size: int = 128
     saliency_kind: str = "gbs"  # "identity" | "gbs"
-    subset_fraction: float = 0.25
-    subset_min: int = 32
 
     def __post_init__(self):
         lgrid = tuple(float(v) for v in self.lambda_grid)
@@ -72,8 +73,6 @@ class GbsConfig:
             raise ValueError("block_size must be >= 1")
         if self.saliency_kind not in ("identity", "gbs"):
             raise ValueError(f"unknown saliency kind {self.saliency_kind!r}")
-        if not 0.0 < self.subset_fraction <= 1.0:
-            raise ValueError("subset_fraction must lie in (0, 1]")
         object.__setattr__(self, "lambda_grid", lgrid)
         object.__setattr__(self, "gamma_grid", ggrid)
 
@@ -206,7 +205,7 @@ def select_hparams_gbs(
         raise ValueError("calibration batch does not match layer input width")
     if g0.shape != (d_in, d_in):
         raise ValueError("Gram does not match layer input width")
-    k = min(d_in, max(config.subset_min, math.ceil(config.subset_fraction * d_in)))
+    k = min(d_in, max(SUBSET_MIN, math.ceil(SUBSET_FRACTION * d_in)))
     w_sub = w[:, :k]
     x_val_sub = batch.val[:k, :]
     g0_sub = g0[:k, :k]

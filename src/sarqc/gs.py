@@ -3,24 +3,25 @@
 Each candidate scales the input channels, quantizes the scaled weights, and
 divides the scaling back out of the dequantized matrix. Candidates are scored
 by min-max-normalized reconstruction error plus λ times the normalized
-saliency-weighted drift; λ itself can be picked on a held-out validation
-split. With λ = 0 the selection reduces to the plain activation-aware
-reconstruction argmin.
+saliency-weighted drift, and λ is picked from a grid on a held-out
+validation split. With λ = 0 the selection reduces to the plain
+activation-aware reconstruction argmin.
 
 The candidates and their raw losses do not depend on λ, only the argmin of
-the joint score does, so λ selection scores the grid once and re-picks the
-winner for each λ from the stored losses.
+the joint score does, so `run_gs` scores the grid once and
+`select_lambda_gs` re-picks the winner for each λ from the stored losses.
+A fixed λ is a one-entry grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import CalibrationBatch
 from .linalg import as_matrix
-from .objective import LossBreakdown, joint_score, minmax_normalize, recon_loss, sar_loss, weight_drift
+from .objective import joint_score, minmax_normalize, recon_loss, sar_loss
 from .quantizer import QuantizedLayer, QuantScheme, quantize_matrix
 from .saliency import (
     ChannelStats,
@@ -39,7 +40,6 @@ LAMBDA_GRID_GS_DEFAULT = tuple(k / 10 for k in range(1, 11))
 class GsConfig:
     scheme: QuantScheme
     alpha_grid: tuple[float, ...] = ALPHA_GRID_DEFAULT
-    lam: float = 0.0
     lambda_grid: tuple[float, ...] = LAMBDA_GRID_GS_DEFAULT
     saliency_kind: str = "gs"  # "identity" | "gs"
 
@@ -54,12 +54,22 @@ class GsConfig:
             raise ValueError("lambda_grid must be nonempty with non-negative entries")
         if any(b <= a for a, b in zip(lgrid, lgrid[1:])):
             raise ValueError("lambda_grid must be strictly increasing")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be non-negative")
         if self.saliency_kind not in ("identity", "gs"):
             raise ValueError(f"unknown saliency kind {self.saliency_kind!r}")
         object.__setattr__(self, "alpha_grid", grid)
         object.__setattr__(self, "lambda_grid", lgrid)
+
+
+@dataclass(frozen=True)
+class GsGrid:
+    """The λ-independent grid pass: one candidate per α in grid order, the
+    profile the sar losses were scored with, and each candidate's raw recon
+    and sar losses on the training columns."""
+
+    candidates: tuple[QuantizedLayer, ...]
+    profile: SaliencyProfile
+    recon: np.ndarray
+    sar: np.ndarray
 
 
 @dataclass
@@ -67,11 +77,8 @@ class GsResult:
     chosen_alpha: float
     chosen_lambda: float
     layer: QuantizedLayer
-    losses: list[LossBreakdown]
-    selected_index: int
     profile: SaliencyProfile  # the profile the sar losses were scored with
-    val_losses: list[tuple[float, float]] | None = None
-    candidates: tuple[QuantizedLayer, ...] = field(default=(), repr=False)  # one per α, in grid order
+    val_losses: list[tuple[float, float]]  # (λ, validation recon of its winner), in grid order
 
 
 def candidate(w, stats: ChannelStats, alpha: float, scheme: QuantScheme) -> QuantizedLayer:
@@ -99,24 +106,9 @@ def select_joint(recon_raw, sar_raw, lam: float):
     return int(np.argmin(joint)), recon_n, sar_n, joint
 
 
-def _pick(alpha_grid, candidates, losses: list[LossBreakdown], profile: SaliencyProfile, lam: float) -> GsResult:
-    """The grid result at λ: the joint-score winner among scored candidates."""
-    selected, _, _, joint = select_joint(
-        np.array([l.recon for l in losses]), np.array([l.sar for l in losses]), lam
-    )
-    return GsResult(
-        chosen_alpha=alpha_grid[selected],
-        chosen_lambda=lam,
-        layer=candidates[selected],
-        losses=[replace(l, joint_normalized=float(j)) for l, j in zip(losses, joint)],
-        selected_index=selected,
-        profile=profile,
-        candidates=candidates,
-    )
-
-
-def run_gs(w, x, config: GsConfig) -> GsResult:
-    """Full grid pass at a fixed λ over the training columns x."""
+def run_gs(w, x, config: GsConfig) -> GsGrid:
+    """Build every α candidate and score its recon and sar losses on the
+    training columns x; none of this depends on λ."""
     w = as_matrix(w, "W")
     x = as_matrix(x, "X")
     stats = channel_stats(w, x)
@@ -126,39 +118,25 @@ def run_gs(w, x, config: GsConfig) -> GsResult:
         profile = saliency_vector_gs(stats)
 
     layers = tuple(candidate(w, stats, alpha, config.scheme) for alpha in config.alpha_grid)
-    losses = [
-        LossBreakdown(
-            recon=recon_loss(w, ql.dequantized, x),
-            sar=sar_loss(w, ql.dequantized, profile),
-            drift=weight_drift(w, ql.dequantized),
-        )
-        for ql in layers
-    ]
-    return _pick(config.alpha_grid, layers, losses, profile, config.lam)
+    recon = np.array([recon_loss(w, ql.dequantized, x) for ql in layers])
+    sar = np.array([sar_loss(w, ql.dequantized, profile) for ql in layers])
+    return GsGrid(candidates=layers, profile=profile, recon=recon, sar=sar)
 
 
 def select_lambda_gs(w, batch: CalibrationBatch, config: GsConfig) -> GsResult:
-    """Pick λ from the grid by reconstruction error on the validation split;
-    ties go to the smallest λ.
+    """Pick λ from `config.lambda_grid` by reconstruction error on the
+    validation split; ties go to the smallest λ. A fixed λ is a one-entry
+    grid.
 
     One `run_gs` pass scores every α candidate on the training split; each λ
     then only re-picks the joint-score winner, and the validation loss is
-    computed once per distinct winning candidate. The result equals running
-    `run_gs` at every λ of the grid.
+    computed once per distinct winning candidate.
     """
     w = as_matrix(w, "W")
-    scored = run_gs(w, batch.train, config)
-    val_of: dict[int, float] = {}
-    best: GsResult | None = None
-    best_v = np.inf
-    table: list[tuple[float, float]] = []
-    for lam in config.lambda_grid:
-        res = _pick(config.alpha_grid, scored.candidates, scored.losses, scored.profile, lam)
-        if res.selected_index not in val_of:
-            val_of[res.selected_index] = recon_loss(w, res.layer.dequantized, batch.val)
-        v = val_of[res.selected_index]
-        table.append((lam, v))
-        if v < best_v:
-            best, best_v = res, v
-    assert best is not None
-    return replace(best, val_losses=table)
+    grid = run_gs(w, batch.train, config)
+    winners = [select_joint(grid.recon, grid.sar, lam)[0] for lam in config.lambda_grid]
+    val_of = {i: recon_loss(w, grid.candidates[i].dequantized, batch.val) for i in dict.fromkeys(winners)}
+    table = [(lam, val_of[i]) for lam, i in zip(config.lambda_grid, winners)]
+    k = int(np.argmin([v for _, v in table]))  # the first minimum, so ties go to the smallest λ
+    i = winners[k]
+    return GsResult(config.alpha_grid[i], table[k][0], grid.candidates[i], grid.profile, table)

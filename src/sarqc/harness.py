@@ -27,7 +27,7 @@ from .gbs import (
     run_gbs,
     select_hparams_gbs,
 )
-from .gs import LAMBDA_GRID_GS_DEFAULT, GsConfig, run_gs, select_lambda_gs
+from .gs import LAMBDA_GRID_GS_DEFAULT, GsConfig, select_lambda_gs
 from .linalg import TriangularFactor, as_matrix, gram
 from .objective import LossBreakdown, recon_loss, sar_loss, weight_drift
 from .quantizer import QuantizedLayer, QuantScheme, rtn
@@ -53,10 +53,6 @@ class Solution:
     alpha: float | None = None
     factor: TriangularFactor | None = None
 
-    @property
-    def jitter_used(self) -> float:
-        return self.factor.jitter if self.factor is not None else 0.0
-
 
 def solve(
     method: str,
@@ -74,8 +70,8 @@ def solve(
     """Quantize one layer with one of METHODS.
 
     awq and gptq are the λ = 0, identity-profile cases of sarqc-gs and
-    sarqc-gbs. With `lam` given the solver runs once on the training split
-    (sarqc-gbs takes γ = `gamma`, default GAMMA_FIXED_DEFAULT); otherwise λ
+    sarqc-gbs. With `lam` given, sarqc-gs picks α at that one λ and sarqc-gbs
+    runs once with γ = `gamma` (default GAMMA_FIXED_DEFAULT); otherwise λ
     (and γ for sarqc-gbs) are selected on the validation split from
     `lambda_grid` / `gamma_grid`, the paper's grids when None.
     `saliency="identity"` replaces the saliency profile with the identity.
@@ -87,11 +83,10 @@ def solve(
     if method in ("awq", "sarqc-gs"):
         cfg = GsConfig(
             scheme=scheme,
-            lam=lam if lam is not None else 0.0,
-            lambda_grid=lambda_grid or LAMBDA_GRID_GS_DEFAULT,
+            lambda_grid=(lam,) if lam is not None else lambda_grid or LAMBDA_GRID_GS_DEFAULT,
             saliency_kind="identity" if saliency == "identity" else "gs",
         )
-        res = run_gs(w, batch.train, cfg) if lam is not None else select_lambda_gs(w, batch, cfg)
+        res = select_lambda_gs(w, batch, cfg)
         return Solution(res.layer, res.profile, lam=res.chosen_lambda, alpha=res.chosen_alpha)
     if method in ("gptq", "sarqc-gbs"):
         kind = "identity" if saliency == "identity" else "gbs"

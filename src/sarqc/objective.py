@@ -15,7 +15,6 @@ class LossBreakdown:
     recon: float
     sar: float
     drift: float
-    joint_normalized: float | None = None
 
 
 def _check_pair(w, w_hat):

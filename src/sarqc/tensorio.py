@@ -84,23 +84,32 @@ def write_manifest(path, layers: list[dict], defaults: dict) -> None:
 def load_manifest(path) -> dict:
     """Parse and fully validate a manifest before any computation starts.
 
-    Checks id uniqueness, file existence, and that the recorded dimensions
-    match the tensor headers on disk. Returns the manifest document with
-    layer paths resolved against the manifest directory.
+    Checks that the document, each layer entry, `defaults` and
+    `defaults.scheme` are objects, id uniqueness, file existence, and that
+    the recorded dimensions match the tensor headers on disk. Returns the
+    manifest document with layer paths resolved against the manifest
+    directory.
     """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{path}: manifest is not a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ManifestError(f"{path}: unsupported schema {doc.get('schema')!r}")
+    defaults = doc.setdefault("defaults", {})
+    if not isinstance(defaults, dict) or not isinstance(defaults.get("scheme", {}), dict):
+        raise ManifestError(f"{path}: defaults and defaults.scheme must be JSON objects")
     layers = doc.get("layers")
     if not isinstance(layers, list) or not layers:
         raise ManifestError(f"{path}: manifest has no layers")
     seen = set()
     base = path.parent
     for entry in layers:
+        if not isinstance(entry, dict):
+            raise ManifestError(f"{path}: layer entry {entry!r} is not a JSON object")
         for key in ("layer_id", "weights", "calib", "d_out", "d_in", "n"):
             if key not in entry:
                 raise ManifestError(f"{path}: layer entry missing {key!r}")
@@ -116,5 +125,4 @@ def load_manifest(path) -> dict:
             if shape != tuple(want):
                 raise ManifestError(f"{path}: {lid}: {key} has shape {shape}, manifest says {tuple(want)}")
             entry[key] = str(fp)
-    doc.setdefault("defaults", {})
     return doc

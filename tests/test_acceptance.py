@@ -82,12 +82,10 @@ def test_05_exact_scalarization_monotonicity():
     for _ in range(200):
         w = rng.standard_normal((3, 6)) * rng.uniform(0.5, 4.0)
         x = rng.standard_normal((6, 9))
-        base = run_gs(w, x, GsConfig(scheme=scheme, lam=0.0, alpha_grid=tuple(k / 10 for k in range(11))))
-        recon_raw = np.array([l.recon for l in base.losses])
-        sar_raw = np.array([l.sar for l in base.losses])
+        base = run_gs(w, x, GsConfig(scheme=scheme, alpha_grid=tuple(k / 10 for k in range(11))))
         prev_sar = prev_recon = None
         for lam in lambdas:
-            idx, recon_n, sar_n, _ = select_joint(recon_raw, sar_raw, lam)
+            idx, recon_n, sar_n, _ = select_joint(base.recon, base.sar, lam)
             if prev_sar is not None:
                 ok = ok and sar_n[idx] <= prev_sar and recon_n[idx] >= prev_recon
             prev_sar, prev_recon = sar_n[idx], recon_n[idx]

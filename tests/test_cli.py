@@ -123,7 +123,7 @@ class TestQuantize:
             reports.append(entry)
         factor = reports[0]["factor"]
         assert factor["retries"] >= 1
-        assert factor["jitter"] == reports[0]["jitter_used"] > 0.0
+        assert factor["jitter"] > 0.0
         # a Cholesky pivot is at most the square root of its diagonal entry,
         # which is the jitter alone for the dead channel
         assert 0.0 < factor["min_pivot"] <= 1.000001 * np.sqrt(factor["jitter"])
@@ -420,6 +420,32 @@ class TestExitCodes:
             rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", "rtn",
                            "--bits", str(bits), "--mode", mode, "--out", str(tmp_path / "q")])
             assert rc == 2
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("gen", [1, 2]),
+            ("sweep", [1, 2]),
+            ("quantize", [1, 2]),
+            ("quantize", {"schema": 1, "layers": [5]}),
+            ("quantize", {"schema": 1, "layers": "valid", "defaults": [1]}),
+            ("quantize", {"schema": 1, "layers": "valid", "defaults": {"scheme": 4}}),
+        ],
+    )
+    def test_non_object_json_maps_to_3(self, tmp_path, command, doc, capsys):
+        from sarqc import cli
+
+        lossless_manifest(tmp_path)
+        if isinstance(doc, dict) and doc["layers"] == "valid":
+            doc = {**doc, "layers": json.loads((tmp_path / "m.json").read_text())["layers"]}
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        if command == "quantize":
+            args = ["quantize", "--manifest", str(p), "--method", "rtn"]
+        else:
+            args = [command, "--spec", str(p)]
+        assert cli.main([*args, "--out", str(tmp_path / "o")]) == 3
+        assert "object" in capsys.readouterr().err
 
     def test_missing_manifest_maps_to_3(self, tmp_path):
         r = run_cli("quantize", "--manifest", tmp_path / "missing.json", "--method", "rtn", "--out", tmp_path / "q")

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from sarqc.calibration import split_batch
 from sarqc.gbs import (
+    SUBSET_FRACTION,
+    SUBSET_MIN,
     GbsConfig,
     build_curvature,
     h_bar_of_gram,
@@ -261,7 +263,7 @@ class TestSelectHparams:
     def test_lossless_ties_pick_smallest_pair(self):
         w = np.array([[-7.0, 7.0, 7.0, -7.0]])
         batch = split_batch(np.sign(np.random.default_rng(9).standard_normal((4, 12))), 0.25)
-        cfg = GbsConfig(scheme=SYM4, subset_min=2, subset_fraction=1.0)
+        cfg = GbsConfig(scheme=SYM4)  # d_in = 4 < SUBSET_MIN: the subset is the layer
         sel = select_hparams_gbs(w, batch, cfg, gram(batch.train), channel_stats(w, batch.train))
         assert sel.lam == min(cfg.lambda_grid)
         assert sel.gamma == min(cfg.gamma_grid)
@@ -276,7 +278,7 @@ class TestSelectHparams:
         sel = select_hparams_gbs(w, batch, cfg, gram(batch.train), channel_stats(w, batch.train))
         # rebuild the subset table from the subset's own Gram and statistics
         # and check the tie-break order
-        k = max(cfg.subset_min, int(np.ceil(cfg.subset_fraction * 48)))
+        k = max(SUBSET_MIN, int(np.ceil(SUBSET_FRACTION * 48)))
         w_sub, x_tr, x_val = w[:, :k], batch.train[:k], batch.val[:k]
         g0 = gram(x_tr)
         stats = channel_stats(w_sub, x_tr)
@@ -294,7 +296,7 @@ class TestSelectHparams:
         rng = np.random.default_rng(10)
         w = rng.standard_normal((3, 8))
         batch = split_batch(rng.standard_normal((8, 16)), 0.25)
-        cfg = GbsConfig(scheme=SYM4, saliency_kind="identity", subset_min=4, subset_fraction=1.0)
+        cfg = GbsConfig(scheme=SYM4, saliency_kind="identity")
         sel = select_hparams_gbs(w, batch, cfg, gram(batch.train), None)
         assert sel.gamma is None
 

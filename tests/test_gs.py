@@ -8,10 +8,16 @@ from hypothesis import strategies as st
 from sarqc import gs
 from sarqc.calibration import split_batch
 from sarqc.gs import GsConfig, GsResult, candidate, run_gs, select_joint, select_lambda_gs
-from sarqc.objective import recon_loss
+from sarqc.harness import solve
+from sarqc.objective import joint_score, minmax_normalize, recon_loss, sar_loss
 from sarqc.quantizer import QuantizedLayer, QuantScheme, rtn
-from sarqc.saliency import SaliencyProfile
-from sarqc.saliency import ChannelStats, channel_stats
+from sarqc.saliency import (
+    ChannelStats,
+    SaliencyProfile,
+    channel_stats,
+    identity_profile,
+    saliency_vector_gs,
+)
 
 SYM3 = QuantScheme(bits=3, mode="symmetric", group_size="per_channel")
 SYM4 = QuantScheme(bits=4, mode="symmetric", group_size="per_channel")
@@ -78,64 +84,84 @@ def lossless_instance():
     return w, x
 
 
+def fixed(cfg, lam):
+    return replace(cfg, lambda_grid=(lam,))
+
+
 class TestRunGs:
     def test_lossless_ties_break_to_first_alpha(self):
         w, x = lossless_instance()
-        cfg = GsConfig(scheme=SYM4, alpha_grid=(0.0, 0.5, 1.0), lam=0.3)
-        res = run_gs(w, x, cfg)
-        assert res.selected_index == 0
-        assert res.chosen_alpha == 0.0
+        cfg = GsConfig(scheme=SYM4, alpha_grid=(0.0, 0.5, 1.0), lambda_grid=(0.3,))
+        grid = run_gs(w, x, cfg)
+        assert np.all(grid.recon == 0.0) and np.all(grid.sar == 0.0)
+        res = select_lambda_gs(w, split_batch(x, 0.25), cfg)
+        assert (res.chosen_alpha, res.chosen_lambda) == (0.0, 0.3)
         assert np.array_equal(res.layer.dequantized, w)
 
     def test_lambda_zero_matches_raw_recon_argmin(self):
         rng = np.random.default_rng(2)
+        cfg = GsConfig(scheme=SYM4, alpha_grid=tuple(k / 8 for k in range(9)), lambda_grid=(0.0,))
         for trial in range(20):
             w = rng.standard_normal((4, 6)) * rng.uniform(0.5, 3)
-            x = rng.standard_normal((6, 10))
-            cfg = GsConfig(scheme=SYM4, alpha_grid=tuple(k / 8 for k in range(9)), lam=0.0)
-            res = run_gs(w, x, cfg)
-            raw = [l.recon for l in res.losses]
-            assert res.selected_index == int(np.argmin(raw))
+            batch = split_batch(rng.standard_normal((6, 12)), 0.25)
+            grid = run_gs(w, batch.train, cfg)
+            i = int(np.argmin(grid.recon))
+            res = select_lambda_gs(w, batch, cfg)
+            assert res.chosen_alpha == cfg.alpha_grid[i]
+            assert np.array_equal(res.layer.dequantized, grid.candidates[i].dequantized)
+
+    def test_losses_score_each_candidate(self):
+        rng = np.random.default_rng(2)
+        w = rng.standard_normal((4, 6)) * rng.uniform(0.5, 3)
+        x = rng.standard_normal((6, 10))
+        cfg = GsConfig(scheme=SYM4, alpha_grid=tuple(k / 8 for k in range(9)))
+        grid = run_gs(w, x, cfg)
+        stats = channel_stats(w, x)
+        assert np.array_equal(grid.profile.values, saliency_vector_gs(stats).values)
+        assert len(grid.candidates) == len(cfg.alpha_grid)
+        for alpha, ql, r, s in zip(cfg.alpha_grid, grid.candidates, grid.recon, grid.sar):
+            want = candidate(w, stats, alpha, SYM4)
+            assert np.array_equal(ql.dequantized, want.dequantized)
+            assert r == recon_loss(w, want.dequantized, x)
+            assert s == sar_loss(w, want.dequantized, grid.profile)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         w = rng.standard_normal((3, 5))
         x = rng.standard_normal((5, 8))
-        cfg = GsConfig(scheme=SYM4, lam=0.4)
+        cfg = GsConfig(scheme=SYM4)
         a = run_gs(w, x, cfg)
         b = run_gs(w, x, cfg)
-        assert a.selected_index == b.selected_index
-        assert np.array_equal(a.layer.codes, b.layer.codes)
-        assert np.array_equal(a.layer.dequantized, b.layer.dequantized)
-        assert [l.joint_normalized for l in a.losses] == [l.joint_normalized for l in b.losses]
+        assert a.recon.tobytes() == b.recon.tobytes() and a.sar.tobytes() == b.sar.tobytes()
+        for qa, qb in zip(a.candidates, b.candidates):
+            assert np.array_equal(qa.codes, qb.codes)
+            assert np.array_equal(qa.dequantized, qb.dequantized)
 
     def test_selected_index_is_joint_argmin(self):
         rng = np.random.default_rng(4)
         w = rng.standard_normal((4, 6))
-        x = rng.standard_normal((6, 12))
-        cfg = GsConfig(scheme=SYM4, lam=0.7)
-        res = run_gs(w, x, cfg)
-        joints = [l.joint_normalized for l in res.losses]
-        assert res.selected_index == int(np.argmin(joints))
+        batch = split_batch(rng.standard_normal((6, 16)), 0.25)
+        cfg = GsConfig(scheme=SYM4, lambda_grid=(0.7,))
+        grid = run_gs(w, batch.train, cfg)
+        joint = joint_score(minmax_normalize(grid.recon), minmax_normalize(grid.sar), 0.7)
+        assert select_lambda_gs(w, batch, cfg).chosen_alpha == cfg.alpha_grid[int(np.argmin(joint))]
 
 
 class TestScalarizationMonotonicity:
     def test_exact_over_lambda_grid(self):
         rng = np.random.default_rng(5)
         lambdas = [k / 10 for k in range(11)]
+        cfg = GsConfig(scheme=SYM4)
         for trial in range(50):
             w = rng.standard_normal((3, 6)) * rng.uniform(0.5, 4)
-            x = rng.standard_normal((6, 9))
-            stats = channel_stats(w, x)
+            batch = split_batch(rng.standard_normal((6, 12)), 0.25)
             prev_sar = None
             prev_recon = None
-            base = run_gs(w, x, GsConfig(scheme=SYM4, lam=0.0))
-            recon_raw = np.array([l.recon for l in base.losses])
-            sar_raw = np.array([l.sar for l in base.losses])
+            base = run_gs(w, batch.train, cfg)
             for lam in lambdas:
-                idx, recon_n, sar_n, _ = select_joint(recon_raw, sar_raw, lam)
-                res = run_gs(w, x, GsConfig(scheme=SYM4, lam=lam))
-                assert res.selected_index == idx
+                idx, recon_n, sar_n, _ = select_joint(base.recon, base.sar, lam)
+                res = select_lambda_gs(w, batch, fixed(cfg, lam))
+                assert res.chosen_alpha == cfg.alpha_grid[idx]
                 if prev_sar is not None:
                     assert sar_n[idx] <= prev_sar
                     assert recon_n[idx] >= prev_recon
@@ -149,10 +175,10 @@ class TestSelectLambdaGs:
         batch = split_batch(rng.standard_normal((4, 8)), 0.25)
         cfg = GsConfig(scheme=SYM4, lambda_grid=(0.0,))
         res = select_lambda_gs(w, batch, cfg)
-        direct = run_gs(w, batch.train, GsConfig(scheme=SYM4, lam=0.0))
+        direct = per_lambda_reference(w, batch, cfg)
         assert res.chosen_lambda == 0.0
-        assert res.selected_index == direct.selected_index
-        assert np.array_equal(res.layer.dequantized, direct.layer.dequantized)
+        for f in fields(GsResult):
+            assert_bit_equal(getattr(res, f.name), getattr(direct, f.name))
 
     def test_lossless_ties_pick_smallest_lambda(self):
         w, x = lossless_instance()
@@ -171,24 +197,28 @@ class TestSelectLambdaGs:
         cfg = GsConfig(scheme=QuantScheme(bits=3, mode="symmetric", group_size=4))
         res = select_lambda_gs(w, batch, cfg)
         # rebuild the validation table independently, then check the argmin
-        table = []
-        for lam in cfg.lambda_grid:
-            direct = run_gs(w, batch.train, GsConfig(scheme=cfg.scheme, lam=lam))
-            table.append((lam, recon_loss(w, direct.layer.dequantized, batch.val)))
+        table = per_lambda_reference(w, batch, cfg).val_losses
         assert res.val_losses == table
         best = min(table, key=lambda t: (t[1], t[0]))
         assert res.chosen_lambda == best[0]
 
 
 def per_lambda_reference(w, batch, cfg):
-    """λ selection as one full `run_gs` pass per λ; ties go to the smallest λ."""
+    """λ selection without the one-pass reuse: for each λ, build fresh
+    candidates, score them, pick the joint-score winner and compute its
+    validation recon; ties go to the smallest λ."""
+    stats = channel_stats(w, batch.train)
+    profile = identity_profile(w.shape[1]) if cfg.saliency_kind == "identity" else saliency_vector_gs(stats)
     best, best_v, table = None, np.inf, []
     for lam in cfg.lambda_grid:
-        res = run_gs(w, batch.train, replace(cfg, lam=lam))
-        v = recon_loss(w, res.layer.dequantized, batch.val)
+        layers = [candidate(w, stats, alpha, cfg.scheme) for alpha in cfg.alpha_grid]
+        recon = [recon_loss(w, ql.dequantized, batch.train) for ql in layers]
+        sar = [sar_loss(w, ql.dequantized, profile) for ql in layers]
+        i = select_joint(np.array(recon), np.array(sar), lam)[0]
+        v = recon_loss(w, layers[i].dequantized, batch.val)
         table.append((lam, v))
         if v < best_v:
-            best, best_v = res, v
+            best, best_v = GsResult(cfg.alpha_grid[i], lam, layers[i], profile, []), v
     return replace(best, val_losses=table)
 
 
@@ -253,3 +283,28 @@ class TestOnePassSelection:
         cfg = GsConfig(scheme=SYM4)
         select_lambda_gs(w, batch, cfg)
         assert calls == list(cfg.alpha_grid)
+
+    def test_equals_per_lambda_reference_at_production_shape(self):
+        # the gs-select benchmark shape: 256×512, n = 256, default grids, on
+        # correlated activations with hot channels and a shifted validation
+        # split, whose λ grid has two distinct winners
+        rng = np.random.default_rng(3)
+        d_out, d_in, n, n_val = 256, 512, 256, 64
+        x = rng.standard_normal((d_in, 16)) @ rng.standard_normal((16, n)) / 4 + 0.5 * rng.standard_normal((d_in, n))
+        chan = np.exp(0.5 * rng.standard_normal(d_in))
+        chan[rng.choice(d_in, 8, replace=False)] *= 8.0
+        x *= chan[:, None]
+        x[:, n - n_val :] *= np.exp(0.4 * rng.standard_normal(d_in))[:, None]
+        w = rng.standard_normal((d_out, d_in)) / np.sqrt(d_in)
+        w[:, rng.choice(d_in, 8, replace=False)] *= 4.0
+        batch = split_batch(x, n_val / n)
+        scheme = QuantScheme(bits=4, mode="asymmetric", group_size=128)
+        cfg = GsConfig(scheme=scheme)
+        self.assert_same_result(w, batch, cfg)
+        per_lambda = [per_lambda_reference(w, batch, fixed(cfg, lam)) for lam in cfg.lambda_grid]
+        assert len({ref.chosen_alpha for ref in per_lambda}) > 1
+        for lam, ref in zip(cfg.lambda_grid, per_lambda):
+            sol = solve("sarqc-gs", w, batch, scheme, lam=lam)
+            assert (sol.alpha, sol.lam) == (ref.chosen_alpha, ref.chosen_lambda)
+            assert_bit_equal(sol.layer, ref.layer)
+            assert_bit_equal(sol.profile, ref.profile)

@@ -229,6 +229,7 @@ class TestSolve:
         assert np.array_equal(sel.profile.values, fixed.profile.values)
         for field in ("kind", "gamma", "h_bar"):
             assert getattr(sel.profile, field) == getattr(fixed.profile, field)
-        for field in ("lam", "gamma", "alpha", "jitter_used"):
+        for field in ("lam", "gamma", "alpha"):
             assert getattr(sel, field) == getattr(fixed, field)
+        assert sel.factor.jitter == fixed.factor.jitter
         assert sel.layer.scheme == fixed.layer.scheme
