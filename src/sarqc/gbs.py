@@ -87,22 +87,22 @@ def build_curvature(g0, profile: SaliencyProfile, lam: float, *, context: str = 
 
     The profile must already be scale-normalized; an identity profile is
     normalized internally with the mean Gram diagonal, so identity + λ is
-    plain isotropic damping of magnitude λ·h̄.
+    plain isotropic damping of magnitude λ·h̄. G itself is never built:
+    the damping λ·s² is the `shift` that chol_upper_of_inverse adds while
+    filling its one working array.
     """
     if profile.values.shape[0] != g0.shape[0]:
         raise ValueError("profile length does not match input channels")
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
     if lam == 0.0:
-        g = g0
-    else:
-        if profile.kind == "identity":
-            h_bar = h_bar_of_gram(g0)
-            if not h_bar > 0.0:
-                raise ValueError("cannot scale-normalize: mean Gram diagonal is not positive")
-            profile = scale_normalize_gbs(np.ones(g0.shape[0]), h_bar)
-        g = g0 + np.diag(lam * profile.values**2)
-    return chol_upper_of_inverse(g, context=context)
+        return chol_upper_of_inverse(g0, context=context)
+    if profile.kind == "identity":
+        h_bar = h_bar_of_gram(g0)
+        if not h_bar > 0.0:
+            raise ValueError("cannot scale-normalize: mean Gram diagonal is not positive")
+        profile = scale_normalize_gbs(np.ones(g0.shape[0]), h_bar)
+    return chol_upper_of_inverse(g0, shift=lam * profile.values**2, context=context)
 
 
 def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 128) -> QuantizedLayer:

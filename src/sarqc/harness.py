@@ -107,6 +107,7 @@ def solve(
             gamma = (gamma if gamma is not None else GAMMA_FIXED_DEFAULT) if kind == "gbs" else None
         prof = profile_for(stats, kind, gamma, g0)
         factor = build_curvature(g0, prof, lam, context="full layer")
+        del g0  # the layer's largest array after the factor; run_gbs needs only the factor
         layer = run_gbs(w, factor, scheme, block)
         return Solution(layer, prof, lam=float(lam), gamma=gamma, factor=factor)
     raise ValueError(f"unknown method {method!r}")

@@ -73,14 +73,27 @@ class TriangularFactor:
 def gram(x) -> np.ndarray:
     """XXᵀ for X of shape (d_in, n); output is exactly symmetric.
 
-    Raises NumericalFailure when XXᵀ overflows.
+    Each tile is averaged with its mirror in place, (a + b)/2 as for
+    (G + Gᵀ)/2, so no second d_in×d_in array is built. Raises
+    NumericalFailure when XXᵀ overflows.
     """
     x = as_matrix(x, "X")
+    d = x.shape[0]
+    scratch = np.empty((min(d, SYMMETRY_TILE),) * 2)
     with np.errstate(over="ignore"):
         g = x @ x.T
-        g = (g + g.T) / 2.0
-    if not np.isfinite(g).all():
-        raise NumericalFailure(f"Gram matrix of X {x.shape} is not finite")
+        for i in range(0, d, SYMMETRY_TILE):
+            rows = slice(i, i + SYMMETRY_TILE)
+            for j in range(i, d, SYMMETRY_TILE):
+                cols = slice(j, j + SYMMETRY_TILE)
+                upper = g[rows, cols]
+                avg = np.add(upper, g[cols, rows].T, out=scratch[: upper.shape[0], : upper.shape[1]])
+                avg /= 2.0
+                if not np.isfinite(avg).all():
+                    raise NumericalFailure(f"Gram matrix of X {x.shape} is not finite")
+                g[rows, cols] = avg
+                if j != i:
+                    g[cols, rows] = avg.T
     return g
 
 
@@ -102,49 +115,80 @@ def frobenius_sq(a) -> float:
     return total
 
 
-def _check_square_symmetric(g: np.ndarray, name: str) -> np.ndarray:
-    """Reject G unless |G - Gᵀ| ≤ 1e-8·(1 + max|G|); return (G + Gᵀ)/2, or
-    G itself when it is exactly symmetric.
+def _check_square_symmetric(g: np.ndarray, name: str, shift: np.ndarray | None = None) -> np.ndarray:
+    """Reject G unless |G - Gᵀ| ≤ 1e-8·(1 + max|G + diag(shift)|); return
+    (G + Gᵀ)/2, or G itself when it is exactly symmetric.
 
-    Upper tiles are compared with the transposed lower ones, so G - Gᵀ is
-    never built in full.
+    Upper tiles are compared with the transposed lower ones, so neither
+    G - Gᵀ nor G + diag(shift) is built in full.
     """
     d = g.shape[0]
     if d != g.shape[1]:
         raise ValueError(f"{name} must be square, got shape {g.shape}")
-    amax = max(float(g.max()), -float(g.min())) if g.size else 0.0
-    tol = 1e-8 * (1.0 + amax)
-    exact = True
+    hi = lo = worst = 0.0
     for i in range(0, d, SYMMETRY_TILE):
         rows = slice(i, i + SYMMETRY_TILE)
         for j in range(i, d, SYMMETRY_TILE):
             cols = slice(j, j + SYMMETRY_TILE)
-            worst = float(np.max(np.abs(g[rows, cols] - g[cols, rows].T)))
-            if worst > tol:
-                raise ValueError(f"{name} is not symmetric")
-            exact = exact and worst == 0.0
-    return g if exact else (g + g.T) / 2.0
+            upper, lower = g[rows, cols], g[cols, rows]
+            if j != i:
+                extremes = (upper, lower)
+            elif shift is None:
+                extremes = (upper,)
+            else:
+                damped = upper.copy()
+                np.fill_diagonal(damped, np.diag(upper) + shift[rows])
+                extremes = (damped,)
+            for t in extremes:
+                hi, lo = max(hi, float(t.max())), min(lo, float(t.min()))
+            worst = max(worst, float(np.max(np.abs(upper - lower.T))))
+    if worst > 1e-8 * (1.0 + max(hi, -lo)):
+        raise ValueError(f"{name} is not symmetric")
+    return g if worst == 0.0 else (g + g.T) / 2.0
 
 
-def _factor_with_jitter(g: np.ndarray, what: str, context: str, finish, *, reverse: bool = False):
-    """Return finish(cho_factor(A + eps·I), eps, retries), retrying with
-    escalating eps; A is G, or P·G·P with the index order reversed when
-    `reverse` is set.
+def _factor_with_jitter(
+    g: np.ndarray, what: str, context: str, finish, *, shift=None, reverse: bool = False
+):
+    """Return finish(c, eps, retries) for the lower Cholesky factor c of
+    A + eps·I, retrying with escalating eps; A is G + diag(shift), or
+    P·(G + diag(shift))·P with the index order reversed when `reverse` is set.
 
-    eps starts at 0, then 1e-6 · mean diag of G, doubling up to
-    MAX_JITTER_RETRIES times; `retries` counts the failed attempts, and
-    `finish` raises LinAlgError to ask for more jitter.
+    c is one Fortran-ordered d×d array that LAPACK factors in place and
+    `finish` may overwrite; each attempt refills it from G. A damped or
+    jittered fill adds 0.0 off the diagonal and (g_ii + shift_i) + eps on
+    it, the arithmetic of G + diag(shift) + eps·I. eps starts at 0, then
+    1e-6 · mean diag of G + diag(shift), doubling up to MAX_JITTER_RETRIES
+    times; `retries` counts the failed attempts, and `finish` raises
+    LinAlgError to ask for more jitter.
     """
     d = g.shape[0]
-    base = 1e-6 * float(np.mean(np.diag(g)))
+    diag = np.diag(g)
+    if shift is not None:
+        diag = diag + shift
+        if not np.isfinite(diag).all():
+            raise ValueError("G contains non-finite entries")
+    base = 1e-6 * float(np.mean(diag))
     if not base > 0.0:  # non-positive mean diagonal, or the product underflowed
         base = 1e-6
-    a = g[::-1, ::-1] if reverse else g
+    src, diag = (g[::-1, ::-1], diag[::-1]) if reverse else (g, diag)
+    work = np.empty((d, d), order="F")
+    work_diag = work.T.reshape(-1)[:: d + 1]  # a view: work.T is C-contiguous
     eps = 0.0
     for retries in range(MAX_JITTER_RETRIES + 1):
         try:
-            work = a if eps == 0.0 else a + eps * np.eye(d)
-            return finish(scipy.linalg.cho_factor(work, lower=True), eps, retries)
+            np.copyto(work, src)
+            if shift is not None or eps != 0.0:
+                np.add(work, 0.0, out=work)
+                work_diag[:] = diag + eps if eps != 0.0 else diag
+                if not np.isfinite(work_diag).all():
+                    raise ValueError("jittered diagonal is not finite")
+            _, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
+            if info > 0:
+                raise scipy.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+            if info < 0:
+                raise ValueError(f"illegal argument {-info} to potrf")
+            return finish(work, eps, retries)
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
             eps = base if eps == 0.0 else 2.0 * eps
     raise NumericalFailure(
@@ -153,30 +197,73 @@ def _factor_with_jitter(g: np.ndarray, what: str, context: str, finish, *, rever
     )
 
 
-def chol_upper_of_inverse(g, *, context: str = "matrix") -> TriangularFactor:
-    """Upper-triangular M with MᵀM = G⁻¹, as M = P·L⁻¹·P for the lower
-    Cholesky factor L of P·G·P, where P reverses the index order.
+def _anti_transpose(b: np.ndarray) -> None:
+    """Overwrite the square array b with b[::-1, ::-1].T, its mirror image
+    across the anti-diagonal, one tile pair at a time.
 
-    On factorization failure, adds eps·I with eps starting at 1e-6 · mean
-    diag and doubling, up to MAX_JITTER_RETRIES times.
-    The jitter actually used and the failed attempts are recorded on the
-    returned factor.
+    Row tile a spans [lo, hi) and column tile a its mirror [d - hi, d - lo),
+    so the (a, c) and (c, a) tiles trade places and the (a, a) tiles map
+    onto themselves; the only scratch is one tile.
     """
-    g = _check_square_symmetric(as_matrix(g, "G"), "G")
+    d = b.shape[0]
+    spans = [(lo, min(lo + SYMMETRY_TILE, d)) for lo in range(0, d, SYMMETRY_TILE)]
+    scratch = np.empty((min(d, SYMMETRY_TILE),) * 2)
+    for a, (lo_a, hi_a) in enumerate(spans):
+        for lo_c, hi_c in spans[a:]:
+            upper = b[lo_a:hi_a, d - hi_c : d - lo_c]
+            lower = b[lo_c:hi_c, d - hi_a : d - lo_a]
+            tmp = scratch[: hi_a - lo_a, : hi_c - lo_c]
+            np.copyto(tmp, upper)
+            if lo_c != lo_a:
+                upper[...] = lower[::-1, ::-1].T
+            lower[...] = tmp[::-1, ::-1].T
+
+
+def _zero_strict_lower(m: np.ndarray) -> None:
+    """Zero the strict lower triangle of m in row tiles; raise LinAlgError
+    if what is left is not finite."""
+    below = np.tri(min(m.shape[0], SYMMETRY_TILE), k=-1, dtype=bool)
+    for i in range(0, m.shape[0], SYMMETRY_TILE):
+        rows = m[i : i + SYMMETRY_TILE]
+        n = rows.shape[0]
+        rows[:, :i] = 0.0
+        rows[:, i : i + n][below[:n, :n]] = 0.0
+        if not np.isfinite(rows).all():
+            raise scipy.linalg.LinAlgError("non-finite factor")
+
+
+def chol_upper_of_inverse(g, *, shift=None, context: str = "matrix") -> TriangularFactor:
+    """Upper-triangular M with MᵀM = (G + diag(shift))⁻¹, as M = P·L⁻¹·P for
+    the lower Cholesky factor L of P·(G + diag(shift))·P, where P reverses
+    the index order.
+
+    The damped matrix is never built: one d×d array is filled with it,
+    factored, inverted and turned into M in place. On factorization
+    failure, adds eps·I with eps starting at 1e-6 · mean diag and doubling,
+    up to MAX_JITTER_RETRIES times. The jitter actually used and the
+    failed attempts are recorded on the returned factor.
+    """
+    g = as_matrix(g, "G")
+    if shift is not None:
+        shift = np.asarray(shift, dtype=np.float64)
+        if shift.shape != g.shape[:1] or not np.isfinite(shift).all():
+            raise ValueError(f"shift must be a finite vector of length {g.shape[0]}")
+    g = _check_square_symmetric(g, "G", shift)
     d = g.shape[0]
 
-    def finish(cf, eps, retries):
-        linv, info = scipy.linalg.lapack.dtrtri(cf[0], lower=1, overwrite_c=True)
+    def finish(c, eps, retries):
+        _, info = scipy.linalg.lapack.dtrtri(c, lower=1, overwrite_c=1)
         if info != 0:
             raise scipy.linalg.LinAlgError(f"triangular inverse failed (info {info})")
-        # cho_factor leaves the input in the strict upper triangle of L;
-        # after the reversal that is the strict lower triangle of M
-        m = np.triu(linv[::-1, ::-1])
-        if not np.isfinite(m).all():
-            raise scipy.linalg.LinAlgError("non-finite factor")
+        # c.T is C-ordered with c.T[j, k] = L⁻¹[k, j]; its anti-transpose is
+        # M[j, k] = L⁻¹[d-1-j, d-1-k]. potrf left the input in the strict
+        # upper triangle of c, which lands in the strict lower triangle of M
+        m = c.T
+        _anti_transpose(m)
+        _zero_strict_lower(m)
         return TriangularFactor(dim=d, data=m, jitter=eps, retries=retries)
 
-    return _factor_with_jitter(g, "Cholesky of inverse", context, finish, reverse=True)
+    return _factor_with_jitter(g, "Cholesky of inverse", context, finish, shift=shift, reverse=True)
 
 
 def solve_spd(g, b, *, context: str = "system") -> np.ndarray:
@@ -186,8 +273,8 @@ def solve_spd(g, b, *, context: str = "system") -> np.ndarray:
     if rhs.shape[0] != g.shape[0]:
         raise ValueError("right-hand side length does not match G")
 
-    def finish(cf, eps, retries):
-        y = scipy.linalg.cho_solve(cf, rhs)
+    def finish(c, eps, retries):
+        y = scipy.linalg.cho_solve((c, True), rhs)
         if not np.isfinite(y).all():
             raise scipy.linalg.LinAlgError("non-finite solution")
         return y

@@ -86,11 +86,16 @@ class QuantizedLayer:
     channel_scale: np.ndarray | None = None
 
 
+# floor for a scale whose range / qmax underflows to 0 (a subnormal group)
+TINY_SCALE = float(np.finfo(np.float64).smallest_subnormal)
+
+
 def group_params(w, scheme: QuantScheme):
     """Per-row (scale, zero_point) for one group slice of shape (rows, g).
 
     Constant groups are degenerate: they get parameters that reproduce the
-    constant exactly under dequantization.
+    constant exactly under dequantization. A range so small that range /
+    qmax underflows gets the smallest positive scale instead of 0.
     """
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     if w.shape[1] == 0:
@@ -98,14 +103,14 @@ def group_params(w, scheme: QuantScheme):
     qmax = scheme.qmax
     if scheme.mode == "symmetric":
         amax = np.max(np.abs(w), axis=1)
-        scale = np.where(amax > 0.0, amax / qmax, 1.0)
+        scale = np.where(amax > 0.0, np.maximum(amax / qmax, TINY_SCALE), 1.0)
         zp = np.zeros(w.shape[0], dtype=np.int32)
         return scale, zp
     lo = np.min(w, axis=1)
     hi = np.max(w, axis=1)
     span = hi - lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = span / qmax
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = np.maximum(span / qmax, TINY_SCALE)
         zp_f = np.round(-lo / scale)
     const = span == 0.0
     if np.any(const):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sarqc.gbs import build_curvature
 from sarqc.linalg import (
+    MAX_JITTER_RETRIES,
     SYMMETRY_TILE,
     NumericalFailure,
     TriangularFactor,
+    _anti_transpose,
     _check_square_symmetric,
     chol_upper_of_inverse,
     frobenius_sq,
@@ -20,9 +24,53 @@ from sarqc.linalg import (
 )
 
 
+from sarqc.saliency import scale_normalize_gbs
+
+# sizes that do not fill whole tiles, and tile edges
+TILE_SIZES = [1, 7, 255, 256, 257, 300, 2 * SYMMETRY_TILE + 7]
+
+
 def random_spd(rng, d):
     a = rng.standard_normal((d, d))
     return a @ a.T + (0.1 + rng.uniform()) * np.eye(d)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes allocated by fn above what was live before it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def damped_factor_by_copies(g0, v):
+    """M, jitter and retries of the inverse Cholesky factor of G0 + diag(v)
+    by the route that builds G, its jittered copies, cho_factor's copy and
+    the np.triu result, written out independently of sarqc.linalg."""
+    d = g0.shape[0]
+    g = g0 + np.diag(v)
+    base = 1e-6 * float(np.mean(np.diag(g)))
+    if not base > 0.0:
+        base = 1e-6
+    a = g[::-1, ::-1]
+    eps = 0.0
+    for retries in range(MAX_JITTER_RETRIES + 1):
+        try:
+            work = a if eps == 0.0 else a + eps * np.eye(d)
+            c, _ = scipy.linalg.cho_factor(work, lower=True)
+            linv, info = scipy.linalg.lapack.dtrtri(c, lower=1, overwrite_c=True)
+            if info != 0:
+                raise scipy.linalg.LinAlgError("singular")
+            m = np.triu(linv[::-1, ::-1])
+            if not np.isfinite(m).all() or not np.all(np.diag(m) > 0.0):
+                raise scipy.linalg.LinAlgError("bad factor")
+            return m, eps, retries
+        except (scipy.linalg.LinAlgError, ValueError):
+            eps = base if eps == 0.0 else 2.0 * eps
+    raise AssertionError("the reference factorization failed")
 
 
 class TestGram:
@@ -143,6 +191,86 @@ class TestCholUpperOfInverse:
         g = np.diag([4.0, 0.25, 9.0])
         f = chol_upper_of_inverse(g)
         assert f.min_pivot == 0.5
+
+
+class TestAntiTranspose:
+    @pytest.mark.parametrize("d", TILE_SIZES)
+    def test_mirrors_across_the_anti_diagonal(self, d):
+        b = np.random.default_rng(d).standard_normal((d, d))
+        want = b[::-1, ::-1].T.copy()
+        _anti_transpose(b)
+        assert b.tobytes() == want.tobytes()
+
+
+class TestDampedFactor:
+    """chol_upper_of_inverse(G0, shift=v) against building G0 + diag(v)."""
+
+    @staticmethod
+    def gram_case(d, kind):
+        rng = np.random.default_rng(100 + d)
+        x = rng.standard_normal((d, d + 8))
+        if kind == "rank deficient":
+            x[::3] = 0.0  # dead channels, left undamped below
+        g0 = gram(x)
+        v = rng.uniform(0.05, 2.0, d) * float(np.mean(np.diag(g0)))
+        if kind == "rank deficient":
+            v[::3] = 0.0
+        if kind == "negative zero":
+            # a decoupled block: its -0.0 coupling entries turn into +0.0 in G0 + diag(v)
+            k = max(1, d // 2)
+            g0[:k, k:] = -0.0
+            g0[k:, :k] = -0.0
+        return g0, v
+
+    @pytest.mark.parametrize("kind", ["unjittered", "rank deficient", "negative zero"])
+    @pytest.mark.parametrize("d", [1, 7, 300, 2 * SYMMETRY_TILE + 7])
+    def test_bytes_match_building_the_damped_matrix(self, d, kind):
+        g0, v = self.gram_case(d, kind)
+        want, eps, retries = damped_factor_by_copies(g0, v)
+        f = chol_upper_of_inverse(g0, shift=v)
+        assert f.data.tobytes() == want.tobytes()
+        assert (f.jitter, f.retries) == (eps, retries)
+        assert f.data.flags.c_contiguous
+        if kind == "rank deficient":
+            assert retries >= 1
+
+    def test_symmetry_tolerance_reads_the_damped_matrix(self):
+        # asymmetry 5e-8 is above 1e-8·(1 + max|G0|) = 2e-8 but below
+        # 1e-8·(1 + max|G0 + diag(shift)|) = 1.1e-7
+        g0 = np.array([[1.0, 0.5], [0.5 + 5e-8, 1.0]])
+        with pytest.raises(ValueError, match="G is not symmetric"):
+            chol_upper_of_inverse(g0)
+        f = chol_upper_of_inverse(g0, shift=[9.0, 9.0])
+        sym = (g0 + g0.T) / 2.0
+        assert f.data.tobytes() == damped_factor_by_copies(sym, np.array([9.0, 9.0]))[0].tobytes()
+
+    @pytest.mark.parametrize("shift", [np.ones(3), np.array([1.0, np.inf])], ids=["length", "non-finite"])
+    def test_bad_shift_is_rejected(self, shift):
+        with pytest.raises(ValueError, match="shift must be a finite vector of length 2"):
+            chol_upper_of_inverse(np.eye(2), shift=shift)
+
+
+class TestPeakMemory:
+    """At d = 1024 the d×d float64 output is 8 MiB; traced allocations may
+    exceed it by tiles and vectors only."""
+
+    D = 1024
+    BUDGET = 1.1 * 8 * D * D
+
+    def test_gram_builds_one_matrix(self):
+        x = np.random.default_rng(16).standard_normal((self.D, 256))
+        g, peak = traced_peak(gram, x)
+        assert np.array_equal(g, g.T)
+        assert peak <= self.BUDGET
+
+    @pytest.mark.parametrize("n, lam", [(2 * D, 0.5), (D // 4, 1e-30)], ids=["unjittered", "jitter retry"])
+    def test_damped_curvature_builds_one_matrix(self, n, lam):
+        g0 = gram(np.random.default_rng(17).standard_normal((self.D, n)))
+        s = np.random.default_rng(18).uniform(0.5, 2.0, self.D)
+        profile = scale_normalize_gbs(s, float(np.mean(np.diag(g0))))
+        f, peak = traced_peak(build_curvature, g0, profile, lam)
+        assert f.retries == (0 if lam == 0.5 else 1)
+        assert peak <= self.BUDGET
 
 
 class TestSymmetryCheck:

@@ -188,6 +188,16 @@ class TestContractProperties:
         order = np.argsort(values, kind="stable")
         assert np.all(np.diff(codes[0, order]) >= 0)
 
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    def test_subnormal_range_gets_a_positive_scale(self, mode):
+        # range / qmax underflows to 0; a zero scale made the codes NaN casts
+        scheme = QuantScheme(bits=4, mode=mode, group_size="per_channel")
+        codes, scale, zp = quantize_rows([0.0, 5e-324], scheme)
+        assert np.all(scale > 0.0)
+        assert scheme.qmin <= codes.min() and codes.max() <= scheme.qmax
+        assert codes[0, 0] <= codes[0, 1]
+        assert np.array_equal(dequantize_with_params(codes, scale, zp), [[0.0, 5e-324]])
+
     def test_codes_within_range(self):
         rng = np.random.default_rng(6)
         for scheme in (SYM4, ASYM4):
