@@ -26,10 +26,6 @@ from sarqc.linalg import (
 
 from sarqc.saliency import scale_normalize_gbs
 
-# sizes that do not fill whole tiles, and tile edges
-TILE_SIZES = [1, 7, 255, 256, 257, 300, 2 * SYMMETRY_TILE + 7]
-
-
 def random_spd(rng, d):
     a = rng.standard_normal((d, d))
     return a @ a.T + (0.1 + rng.uniform()) * np.eye(d)
@@ -194,7 +190,8 @@ class TestCholUpperOfInverse:
 
 
 class TestAntiTranspose:
-    @pytest.mark.parametrize("d", TILE_SIZES)
+    # sizes that do not fill whole tiles, and tile edges
+    @pytest.mark.parametrize("d", [1, 7, 255, 256, 257, 300, 2 * SYMMETRY_TILE + 7])
     def test_mirrors_across_the_anti_diagonal(self, d):
         b = np.random.default_rng(d).standard_normal((d, d))
         want = b[::-1, ::-1].T.copy()
