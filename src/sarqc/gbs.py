@@ -34,13 +34,7 @@ import numpy as np
 from .calibration import CalibrationBatch
 from .linalg import TriangularFactor, as_matrix, chol_upper_of_inverse
 from .objective import recon_loss
-from .quantizer import (
-    QuantizedLayer,
-    QuantScheme,
-    dequantize_with_params,
-    group_params,
-    quantize_with_params,
-)
+from .quantizer import QuantizedLayer, QuantScheme, group_params
 from .saliency import ChannelStats, SaliencyProfile, identity_profile, saliency_vector_gbs, scale_normalize_gbs
 
 LAMBDA_GRID_GBS_DEFAULT = (0.25, 0.5, 0.75)
@@ -117,21 +111,27 @@ def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 
         raise ValueError("block_size must be >= 1")
 
     slices = scheme.group_slices(d_in)
-    grp_idx = scheme.group_index(d_in)
+    groups = scheme.group_index(d_in).tolist()
+    qmin, qmax = scheme.qmin, scheme.qmax
     # transposed working copy: column j of W is the contiguous row u[j]
     codes = np.empty((d_in, d_out), dtype=np.int32)
     qhat = np.empty((d_in, d_out))
     scales = np.empty((len(slices), d_out))
     zps = np.empty((len(slices), d_out), dtype=np.int32)
-    ready = np.zeros(len(slices), dtype=bool)
+    # per-column buffers: the quantizer's float codes, then the error row;
+    # the rank-1 update of the rest of the block goes through `scratch`
+    q = np.empty(d_out)
+    e = np.empty(d_out)
+    scratch = np.empty((min(block_size, d_in), d_out))
+    gi_cur = -1
 
     u = w.T.copy()
     for i in range(0, d_in, block_size):
         i_end = min(i + block_size, d_in)
         e_blk = np.empty((d_out, i_end - i))
         for j in range(i, i_end):
-            gi = int(grp_idx[j])
-            if not ready[gi]:
+            gi = groups[j]
+            if gi != gi_cur:  # groups are visited in order; j is the first column of group gi
                 if scheme.per_tensor:
                     s1, z1 = group_params(u.reshape(1, -1), scheme)
                     scales[gi] = s1[0]
@@ -146,16 +146,29 @@ def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 
                         g_slice = g_slice.copy()
                         g_slice[i_end - sl.start :] -= (e_blk[:, : j - i] @ m[i:j, i_end : sl.stop]).T
                     scales[gi], zps[gi] = group_params(g_slice.T, scheme)
-                ready[gi] = True
-            s = scales[gi]
-            z = zps[gi]
-            c = quantize_with_params(u[j], s, z, scheme)
-            qcol = dequantize_with_params(c, s, z)
-            codes[j] = c
-            qhat[j] = qcol
-            e = (u[j] - qcol) / m[j, j]
+                gi_cur = gi
+                s = scales[gi]
+                zf = zps[gi].astype(np.float64)
+            # quantize_with_params and dequantize_with_params, written out on
+            # the buffers: clip(rint(u / s + z)), then s · (codes − z) read
+            # from the int codes, which hold +0 where rint gave −0.0
+            np.divide(u[j], s, out=q)
+            q += zf
+            np.rint(q, out=q)
+            np.maximum(q, qmin, out=q)
+            np.minimum(q, qmax, out=q)
+            codes[j] = q
+            qcol = qhat[j]
+            np.subtract(codes[j], zf, out=qcol)
+            qcol *= s
+            np.subtract(u[j], qcol, out=e)
+            e /= m[j, j]
             e_blk[:, j - i] = e
-            u[j:i_end] -= np.outer(m[j, j:i_end], e)
+            # row j itself is not read again, so the update starts below it
+            n = i_end - j - 1
+            if n:
+                upd = np.multiply(m[j, j + 1 : i_end, None], e, out=scratch[:n])
+                u[j + 1 : i_end] -= upd
         if i_end < d_in:
             # the fold is the (d_out, ·) GEMM, transposed; m[…].T @ e_blk.T
             # sums in another order and moves bytes

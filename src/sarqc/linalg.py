@@ -21,6 +21,8 @@ import scipy.linalg
 
 MAX_JITTER_RETRIES = 10
 SYMMETRY_TILE = 256  # edge of the tiles the symmetry and triangle checks scan
+# strict lower triangle of one diagonal tile; a short tile reads its leading block
+_STRICT_LOWER = np.tri(SYMMETRY_TILE, k=-1, dtype=bool)
 
 
 class NumericalFailure(RuntimeError):
@@ -54,13 +56,14 @@ class TriangularFactor:
         d = self.data
         if d.shape != (self.dim, self.dim):
             raise ValueError("factor shape does not match dim")
-        if not np.all(np.diag(d) > 0.0):
+        if not (d.diagonal() > 0.0).all():
             raise ValueError("factor diagonal must be strictly positive")
         # row tiles: the part left of the diagonal tile, then the strict lower
         # triangle of the diagonal tile, so no d×d copy or mask is built
         for i in range(0, self.dim, SYMMETRY_TILE):
             rows = d[i : i + SYMMETRY_TILE]
-            if rows[:, :i].any() or np.tril(rows[:, i : i + SYMMETRY_TILE], k=-1).any():
+            n = rows.shape[0]
+            if rows[:, :i].any() or rows[:, i : i + n].any(where=_STRICT_LOWER[:n, :n]):
                 raise ValueError("factor must be upper triangular")
 
     @property
@@ -120,31 +123,36 @@ def _check_square_symmetric(g: np.ndarray, name: str, shift: np.ndarray | None =
     (G + Gᵀ)/2, or G itself when it is exactly symmetric.
 
     Upper tiles are compared with the transposed lower ones, so neither
-    G - Gᵀ nor G + diag(shift) is built in full.
+    G - Gᵀ nor G + diag(shift) is built in full. An exactly symmetric G
+    passes whatever its range, so the range is scanned only when it is not.
     """
     d = g.shape[0]
     if d != g.shape[1]:
         raise ValueError(f"{name} must be square, got shape {g.shape}")
+    tiles = [
+        (slice(i, i + SYMMETRY_TILE), slice(j, j + SYMMETRY_TILE))
+        for i in range(0, d, SYMMETRY_TILE)
+        for j in range(i, d, SYMMETRY_TILE)
+    ]
+    if all((g[rows, cols] == g[cols, rows].T).all() for rows, cols in tiles):
+        return g
     hi = lo = worst = 0.0
-    for i in range(0, d, SYMMETRY_TILE):
-        rows = slice(i, i + SYMMETRY_TILE)
-        for j in range(i, d, SYMMETRY_TILE):
-            cols = slice(j, j + SYMMETRY_TILE)
-            upper, lower = g[rows, cols], g[cols, rows]
-            if j != i:
-                extremes = (upper, lower)
-            elif shift is None:
-                extremes = (upper,)
-            else:
-                damped = upper.copy()
-                np.fill_diagonal(damped, np.diag(upper) + shift[rows])
-                extremes = (damped,)
-            for t in extremes:
-                hi, lo = max(hi, float(t.max())), min(lo, float(t.min()))
-            worst = max(worst, float(np.max(np.abs(upper - lower.T))))
+    for rows, cols in tiles:
+        upper, lower = g[rows, cols], g[cols, rows]
+        if rows != cols:
+            extremes = (upper, lower)
+        elif shift is None:
+            extremes = (upper,)
+        else:
+            damped = upper.copy()
+            np.fill_diagonal(damped, np.diag(upper) + shift[rows])
+            extremes = (damped,)
+        for t in extremes:
+            hi, lo = max(hi, float(t.max())), min(lo, float(t.min()))
+        worst = max(worst, float(np.max(np.abs(upper - lower.T))))
     if worst > 1e-8 * (1.0 + max(hi, -lo)):
         raise ValueError(f"{name} is not symmetric")
-    return g if worst == 0.0 else (g + g.T) / 2.0
+    return (g + g.T) / 2.0
 
 
 def _factor_with_jitter(
@@ -160,18 +168,16 @@ def _factor_with_jitter(
     it, the arithmetic of G + diag(shift) + eps·I. eps starts at 0, then
     1e-6 · mean diag of G + diag(shift), doubling up to MAX_JITTER_RETRIES
     times; `retries` counts the failed attempts, and `finish` raises
-    LinAlgError to ask for more jitter.
+    LinAlgError to ask for more jitter. The mean is taken only after a
+    failed attempt, over the diagonal in index order.
     """
     d = g.shape[0]
-    diag = np.diag(g)
+    diag = np.diag(g)  # G + diag(shift) in index order
     if shift is not None:
         diag = diag + shift
         if not np.isfinite(diag).all():
             raise ValueError("G contains non-finite entries")
-    base = 1e-6 * float(np.mean(diag))
-    if not base > 0.0:  # non-positive mean diagonal, or the product underflowed
-        base = 1e-6
-    src, diag = (g[::-1, ::-1], diag[::-1]) if reverse else (g, diag)
+    src, fill = (g[::-1, ::-1], diag[::-1]) if reverse else (g, diag)
     work = np.empty((d, d), order="F")
     work_diag = work.T.reshape(-1)[:: d + 1]  # a view: work.T is C-contiguous
     eps = 0.0
@@ -180,7 +186,7 @@ def _factor_with_jitter(
             np.copyto(work, src)
             if shift is not None or eps != 0.0:
                 np.add(work, 0.0, out=work)
-                work_diag[:] = diag + eps if eps != 0.0 else diag
+                work_diag[:] = fill + eps if eps != 0.0 else fill
                 if not np.isfinite(work_diag).all():
                     raise ValueError("jittered diagonal is not finite")
             _, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
@@ -190,7 +196,12 @@ def _factor_with_jitter(
                 raise ValueError(f"illegal argument {-info} to potrf")
             return finish(work, eps, retries)
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
-            eps = base if eps == 0.0 else 2.0 * eps
+            if eps != 0.0:
+                eps *= 2.0
+            else:
+                eps = 1e-6 * float(np.mean(diag))
+                if not eps > 0.0:  # non-positive mean diagonal, or the product underflowed
+                    eps = 1e-6
     raise NumericalFailure(
         f"{what} failed for {context} (dim {d}) after "
         f"{MAX_JITTER_RETRIES} jitter retries, final eps {eps:.3e}"
@@ -222,12 +233,11 @@ def _anti_transpose(b: np.ndarray) -> None:
 def _zero_strict_lower(m: np.ndarray) -> None:
     """Zero the strict lower triangle of m in row tiles; raise LinAlgError
     if what is left is not finite."""
-    below = np.tri(min(m.shape[0], SYMMETRY_TILE), k=-1, dtype=bool)
     for i in range(0, m.shape[0], SYMMETRY_TILE):
         rows = m[i : i + SYMMETRY_TILE]
         n = rows.shape[0]
         rows[:, :i] = 0.0
-        rows[:, i : i + n][below[:n, :n]] = 0.0
+        rows[:, i : i + n][_STRICT_LOWER[:n, :n]] = 0.0
         if not np.isfinite(rows).all():
             raise scipy.linalg.LinAlgError("non-finite factor")
 
@@ -274,7 +284,10 @@ def solve_spd(g, b, *, context: str = "system") -> np.ndarray:
         raise ValueError("right-hand side length does not match G")
 
     def finish(c, eps, retries):
-        y = scipy.linalg.cho_solve((c, True), rhs)
+        # the LAPACK routine cho_solve calls, without its per-call wrapping
+        y, info = scipy.linalg.lapack.dpotrs(c, rhs, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal argument {-info} to potrs")
         if not np.isfinite(y).all():
             raise scipy.linalg.LinAlgError("non-finite solution")
         return y

@@ -121,15 +121,23 @@ def group_params(w, scheme: QuantScheme):
 
 
 def quantize_with_params(w, scale, zp, scheme: QuantScheme) -> np.ndarray:
-    """Codes for w of shape (rows,) or (rows, k) given per-row parameters."""
+    """Codes for w of shape (rows,) or (rows, k) given per-row parameters.
+
+    clip(round(w / s + z), qmin, qmax), with ties to even, worked in place
+    on the one temporary w / s.
+    """
     w = np.asarray(w, dtype=np.float64)
     s = np.asarray(scale, dtype=np.float64)
     z = np.asarray(zp, dtype=np.float64)
     if w.ndim == 2 and s.ndim == 1:
         s = s[:, None]
         z = z[:, None]
-    q = np.round(w / s + z)
-    return np.clip(q, scheme.qmin, scheme.qmax).astype(np.int32)
+    q = w / s
+    q += z
+    np.rint(q, out=q)
+    np.maximum(q, scheme.qmin, out=q)
+    np.minimum(q, scheme.qmax, out=q)
+    return q.astype(np.int32)
 
 
 def dequantize_with_params(codes, scale, zp) -> np.ndarray:

@@ -23,6 +23,18 @@ from sarqc.saliency import channel_stats, identity_profile, scale_normalize_gbs
 
 SYM3 = QuantScheme(bits=3, mode="symmetric", group_size="per_channel")
 SYM4 = QuantScheme(bits=4, mode="symmetric", group_size="per_channel")
+SYM2_G32 = QuantScheme(bits=2, mode="symmetric", group_size=32)
+
+
+def assert_same_bytes(out, ref):
+    """codes, scales, zero points and dequant of a QuantizedLayer equal ref's
+    (a layer or a tuple in that order) byte for byte, so −0.0 ≠ +0.0."""
+    if not isinstance(ref, tuple):
+        ref = (ref.codes, ref.scales, ref.zero_points, ref.dequantized)
+    for got, want in zip((out.codes, out.scales, out.zero_points, out.dequantized), ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def run_gbs_column_layout(w, m, scheme, block_size):
@@ -176,10 +188,21 @@ class TestRunGbs:
         factor = build_curvature(gram(x), identity_profile(d_in), lam)
         out = run_gbs(w, factor, scheme, block_size=block)
         ref = run_gbs_column_layout(w, factor.data, scheme, block)
-        for got, want in zip((out.codes, out.scales, out.zero_points, out.dequantized), ref):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.flags.c_contiguous
-            assert np.array_equal(got, want)
+        assert_same_bytes(out, ref)
+
+    @pytest.mark.parametrize("block", [1, 7, 48, 128])
+    def test_negative_zero_bytes_match_column_layout_loop(self, block):
+        # small negative weights at 2 symmetric bits round to code 0 from
+        # below, where rint gives −0.0; the dequant must be the +0.0 of
+        # s · (0 − 0), which array_equal cannot tell from −0.0
+        rng = np.random.default_rng(11)
+        w = -np.abs(rng.standard_normal((24, 96))) * 1e-3
+        x = rng.standard_normal((96, 160))
+        factor = build_curvature(gram(x), identity_profile(96), 0.25)
+        out = run_gbs(w, factor, SYM2_G32, block_size=block)
+        assert np.sum(out.codes == 0) > 100
+        assert_same_bytes(out, run_gbs_column_layout(w, factor.data, SYM2_G32, block))
+        assert not np.signbit(out.dequantized[out.codes == 0]).any()
 
 
 class TestGptqEquivalence:
@@ -194,9 +217,17 @@ class TestGptqEquivalence:
             factor = build_curvature(gram(x), identity_profile(d_in), 0.0)
             solver = run_gbs(w, factor, scheme, block_size=128)
             ref = greedy_sequential_reference(w, gram(x), scheme)
-            assert np.array_equal(solver.codes, ref.codes)
-            assert np.array_equal(solver.scales, ref.scales)
-            assert np.array_equal(solver.zero_points, ref.zero_points)
+            assert_same_bytes(solver, ref)
+
+    def test_negative_zero_bit_identical_to_reference(self):
+        rng = np.random.default_rng(12)
+        w = -np.abs(rng.standard_normal((16, 64))) * 1e-3
+        x = rng.standard_normal((64, 128))
+        g0 = gram(x)
+        solver = run_gbs(w, build_curvature(g0, identity_profile(64), 0.0), SYM2_G32, block_size=128)
+        ref = greedy_sequential_reference(w, g0, SYM2_G32)
+        assert np.sum(ref.codes == 0) > 100
+        assert_same_bytes(solver, ref)
 
     def test_isotropic_reduction_matches_damped_reference(self):
         rng = np.random.default_rng(6)

@@ -174,6 +174,21 @@ class TestCholUpperOfInverse:
         assert np.max(np.abs(f.data @ (g + f.jitter * np.eye(40)) @ f.data.T - np.eye(40))) <= 1e-8
         assert f.min_pivot == 1.0 / np.max(np.diag(f.data))
 
+    @pytest.mark.parametrize("shifted", [False, True], ids=["undamped", "damped"])
+    def test_jitter_base_reads_the_diagonal_in_index_order(self, shifted):
+        # diag 1, 1e-16, 1e-16, 1e-16: summed in index order each 1e-16 is
+        # lost against 1, summed reversed they are not, so the two means
+        # differ in the last bit; the trailing block is singular
+        g = np.zeros((4, 4))
+        g[0, 0] = 1.0
+        g[1:, 1:] = 1e-16
+        shift = np.array([0.5, 0.0, 0.0, 0.0]) if shifted else None
+        diag = np.diag(g) + shift if shifted else np.diag(g)
+        want = 1e-6 * float(np.mean(diag))
+        assert want != 1e-6 * float(np.mean(diag[::-1].copy()))
+        f = chol_upper_of_inverse(g, shift=shift)
+        assert (f.jitter, f.retries) == (want, 1)
+
     def test_matches_inverse_then_cholesky(self):
         rng = np.random.default_rng(13)
         for _ in range(50):

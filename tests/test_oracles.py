@@ -173,6 +173,25 @@ class TestVerifySupportedness:
         assert report.passed
         assert all("B" not in penalized_argmin(cands, p) for p in [0.0, 0.4, 1.0, 1.6, 5.0])
 
+    def test_endpoint_tie_at_a_large_score(self):
+        # supportedness suite, seed 63, trial 3133: at λ = lambda_max the
+        # chosen c2 ties with c3, but their rounded scores, about 1.83e4, are
+        # one ulp (3.6e-12) apart, more than an absolute 1e-12
+        cands = [
+            FiniteCandidate("c0", 3.0903218951354106, 3.3315929627163787),
+            FiniteCandidate("c1", 6.889045066054206, 8.493742590911724),
+            FiniteCandidate("c2", 0.03345387548576717, 2.899141165708893),
+            FiniteCandidate("c3", 6.59163526482045, 2.8981027723837682),
+            FiniteCandidate("c4", 2.813479868399705, 4.217853947638334),
+        ]
+        r_sq = 4.217853947638334
+        lam = 6315.700641225296
+        iv = lambda_interval(cands, "c2", r_sq)
+        assert (iv.lambda_min, iv.lambda_max) == (0.0, lam)
+        assert penalized_argmin(cands, lam) == {"c2", "c3"}
+        assert verify_supportedness(cands, "c2", r_sq, [0.0, 0.5 * lam, lam, 1.5 * lam + 0.1]).passed
+        assert run_supportedness_suite(4000, seed=63).passed
+
     def test_singleton_always_recovered(self):
         cands = [FiniteCandidate("x", 3.0, 1.0)]
         report = verify_supportedness(cands, "x", 2.0, [0.0, 1.0, 100.0])

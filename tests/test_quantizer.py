@@ -80,6 +80,35 @@ class TestQuantizeGroup:
             group_params(np.empty((1, 0)), SYM4)
 
 
+class TestQuantizeWithParams:
+    # ties at ±0.5, ±1.5 and 2.5, signed zeros, values past either end of
+    # the range, and ordinary values
+    VALUES = np.array([-0.5, 0.5, -1.5, 1.5, 2.5, -2.5, -0.0, 0.0, 0.49, -0.51, 3.5, 9.0, -9.0, 1e9, -1e9, 0.7, -1.2])
+
+    @pytest.mark.parametrize("scheme", [SYM4, ASYM4, QuantScheme(bits=2, mode="symmetric")], ids=["sym4", "asym4", "sym2"])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_bytes_match_clip_of_round(self, scheme, ndim):
+        rng = np.random.default_rng(7)
+        rows = self.VALUES.size
+        # powers of two keep the ties exact through (v − z)·s / s + z
+        s = 2.0 ** rng.integers(-3, 4, rows)
+        z = rng.integers(0, scheme.qmax + 1, rows) if scheme.mode == "asymmetric" else np.zeros(rows, dtype=np.int32)
+        v = self.VALUES
+        sb, zb = (s, z) if ndim == 1 else (s[:, None], z[:, None])
+        if ndim == 2:
+            v = np.stack([v, v[::-1], -v], axis=1)
+        w = (v - zb) * sb
+        want = np.clip(np.round(w / sb + zb), scheme.qmin, scheme.qmax).astype(np.int32)
+        got = quantize_with_params(w, s, z.astype(np.int32), scheme)
+        assert got.dtype == np.int32 and got.shape == w.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_ties_round_half_to_even(self):
+        w = np.array([-2.5, -1.5, -0.5, -0.0, 0.5, 1.5, 2.5])
+        codes = quantize_with_params(w, np.ones(7), np.zeros(7, dtype=np.int32), SYM4)
+        assert codes.tolist() == [-2, -2, 0, 0, 0, 2, 2]
+
+
 class TestDequantizeGroup:
     def test_zeros(self):
         assert np.array_equal(dequantize_with_params([0, 0], 1.0, 0), [0.0, 0.0])
