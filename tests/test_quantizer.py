@@ -81,7 +81,7 @@ class TestQuantizeGroup:
 
 
 class TestQuantizeWithParams:
-    # ties at ±0.5, ±1.5 and 2.5, signed zeros, values past either end of
+    # ties at ±0.5, ±1.5 and ±2.5, signed zeros, values past either end of
     # the range, and ordinary values
     VALUES = np.array([-0.5, 0.5, -1.5, 1.5, 2.5, -2.5, -0.0, 0.0, 0.49, -0.51, 3.5, 9.0, -9.0, 1e9, -1e9, 0.7, -1.2])
 
