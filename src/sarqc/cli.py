@@ -90,12 +90,23 @@ def _default_grids() -> dict:
     }
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _versions() -> dict:
+    # Gram and factor bytes depend on the BLAS library and its thread count,
+    # so both belong to the replay config
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "sarqc": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "python": platform.python_version(),
+        "blas": {
+            "name": blas.get("name"),
+            "version": blas.get("version"),
+            "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        },
     }
 
 
@@ -141,7 +152,18 @@ def _quantize_one(entry: dict, method: str, scheme: QuantScheme, args) -> tuple[
         "zeros": sol.layer.zero_points,
         "dequant": sol.layer.dequantized,
     }
+    if sol.layer.channel_scale is not None:  # awq and sarqc-gs: codes live in the scaled weight space
+        tensors["chscale"] = sol.layer.channel_scale
     return entry["layer_id"], tensors, report
+
+
+def _quantize_and_write(entry: dict, method: str, scheme: QuantScheme, args, out: Path) -> dict:
+    """Quantize one layer and write its tensors in the same worker, so a
+    finished layer holds no memory once it is written; returns its report."""
+    layer_id, tensors, report = _quantize_one(entry, method, scheme, args)
+    for name, arr in tensors.items():
+        write_tensor(out / f"{layer_id}.{name}.sqt", arr)
+    return report
 
 
 def cmd_quantize(args) -> int:
@@ -154,28 +176,26 @@ def cmd_quantize(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    # report.json marks a complete run; a failed run must not leave an earlier one beside its tensors
+    (out / "report.json").unlink(missing_ok=True)
+
     layers = manifest["layers"]
-    results = {}
+    reports = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {pool.submit(_quantize_one, entry, method, scheme, args): entry["layer_id"] for entry in layers}
+        futures = {
+            pool.submit(_quantize_and_write, entry, method, scheme, args, out): entry["layer_id"] for entry in layers
+        }
         try:
             for fut in concurrent.futures.as_completed(futures):
                 try:
-                    layer_id, tensors, report = fut.result()
+                    reports[futures[fut]] = fut.result()
                 except NumericalFailure as exc:
                     print(f"numerical failure in layer {futures[fut]}: {exc}", file=sys.stderr)
                     return 4
-                results[layer_id] = (tensors, report)
         finally:
             # on a failure, drop the queued layers; only those already running are waited for
             pool.shutdown(cancel_futures=True)
-
-    report_layers = []
-    for layer_id in sorted(results):
-        tensors, report = results[layer_id]
-        for name, arr in tensors.items():
-            write_tensor(out / f"{layer_id}.{name}.sqt", arr)
-        report_layers.append(report)
+    report_layers = [reports[layer_id] for layer_id in sorted(reports)]
 
     group_size = scheme.group_size
     run_report = {

@@ -10,7 +10,10 @@ activation-aware reconstruction argmin.
 The candidates and their raw losses do not depend on λ, only the argmin of
 the joint score does, so `run_gs` scores the grid once and
 `select_lambda_gs` re-picks the winner for each λ from the stored losses.
-A fixed λ is a one-entry grid.
+A fixed λ is a one-entry grid. Candidates are scored one at a time and
+dropped; `candidate` is deterministic, so each distinct winner is rebuilt
+with the same bytes. Peak memory is a few W-sized arrays, whatever the size
+of the α grid.
 """
 
 from __future__ import annotations
@@ -62,11 +65,12 @@ class GsConfig:
 
 @dataclass(frozen=True)
 class GsGrid:
-    """The λ-independent grid pass: one candidate per α in grid order, the
-    profile the sar losses were scored with, and each candidate's raw recon
-    and sar losses on the training columns."""
+    """The λ-independent grid pass: the channel statistics the candidates are
+    built from, the profile the sar losses were scored with, and each α
+    candidate's raw recon and sar losses on the training columns, in grid
+    order. `candidate(w, stats, α, scheme)` rebuilds any candidate."""
 
-    candidates: tuple[QuantizedLayer, ...]
+    stats: ChannelStats
     profile: SaliencyProfile
     recon: np.ndarray
     sar: np.ndarray
@@ -107,8 +111,8 @@ def select_joint(recon_raw, sar_raw, lam: float):
 
 
 def run_gs(w, x, config: GsConfig) -> GsGrid:
-    """Build every α candidate and score its recon and sar losses on the
-    training columns x; none of this depends on λ."""
+    """Build each α candidate in turn, score its recon and sar losses on the
+    training columns x, and drop it; none of this depends on λ."""
     w = as_matrix(w, "W")
     x = as_matrix(x, "X")
     stats = channel_stats(w, x)
@@ -117,10 +121,14 @@ def run_gs(w, x, config: GsConfig) -> GsGrid:
     else:
         profile = saliency_vector_gs(stats)
 
-    layers = tuple(candidate(w, stats, alpha, config.scheme) for alpha in config.alpha_grid)
-    recon = np.array([recon_loss(w, ql.dequantized, x) for ql in layers])
-    sar = np.array([sar_loss(w, ql.dequantized, profile) for ql in layers])
-    return GsGrid(candidates=layers, profile=profile, recon=recon, sar=sar)
+    recon = np.empty(len(config.alpha_grid))
+    sar = np.empty(len(config.alpha_grid))
+    for k, alpha in enumerate(config.alpha_grid):
+        deq = candidate(w, stats, alpha, config.scheme).dequantized
+        recon[k] = recon_loss(w, deq, x)
+        sar[k] = sar_loss(w, deq, profile)
+        del deq  # before the next candidate is built
+    return GsGrid(stats=stats, profile=profile, recon=recon, sar=sar)
 
 
 def select_lambda_gs(w, batch: CalibrationBatch, config: GsConfig) -> GsResult:
@@ -129,14 +137,22 @@ def select_lambda_gs(w, batch: CalibrationBatch, config: GsConfig) -> GsResult:
     grid.
 
     One `run_gs` pass scores every α candidate on the training split; each λ
-    then only re-picks the joint-score winner, and the validation loss is
-    computed once per distinct winning candidate.
+    then only re-picks the joint-score winner. Each distinct winner is
+    rebuilt once, in the order the λ grid first picks it, to score its
+    validation loss; only the best so far is kept.
     """
     w = as_matrix(w, "W")
     grid = run_gs(w, batch.train, config)
     winners = [select_joint(grid.recon, grid.sar, lam)[0] for lam in config.lambda_grid]
-    val_of = {i: recon_loss(w, grid.candidates[i].dequantized, batch.val) for i in dict.fromkeys(winners)}
+    val_of = {}
+    best = None
+    for i in dict.fromkeys(winners):
+        layer = candidate(w, grid.stats, config.alpha_grid[i], config.scheme)
+        val_of[i] = recon_loss(w, layer.dequantized, batch.val)
+        if best is None or val_of[i] < val_of[best[0]]:  # strictly: the first minimum stays
+            best = (i, layer)
+        del layer  # before the next winner is built
     table = [(lam, val_of[i]) for lam, i in zip(config.lambda_grid, winners)]
-    k = int(np.argmin([v for _, v in table]))  # the first minimum, so ties go to the smallest λ
-    i = winners[k]
-    return GsResult(config.alpha_grid[i], table[k][0], grid.candidates[i], grid.profile, table)
+    i, layer = best
+    lam = config.lambda_grid[winners.index(i)]  # the table's first minimum, so ties go to the smallest λ
+    return GsResult(config.alpha_grid[i], lam, layer, grid.profile, table)

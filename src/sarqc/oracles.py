@@ -209,16 +209,32 @@ class SupportednessReport:
     counterexample: dict | None = None
 
 
+def _probes_for(interval: LambdaInterval) -> list[float]:
+    lo, hi = interval.lambda_min, interval.lambda_max
+    probes = [0.0, lo]
+    if lo > 0.0:
+        probes.append(0.5 * lo)
+    if math.isfinite(hi):
+        probes.append(hi)
+        if interval.supported:
+            probes.append(0.5 * (lo + hi))
+        probes.extend([1.5 * hi + 0.1, 2.0 * hi + 1.0])
+    else:
+        probes.extend([lo + 1.0, lo + 100.0, 1e6])
+    return sorted(set(probes))
+
+
 def verify_supportedness(
     candidates: Sequence[FiniteCandidate],
     chosen_id: str,
     r_sq: float,
-    lambda_probe_grid: Sequence[float],
+    lambda_probe_grid: Sequence[float] | None = None,
 ) -> SupportednessReport:
     """Check membership of the chosen candidate in the penalized argmin set
-    against the interval prediction, probe by probe."""
+    against the interval prediction, probe by probe. Without a probe grid,
+    the probes are the interval's ends, midpoints and points past them."""
     interval = lambda_interval(candidates, chosen_id, r_sq)
-    probes = [float(v) for v in lambda_probe_grid]
+    probes = _probes_for(interval) if lambda_probe_grid is None else [float(v) for v in lambda_probe_grid]
     for lam in probes:
         if lam < 0.0 or not math.isfinite(lam):
             raise ValueError("probe values must be finite and non-negative")
@@ -435,21 +451,6 @@ WORKED_FRONTIER = (
 )
 
 
-def _probes_for(interval: LambdaInterval) -> list[float]:
-    lo, hi = interval.lambda_min, interval.lambda_max
-    probes = [0.0, lo]
-    if lo > 0.0:
-        probes.append(0.5 * lo)
-    if math.isfinite(hi):
-        probes.append(hi)
-        if interval.supported:
-            probes.append(0.5 * (lo + hi))
-        probes.extend([1.5 * hi + 0.1, 2.0 * hi + 1.0])
-    else:
-        probes.extend([lo + 1.0, lo + 100.0, 1e6])
-    return sorted(set(probes))
-
-
 def run_supportedness_suite(trials: int, seed: int, max_candidates: int = 16) -> SuiteResult:
     """Interval membership <=> penalized argmin on random finite frontiers.
 
@@ -482,9 +483,8 @@ def run_supportedness_suite(trials: int, seed: int, max_candidates: int = 16) ->
         r_sq = float(dists[int(rng.integers(q))])
         feasible = [c for c in cands if c.dist <= r_sq]
         chosen = min(feasible, key=lambda c: (c.risk, c.id))
-        interval = lambda_interval(cands, chosen.id, r_sq)
-        supported_seen += int(interval.supported)
-        report = verify_supportedness(cands, chosen.id, r_sq, _probes_for(interval))
+        report = verify_supportedness(cands, chosen.id, r_sq)
+        supported_seen += int(report.interval.supported)
         if not report.passed:
             return SuiteResult(
                 "supportedness",

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sarqc.quantizer import QuantScheme
 from sarqc.tensorio import read_tensor, write_manifest, write_tensor
 
 
@@ -208,6 +210,104 @@ class TestQuantize:
         lossless_manifest(tmp_path)
         r = run_cli("quantize", "--manifest", tmp_path / "m.json", "--method", "magic", "--out", tmp_path / "q")
         assert r.returncode == 2
+
+
+def random_manifest(tmp_path, count, d_out=4, d_in=8, n=16, seed=12):
+    rng = np.random.default_rng(seed)
+    entries = []
+    for i in range(count):
+        lid = f"l{i}"
+        write_tensor(tmp_path / f"{lid}.w.sqt", rng.standard_normal((d_out, d_in)) * rng.uniform(0.5, 4.0, d_in))
+        write_tensor(tmp_path / f"{lid}.x.sqt", rng.standard_normal((d_in, n)))
+        entries.append({"layer_id": lid, "weights": f"{lid}.w.sqt", "calib": f"{lid}.x.sqt",
+                        "d_out": d_out, "d_in": d_in, "n": n})
+    write_manifest(tmp_path / "m.json", entries, {})
+    return tmp_path / "m.json"
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("method", ["rtn", "awq", "gptq", "sarqc-gs", "sarqc-gbs"])
+    @pytest.mark.parametrize("group_size, mode", [(4, "asym"), ("per_channel", "sym"), ("per_tensor", "asym")])
+    def test_dequant_is_rebuilt_from_the_written_tensors(self, tmp_path, method, group_size, mode):
+        # awq and sarqc-gs quantize W·diag(s) and divide s back out, so they
+        # write s as chscale; the other methods write no channel scale
+        from sarqc import cli
+
+        m = random_manifest(tmp_path, 1, d_in=10)
+        out = tmp_path / "q"
+        rc = cli.main(["quantize", "--manifest", str(m), "--method", method, "--group-size", str(group_size),
+                       "--mode", mode, "--out", str(out)])
+        assert rc == 0
+        t = {name: read_tensor(out / f"l0.{name}.sqt") for name in ("codes", "scales", "zeros", "dequant")}
+        group = QuantScheme(group_size=group_size).group_index(10)
+        want = t["scales"][:, group] * (t["codes"].astype(np.float64) - t["zeros"][:, group].astype(np.float64))
+        if method in ("awq", "sarqc-gs"):
+            chscale = read_tensor(out / "l0.chscale.sqt")
+            assert chscale.shape == (10,)
+            want = want / chscale[None, :]
+        else:
+            assert not (out / "l0.chscale.sqt").exists()
+        assert want.tobytes() == t["dequant"].tobytes()
+
+    def test_report_records_blas_and_thread_pins(self, tmp_path, monkeypatch):
+        from sarqc import cli
+
+        m = random_manifest(tmp_path, 1)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        assert cli.main(["quantize", "--manifest", str(m), "--method", "rtn", "--out", str(tmp_path / "q")]) == 0
+        blas = json.loads((tmp_path / "q" / "report.json").read_text())["versions"]["blas"]
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert (blas["name"], blas["version"]) == (build["name"], build["version"])
+        assert blas["threads"] == {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None, "OMP_NUM_THREADS": "3"}
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_rerun_leaves_no_stale_report(self, tmp_path, monkeypatch, jobs):
+        from sarqc import cli
+        from sarqc.linalg import NumericalFailure
+
+        m = random_manifest(tmp_path, 3)
+        args = ["quantize", "--manifest", str(m), "--method", "awq", "--jobs", jobs, "--out", str(tmp_path / "q")]
+        assert cli.main(args) == 0
+        assert (tmp_path / "q" / "report.json").exists()
+        quantize_one = cli._quantize_one
+
+        def failing(entry, method, scheme, args):
+            if entry["layer_id"] == "l1":
+                raise NumericalFailure("synthetic failure")
+            return quantize_one(entry, method, scheme, args)
+
+        monkeypatch.setattr(cli, "_quantize_one", failing)
+        assert cli.main(args) == 4
+        assert not (tmp_path / "q" / "report.json").exists()
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_heap_peak_does_not_grow_with_the_layer_count(self, tmp_path, jobs):
+        # each layer is written by the worker that solved it and then
+        # dropped, so 8 layers peak within one layer's outputs of 2 layers;
+        # keeping every finished layer until the end added about 6
+        from sarqc import cli
+
+        d_out, d_in = 128, 512
+        one_layer = d_out * d_in * (4 + 8)  # int32 codes and float64 dequant; scales and zeros are smaller
+        peaks = []
+        for count in (2, 8):
+            root = tmp_path / str(count)
+            root.mkdir()
+            m = random_manifest(root, count, d_out=d_out, d_in=d_in, n=64)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                rc = cli.main(["quantize", "--manifest", str(m), "--method", "awq", "--jobs", jobs,
+                               "--out", str(root / "q")])
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+        assert peaks[1] - peaks[0] < one_layer
 
 
 class TestSweep:

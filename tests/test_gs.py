@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -108,7 +109,8 @@ class TestRunGs:
             i = int(np.argmin(grid.recon))
             res = select_lambda_gs(w, batch, cfg)
             assert res.chosen_alpha == cfg.alpha_grid[i]
-            assert np.array_equal(res.layer.dequantized, grid.candidates[i].dequantized)
+            want = candidate(w, grid.stats, cfg.alpha_grid[i], cfg.scheme)
+            assert np.array_equal(res.layer.dequantized, want.dequantized)
 
     def test_losses_score_each_candidate(self):
         rng = np.random.default_rng(2)
@@ -118,10 +120,10 @@ class TestRunGs:
         grid = run_gs(w, x, cfg)
         stats = channel_stats(w, x)
         assert np.array_equal(grid.profile.values, saliency_vector_gs(stats).values)
-        assert len(grid.candidates) == len(cfg.alpha_grid)
-        for alpha, ql, r, s in zip(cfg.alpha_grid, grid.candidates, grid.recon, grid.sar):
+        assert_bit_equal(grid.stats, stats)
+        assert len(grid.recon) == len(grid.sar) == len(cfg.alpha_grid)
+        for alpha, r, s in zip(cfg.alpha_grid, grid.recon, grid.sar):
             want = candidate(w, stats, alpha, SYM4)
-            assert np.array_equal(ql.dequantized, want.dequantized)
             assert r == recon_loss(w, want.dequantized, x)
             assert s == sar_loss(w, want.dequantized, grid.profile)
 
@@ -133,7 +135,9 @@ class TestRunGs:
         a = run_gs(w, x, cfg)
         b = run_gs(w, x, cfg)
         assert a.recon.tobytes() == b.recon.tobytes() and a.sar.tobytes() == b.sar.tobytes()
-        for qa, qb in zip(a.candidates, b.candidates):
+        for alpha in cfg.alpha_grid:
+            qa = candidate(w, a.stats, alpha, cfg.scheme)
+            qb = candidate(w, b.stats, alpha, cfg.scheme)
             assert np.array_equal(qa.codes, qb.codes)
             assert np.array_equal(qa.dequantized, qb.dequantized)
 
@@ -203,6 +207,22 @@ class TestSelectLambdaGs:
         assert res.chosen_lambda == best[0]
 
 
+def production_shape_layer():
+    """The gs-select benchmark shape: 256×512, n = 256, on correlated
+    activations with hot channels and a shifted validation split, whose
+    default λ grid has two distinct winners."""
+    rng = np.random.default_rng(3)
+    d_out, d_in, n, n_val = 256, 512, 256, 64
+    x = rng.standard_normal((d_in, 16)) @ rng.standard_normal((16, n)) / 4 + 0.5 * rng.standard_normal((d_in, n))
+    chan = np.exp(0.5 * rng.standard_normal(d_in))
+    chan[rng.choice(d_in, 8, replace=False)] *= 8.0
+    x *= chan[:, None]
+    x[:, n - n_val :] *= np.exp(0.4 * rng.standard_normal(d_in))[:, None]
+    w = rng.standard_normal((d_out, d_in)) / np.sqrt(d_in)
+    w[:, rng.choice(d_in, 8, replace=False)] *= 4.0
+    return w, split_batch(x, n_val / n), QuantScheme(bits=4, mode="asymmetric", group_size=128)
+
+
 def per_lambda_reference(w, batch, cfg):
     """λ selection without the one-pass reuse: for each λ, build fresh
     candidates, score them, pick the joint-score winner and compute its
@@ -223,7 +243,7 @@ def per_lambda_reference(w, batch, cfg):
 
 
 def assert_bit_equal(a, b):
-    if isinstance(a, (QuantizedLayer, SaliencyProfile)):
+    if isinstance(a, (QuantizedLayer, SaliencyProfile, ChannelStats)):
         assert type(a) is type(b)
         for f in fields(a):
             assert_bit_equal(getattr(a, f.name), getattr(b, f.name))
@@ -270,35 +290,26 @@ class TestOnePassSelection:
         self.assert_same_result(w, split_batch(x, 0.25), cfg)
 
     def test_candidates_built_once(self, monkeypatch):
+        # the grid pass builds each α once; selection rebuilds each distinct
+        # λ-winner once, in the order the λ grid first picks it
         calls = []
 
         def counting_candidate(*args, **kwargs):
             calls.append(args[2])
             return candidate(*args, **kwargs)
 
-        monkeypatch.setattr(gs, "candidate", counting_candidate)
         rng = np.random.default_rng(8)
         w = rng.standard_normal((3, 6))
         batch = split_batch(rng.standard_normal((6, 12)), 0.25)
         cfg = GsConfig(scheme=SYM4)
+        grid = run_gs(w, batch.train, cfg)
+        winners = [cfg.alpha_grid[select_joint(grid.recon, grid.sar, lam)[0]] for lam in cfg.lambda_grid]
+        monkeypatch.setattr(gs, "candidate", counting_candidate)
         select_lambda_gs(w, batch, cfg)
-        assert calls == list(cfg.alpha_grid)
+        assert calls == list(cfg.alpha_grid) + list(dict.fromkeys(winners))
 
     def test_equals_per_lambda_reference_at_production_shape(self):
-        # the gs-select benchmark shape: 256×512, n = 256, default grids, on
-        # correlated activations with hot channels and a shifted validation
-        # split, whose λ grid has two distinct winners
-        rng = np.random.default_rng(3)
-        d_out, d_in, n, n_val = 256, 512, 256, 64
-        x = rng.standard_normal((d_in, 16)) @ rng.standard_normal((16, n)) / 4 + 0.5 * rng.standard_normal((d_in, n))
-        chan = np.exp(0.5 * rng.standard_normal(d_in))
-        chan[rng.choice(d_in, 8, replace=False)] *= 8.0
-        x *= chan[:, None]
-        x[:, n - n_val :] *= np.exp(0.4 * rng.standard_normal(d_in))[:, None]
-        w = rng.standard_normal((d_out, d_in)) / np.sqrt(d_in)
-        w[:, rng.choice(d_in, 8, replace=False)] *= 4.0
-        batch = split_batch(x, n_val / n)
-        scheme = QuantScheme(bits=4, mode="asymmetric", group_size=128)
+        w, batch, scheme = production_shape_layer()
         cfg = GsConfig(scheme=scheme)
         self.assert_same_result(w, batch, cfg)
         per_lambda = [per_lambda_reference(w, batch, fixed(cfg, lam)) for lam in cfg.lambda_grid]
@@ -308,3 +319,20 @@ class TestOnePassSelection:
             assert (sol.alpha, sol.lam) == (ref.chosen_alpha, ref.chosen_lambda)
             assert_bit_equal(sol.layer, ref.layer)
             assert_bit_equal(sol.profile, ref.profile)
+
+
+class TestPeakMemory:
+    def test_selection_peak_does_not_grow_with_the_alpha_grid(self):
+        # candidates are scored one at a time: the traced peak is the kept
+        # best winner plus the one being built, under 5 W-sized arrays where
+        # keeping all 21 candidates took about 34
+        w, batch, scheme = production_shape_layer()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = select_lambda_gs(w, batch, GsConfig(scheme=scheme))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len({v for _, v in res.val_losses}) > 1  # a second winner was built while the first was kept
+        assert peak < 5 * w.nbytes

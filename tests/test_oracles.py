@@ -197,6 +197,25 @@ class TestVerifySupportedness:
         report = verify_supportedness(cands, "x", 2.0, [0.0, 1.0, 100.0])
         assert report.passed
 
+    def test_default_probes_bracket_the_interval(self):
+        report = verify_supportedness(WORKED_FRONTIER, "A", 4.0)
+        assert report.passed
+        lo, hi = report.interval.lambda_min, report.interval.lambda_max
+        assert report.probes == sorted({0.0, 0.5 * lo, lo, 0.5 * (lo + hi), hi, 1.5 * hi + 0.1, 2.0 * hi + 1.0})
+
+    def test_suite_computes_each_interval_once(self, monkeypatch):
+        from sarqc import oracles
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return lambda_interval(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "lambda_interval", counting)
+        assert run_supportedness_suite(300, seed=7).passed
+        assert len(calls) == 1 + 300  # the worked instance, then one per trial
+
 
 class TestHoeffding:
     def test_bound_value(self):
