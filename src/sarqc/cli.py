@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .calibration import split_batch
@@ -94,9 +93,13 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"
 
 
 def _versions() -> dict:
-    # Gram and factor bytes depend on the BLAS library and its thread count,
-    # so both belong to the replay config
+    # Gram bytes depend on numpy's BLAS and its thread count, factor bytes on
+    # scipy's LAPACK, so all of them belong to the replay config. Importing
+    # scipy here loads neither scipy.linalg nor its LAPACK.
+    import scipy
+
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     return {
         "sarqc": __version__,
         "numpy": np.__version__,
@@ -107,6 +110,7 @@ def _versions() -> dict:
             "version": blas.get("version"),
             "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         },
+        "lapack": {"name": lapack.get("name"), "version": lapack.get("version")},
     }
 
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 MAX_JITTER_RETRIES = 10
@@ -170,7 +169,13 @@ def _factor_with_jitter(
     times; `retries` counts the failed attempts, and `finish` raises
     LinAlgError to ask for more jitter. The mean is taken only after a
     failed attempt, over the diagonal in index order.
+
+    scipy's LAPACK wrappers are imported here and in the `finish` closures,
+    not at module load: importing scipy.linalg costs a few hundred ms and
+    about 20 MiB, which processes that never factor do not pay.
     """
+    from scipy.linalg import lapack
+
     d = g.shape[0]
     diag = np.diag(g)  # G + diag(shift) in index order
     if shift is not None:
@@ -189,13 +194,13 @@ def _factor_with_jitter(
                 work_diag[:] = fill + eps if eps != 0.0 else fill
                 if not np.isfinite(work_diag).all():
                     raise ValueError("jittered diagonal is not finite")
-            _, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
+            _, info = lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
             if info > 0:
-                raise scipy.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+                raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
             if info < 0:
                 raise ValueError(f"illegal argument {-info} to potrf")
             return finish(work, eps, retries)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
+        except (np.linalg.LinAlgError, ValueError):
             if eps != 0.0:
                 eps *= 2.0
             else:
@@ -239,7 +244,7 @@ def _zero_strict_lower(m: np.ndarray) -> None:
         rows[:, :i] = 0.0
         rows[:, i : i + n][_STRICT_LOWER[:n, :n]] = 0.0
         if not np.isfinite(rows).all():
-            raise scipy.linalg.LinAlgError("non-finite factor")
+            raise np.linalg.LinAlgError("non-finite factor")
 
 
 def chol_upper_of_inverse(g, *, shift=None, context: str = "matrix") -> TriangularFactor:
@@ -262,9 +267,11 @@ def chol_upper_of_inverse(g, *, shift=None, context: str = "matrix") -> Triangul
     d = g.shape[0]
 
     def finish(c, eps, retries):
-        _, info = scipy.linalg.lapack.dtrtri(c, lower=1, overwrite_c=1)
+        from scipy.linalg import lapack
+
+        _, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
         if info != 0:
-            raise scipy.linalg.LinAlgError(f"triangular inverse failed (info {info})")
+            raise np.linalg.LinAlgError(f"triangular inverse failed (info {info})")
         # c.T is C-ordered with c.T[j, k] = L⁻¹[k, j]; its anti-transpose is
         # M[j, k] = L⁻¹[d-1-j, d-1-k]. potrf left the input in the strict
         # upper triangle of c, which lands in the strict lower triangle of M
@@ -284,12 +291,14 @@ def solve_spd(g, b, *, context: str = "system") -> np.ndarray:
         raise ValueError("right-hand side length does not match G")
 
     def finish(c, eps, retries):
+        from scipy.linalg import lapack
+
         # the LAPACK routine cho_solve calls, without its per-call wrapping
-        y, info = scipy.linalg.lapack.dpotrs(c, rhs, lower=1)
+        y, info = lapack.dpotrs(c, rhs, lower=1)
         if info != 0:
             raise ValueError(f"illegal argument {-info} to potrs")
         if not np.isfinite(y).all():
-            raise scipy.linalg.LinAlgError("non-finite solution")
+            raise np.linalg.LinAlgError("non-finite solution")
         return y
 
     return _factor_with_jitter(g, "SPD solve", context, finish)

@@ -8,6 +8,7 @@ little-endian order. Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -36,8 +37,11 @@ def write_tensor(path, arr) -> None:
         raise TensorFormatError(f"rank must be in [1, {MAX_RANK}], got {arr.ndim}")
     code = _CODES[arr.dtype]
     header = MAGIC + struct.pack("<BB", code, arr.ndim) + struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    payload = arr.astype(_DTYPES[code], copy=False).tobytes(order="C")
-    Path(path).write_bytes(header + payload)
+    payload = arr.astype(_DTYPES[code], copy=False)  # a no-op on little-endian hosts
+    with open(path, "wb") as f:
+        f.write(header)
+        # the array's own buffer, so writing holds no copy of the payload
+        f.write(payload.reshape(-1).view(np.uint8))
 
 
 def _parse_header(buf: bytes, path) -> tuple[np.dtype, tuple[int, ...], int]:
@@ -64,16 +68,25 @@ def read_tensor_header(path) -> tuple[np.dtype, tuple[int, ...]]:
     dtype, dims, _ = _parse_header(buf, path)
     return dtype, dims
 
+
 def read_tensor(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    dtype, dims, offset = _parse_header(buf, path)
-    count = 1
-    for d in dims:
-        count *= d
-    expected = offset + count * dtype.itemsize
-    if len(buf) != expected:
-        raise TensorFormatError(f"{path}: payload length {len(buf) - offset}, expected {count * dtype.itemsize}")
-    return np.frombuffer(buf, dtype=dtype, offset=offset).reshape(dims).copy()
+    """Read a tensor file into a fresh array; the payload is read straight
+    into the array's buffer, so no second copy of it is held."""
+    with open(path, "rb") as f:
+        dtype, dims, offset = _parse_header(f.read(len(MAGIC) + 2 + 8 * MAX_RANK), path)
+        count = 1
+        for d in dims:
+            count *= d
+        nbytes = count * dtype.itemsize
+        size = os.fstat(f.fileno()).st_size
+        if size != offset + nbytes:
+            raise TensorFormatError(f"{path}: payload length {size - offset}, expected {nbytes}")
+        arr = np.empty(dims, dtype=dtype)
+        f.seek(offset)
+        got = f.readinto(arr.reshape(-1).view(np.uint8))
+    if got != nbytes:
+        raise TensorFormatError(f"{path}: payload length {got}, expected {nbytes}")
+    return arr
 
 
 def write_manifest(path, layers: list[dict], defaults: dict) -> None:

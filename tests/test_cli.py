@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 
 from sarqc.quantizer import QuantScheme
 from sarqc.tensorio import read_tensor, write_manifest, write_tensor
@@ -261,6 +262,10 @@ class TestOutputs:
         build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert (blas["name"], blas["version"]) == (build["name"], build["version"])
         assert blas["threads"] == {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None, "OMP_NUM_THREADS": "3"}
+        # the factors come from scipy's LAPACK, which need not be numpy's BLAS
+        lapack = json.loads((tmp_path / "q" / "report.json").read_text())["versions"]["lapack"]
+        build = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        assert lapack == {"name": build["name"], "version": build["version"]}
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_rerun_leaves_no_stale_report(self, tmp_path, monkeypatch, jobs):
@@ -308,6 +313,61 @@ class TestPeakMemory:
                 tracemalloc.stop()
             assert rc == 0
         assert peaks[1] - peaks[0] < one_layer
+
+
+# runs sarqc's main in a fresh interpreter and reports whether it loaded
+# scipy.linalg; the test process itself has long since imported it
+_MAIN_THEN_MODULES = (
+    "import json, sys\n"
+    "from sarqc.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "print(json.dumps({'rc': rc, 'scipy.linalg': 'scipy.linalg' in sys.modules}))\n"
+)
+
+
+def loads_scipy_linalg(*args) -> bool:
+    r = subprocess.run([sys.executable, "-c", _MAIN_THEN_MODULES, *map(str, args)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    result = json.loads(r.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    return result["scipy.linalg"]
+
+
+class TestImportHygiene:
+    def test_importing_the_cli_loads_no_scipy(self):
+        r = subprocess.run(
+            [sys.executable, "-c", "import sys, sarqc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("method", ["rtn", "awq", "sarqc-gs"])
+    def test_methods_that_never_factor_leave_lapack_unloaded(self, tmp_path, method):
+        m = random_manifest(tmp_path, 2)
+        assert not loads_scipy_linalg("quantize", "--manifest", m, "--method", method, "--out", tmp_path / "q")
+
+    def test_gen_leaves_lapack_unloaded(self, tmp_path):
+        assert not loads_scipy_linalg("gen", "--spec", gen_spec(tmp_path), "--out", tmp_path / "g", "--seed", 1)
+
+    @pytest.mark.parametrize("suite", ["supportedness", "hoeffding"])
+    def test_suites_that_never_factor_leave_lapack_unloaded(self, tmp_path, suite):
+        assert not loads_scipy_linalg("verify", "--suite", suite, "--trials", 20, "--out", tmp_path / "v.json")
+
+    def test_gptq_loads_lapack(self, tmp_path):
+        m = random_manifest(tmp_path, 1)
+        assert loads_scipy_linalg("quantize", "--manifest", m, "--method", "gptq", "--out", tmp_path / "q")
+
+    def test_first_factor_on_two_workers_matches_one(self, tmp_path):
+        # with --jobs 2 both workers reach the first scipy.linalg import at once
+        m = random_manifest(tmp_path, 4, d_out=16, d_in=64, n=48)
+        for jobs in ("1", "2"):
+            r = run_cli("quantize", "--manifest", m, "--method", "gptq", "--jobs", jobs, "--out", tmp_path / jobs)
+            assert r.returncode == 0, r.stderr
+        files = sorted(p.name for p in (tmp_path / "1").glob("*.sqt"))
+        assert len(files) == 4 * 4
+        for name in files:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,34 @@ class TestTensorErrors:
         write_tensor(p, np.zeros((4, 6)))
         dtype, shape = read_tensor_header(p)
         assert dtype == np.dtype("<f8") and shape == (4, 6)
+
+
+class TestPeakMemory:
+    # the payload goes between the file and the array's own buffer; a bytes
+    # copy of it on the way doubled the peak of either direction
+    ARR = np.random.default_rng(3).standard_normal((1024, 1024))
+
+    def traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_write_holds_no_copy_of_the_payload(self, tmp_path):
+        p = tmp_path / "w.sqt"
+        _, peak = self.traced_peak(lambda: write_tensor(p, self.ARR))
+        assert peak < 0.1 * self.ARR.nbytes
+        assert p.read_bytes()[-self.ARR.nbytes :] == self.ARR.tobytes()
+
+    def test_read_holds_the_payload_once(self, tmp_path):
+        p = tmp_path / "r.sqt"
+        write_tensor(p, self.ARR)
+        back, peak = self.traced_peak(lambda: read_tensor(p))
+        assert peak <= 1.1 * self.ARR.nbytes
+        assert back.tobytes() == self.ARR.tobytes()
 
 
 def make_layer_files(tmp_path, d_out=3, d_in=4, n=6):
