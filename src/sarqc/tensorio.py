@@ -8,6 +8,7 @@ little-endian order. Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -74,10 +75,7 @@ def read_tensor(path) -> np.ndarray:
     into the array's buffer, so no second copy of it is held."""
     with open(path, "rb") as f:
         dtype, dims, offset = _parse_header(f.read(len(MAGIC) + 2 + 8 * MAX_RANK), path)
-        count = 1
-        for d in dims:
-            count *= d
-        nbytes = count * dtype.itemsize
+        nbytes = math.prod(dims) * dtype.itemsize
         size = os.fstat(f.fileno()).st_size
         if size != offset + nbytes:
             raise TensorFormatError(f"{path}: payload length {size - offset}, expected {nbytes}")

@@ -84,7 +84,9 @@ class TestTensorErrors:
 class TestPeakMemory:
     # the payload goes between the file and the array's own buffer; a bytes
     # copy of it on the way doubled the peak of either direction
-    ARR = np.random.default_rng(3).standard_normal((1024, 1024))
+    @pytest.fixture
+    def arr(self):
+        return np.random.default_rng(3).standard_normal((1024, 1024))
 
     def traced_peak(self, fn):
         tracemalloc.start()
@@ -95,18 +97,18 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
 
-    def test_write_holds_no_copy_of_the_payload(self, tmp_path):
+    def test_write_holds_no_copy_of_the_payload(self, tmp_path, arr):
         p = tmp_path / "w.sqt"
-        _, peak = self.traced_peak(lambda: write_tensor(p, self.ARR))
-        assert peak < 0.1 * self.ARR.nbytes
-        assert p.read_bytes()[-self.ARR.nbytes :] == self.ARR.tobytes()
+        _, peak = self.traced_peak(lambda: write_tensor(p, arr))
+        assert peak < 0.1 * arr.nbytes
+        assert p.read_bytes()[-arr.nbytes :] == arr.tobytes()
 
-    def test_read_holds_the_payload_once(self, tmp_path):
+    def test_read_holds_the_payload_once(self, tmp_path, arr):
         p = tmp_path / "r.sqt"
-        write_tensor(p, self.ARR)
+        write_tensor(p, arr)
         back, peak = self.traced_peak(lambda: read_tensor(p))
-        assert peak <= 1.1 * self.ARR.nbytes
-        assert back.tobytes() == self.ARR.tobytes()
+        assert peak <= 1.1 * arr.nbytes
+        assert back.tobytes() == arr.tobytes()
 
 
 def make_layer_files(tmp_path, d_out=3, d_in=4, n=6):
