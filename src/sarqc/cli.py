@@ -136,9 +136,7 @@ def _quantize_one(entry: dict, method: str, scheme: QuantScheme, args) -> tuple[
     )
     wall_ms = (time.perf_counter() - t0) * 1000.0
     losses, heldout_risk = layer_losses(w, sol, batch.train, batch.val)
-    factor = None  # gptq and sarqc-gbs only
-    if sol.factor is not None:
-        factor = {"jitter": sol.factor.jitter, "retries": sol.factor.retries, "min_pivot": sol.factor.min_pivot}
+    factor = sol.factor._asdict() if sol.factor is not None else None  # gptq and sarqc-gbs only
     report = {
         "layer_id": entry["layer_id"],
         "method": method,
@@ -171,6 +169,8 @@ def _quantize_and_write(entry: dict, method: str, scheme: QuantScheme, args, out
 
 
 def cmd_quantize(args) -> int:
+    if args.jobs < 1:  # checked before --out is touched, so an earlier run's report survives
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     manifest = load_manifest(args.manifest)
     defaults = manifest.get("defaults", {})
     method = args.method if args.method is not None else defaults.get("method", "sarqc-gbs")

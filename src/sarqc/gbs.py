@@ -7,8 +7,9 @@ inside a block are applied immediately, trailing columns get one batched
 update per block. λ = 0 recovers the undamped Gram-only pass.
 
 The pass works on a transposed (d_in, d_out) copy of W, so each column it
-quantizes and each in-block update is a contiguous row; the outputs are
-transposed back to the (d_out, ·) layout. The arithmetic, including the
+quantizes and each in-block update is a contiguous row; each quantized row
+is overwritten with its dequantized values, and the outputs are transposed
+back to the (d_out, ·) layout one at a time. The arithmetic, including the
 orientation of the per-block products, is that of a (d_out, d_in) pass, so
 the bytes do not depend on the layout.
 
@@ -20,7 +21,8 @@ Callers build the Gram G0 = XXᵀ and the channel statistics of a layer once
 and pass them to `profile_for` (h̄ is the mean diagonal of G0) and
 `build_curvature`. `select_hparams_gbs` only picks (λ, γ), reading the
 leading block of the layer's G0 and the leading entries of its statistics;
-`harness.solve` runs the full layer with the same G0 and statistics.
+`harness.solve` runs the full layer with the same G0 and statistics, and
+builds the full-layer factor in G0's buffer once nothing reads G0 again.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ def h_bar_of_gram(g0: np.ndarray) -> float:
     return float(np.mean(np.diag(g0)))
 
 
-def build_curvature(g0, profile: SaliencyProfile, lam: float, *, context: str = "curvature") -> TriangularFactor:
+def build_curvature(
+    g0, profile: SaliencyProfile, lam: float, *, context: str = "curvature", overwrite_g: bool = False
+) -> TriangularFactor:
     """The inverse-Cholesky factor of G = G0 + λ·diag(s²), for the Gram
     G0 = XXᵀ of the training activations.
 
@@ -83,20 +87,21 @@ def build_curvature(g0, profile: SaliencyProfile, lam: float, *, context: str = 
     normalized internally with the mean Gram diagonal, so identity + λ is
     plain isotropic damping of magnitude λ·h̄. G itself is never built:
     the damping λ·s² is the `shift` that chol_upper_of_inverse adds while
-    filling its one working array.
+    filling its one working array, which is G0's own buffer with
+    `overwrite_g` (G0 must not be read again).
     """
     if profile.values.shape[0] != g0.shape[0]:
         raise ValueError("profile length does not match input channels")
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
     if lam == 0.0:
-        return chol_upper_of_inverse(g0, context=context)
+        return chol_upper_of_inverse(g0, context=context, overwrite_g=overwrite_g)
     if profile.kind == "identity":
         h_bar = h_bar_of_gram(g0)
         if not h_bar > 0.0:
             raise ValueError("cannot scale-normalize: mean Gram diagonal is not positive")
         profile = scale_normalize_gbs(np.ones(g0.shape[0]), h_bar)
-    return chol_upper_of_inverse(g0, shift=lam * profile.values**2, context=context)
+    return chol_upper_of_inverse(g0, shift=lam * profile.values**2, context=context, overwrite_g=overwrite_g)
 
 
 def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 128) -> QuantizedLayer:
@@ -113,13 +118,14 @@ def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 
     slices = scheme.group_slices(d_in)
     groups = scheme.group_index(d_in).tolist()
     qmin, qmax = scheme.qmin, scheme.qmax
-    # transposed working copy: column j of W is the contiguous row u[j]
+    # transposed working copy: column j of W is the contiguous row u[j],
+    # which holds column j of the dequantized layer once j is quantized
     codes = np.empty((d_in, d_out), dtype=np.int32)
-    qhat = np.empty((d_in, d_out))
     scales = np.empty((len(slices), d_out))
     zps = np.empty((len(slices), d_out), dtype=np.int32)
-    # per-column buffers: the quantizer's float codes, then the error row;
-    # the rank-1 update of the rest of the block goes through `scratch`
+    # per-column buffers: the quantizer's float codes, then the dequantized
+    # column, and the error row; the rank-1 update of the rest of the block
+    # goes through `scratch`
     q = np.empty(d_out)
     e = np.empty(d_out)
     scratch = np.empty((min(block_size, d_in), d_out))
@@ -158,10 +164,10 @@ def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 
             np.maximum(q, qmin, out=q)
             np.minimum(q, qmax, out=q)
             codes[j] = q
-            qcol = qhat[j]
-            np.subtract(codes[j], zf, out=qcol)
-            qcol *= s
-            np.subtract(u[j], qcol, out=e)
+            np.subtract(codes[j], zf, out=q)
+            q *= s
+            np.subtract(u[j], q, out=e)
+            u[j] = q
             e /= m[j, j]
             e_blk[:, j - i] = e
             # row j itself is not read again, so the update starts below it
@@ -173,7 +179,11 @@ def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 
             # the fold is the (d_out, ·) GEMM, transposed; m[…].T @ e_blk.T
             # sums in another order and moves bytes
             u[i_end:] -= (e_blk @ m[i:i_end, i_end:]).T
-    codes, qhat, scales, zps = (np.ascontiguousarray(a.T) for a in (codes, qhat, scales, zps))
+    # each transposed output replaces its source before the next is built
+    codes = np.ascontiguousarray(codes.T)
+    qhat = np.ascontiguousarray(u.T)
+    del u
+    scales, zps = np.ascontiguousarray(scales.T), np.ascontiguousarray(zps.T)
     return QuantizedLayer(codes=codes, scales=scales, zero_points=zps, dequantized=qhat, scheme=scheme)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .gbs import (
     select_hparams_gbs,
 )
 from .gs import LAMBDA_GRID_GS_DEFAULT, GsConfig, select_lambda_gs
-from .linalg import TriangularFactor, as_matrix, gram
+from .linalg import as_matrix, gram
 from .objective import LossBreakdown, recon_loss, sar_loss, weight_drift
 from .quantizer import QuantizedLayer, QuantScheme, rtn
 from .saliency import SaliencyProfile, channel_stats, identity_profile
@@ -40,18 +41,27 @@ SWEEP_METHODS = {"gs": "sarqc-gs", "gbs": "sarqc-gbs"}
 GAMMA_FIXED_DEFAULT = 0.5  # γ of a fixed-λ sarqc-gbs run when none is given
 
 
+class FactorReport(NamedTuple):
+    """What a GBS layer reports of its curvature factor; the d×d factor
+    itself is dropped once the layer is solved."""
+
+    jitter: float
+    retries: int
+    min_pivot: float
+
+
 @dataclass(frozen=True)
 class Solution:
     """A solved layer, the saliency profile its solver used, the chosen
     hyperparameters (None where the method has none) and the curvature
-    factor of the GBS methods."""
+    factor report of the GBS methods."""
 
     layer: QuantizedLayer
     profile: SaliencyProfile
     lam: float | None = None
     gamma: float | None = None
     alpha: float | None = None
-    factor: TriangularFactor | None = None
+    factor: FactorReport | None = None
 
 
 def solve(
@@ -106,10 +116,12 @@ def solve(
         else:
             gamma = (gamma if gamma is not None else GAMMA_FIXED_DEFAULT) if kind == "gbs" else None
         prof = profile_for(stats, kind, gamma, g0)
-        factor = build_curvature(g0, prof, lam, context="full layer")
-        del g0  # the layer's largest array after the factor; run_gbs needs only the factor
+        # the last read of G0: the factor is built in its buffer
+        factor = build_curvature(g0, prof, lam, context="full layer", overwrite_g=True)
+        del g0
         layer = run_gbs(w, factor, scheme, block)
-        return Solution(layer, prof, lam=float(lam), gamma=gamma, factor=factor)
+        report = FactorReport(factor.jitter, factor.retries, factor.min_pivot)
+        return Solution(layer, prof, lam=float(lam), gamma=gamma, factor=report)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -8,6 +8,11 @@ The upper factor M of G⁻¹ comes from one Cholesky factorization and one
 triangular inverse: with P the matrix that reverses the index order and
 P·G·P = L·Lᵀ, M = P·L⁻¹·P is upper triangular and MᵀM = P·L⁻ᵀ·L⁻¹·P = G⁻¹.
 Neither G⁻¹ nor a second factorization is formed.
+
+Only `chol_upper_of_inverse(..., overwrite_g=True)` writes to its input:
+it builds M in G's own buffer, so a caller that passes it must not read G
+again, whether the call returns or raises. Nothing else here modifies an
+argument.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ import numpy as np
 
 
 MAX_JITTER_RETRIES = 10
-SYMMETRY_TILE = 256  # edge of the tiles the symmetry and triangle checks scan
+SYMMETRY_TILE = 128  # edge of the tiles the symmetry and triangle checks scan
 # strict lower triangle of one diagonal tile; a short tile reads its leading block
 _STRICT_LOWER = np.tri(SYMMETRY_TILE, k=-1, dtype=bool)
+_STRICT_UPPER = _STRICT_LOWER.T
 
 
 class NumericalFailure(RuntimeError):
@@ -33,7 +39,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    # a NaN or ±inf entry makes the sum non-finite, so a finite sum needs no
+    # d×d mask; only a sum that is not finite is checked entry by entry
+    if not math.isfinite(m.sum()) and not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -154,21 +162,68 @@ def _check_square_symmetric(g: np.ndarray, name: str, shift: np.ndarray | None =
     return (g + g.T) / 2.0
 
 
+def _reverse_in_place(a: np.ndarray) -> None:
+    """Overwrite the C-contiguous array a with a[::-1, ::-1], which is its
+    flat buffer reversed, swapping one tile's worth of entries from each end
+    at a time."""
+    flat = a.reshape(-1)
+    n = flat.size
+    half = n // 2
+    chunk = SYMMETRY_TILE * SYMMETRY_TILE
+    scratch = np.empty(min(half, chunk))
+    for lo in range(0, half, chunk):
+        hi = min(lo + chunk, half)
+        head, tail = flat[lo:hi], flat[n - hi : n - lo][::-1]
+        tmp = scratch[: hi - lo]
+        np.copyto(tmp, head)
+        head[...] = tail
+        tail[...] = tmp
+
+
+def _mirror_strict_lower(a: np.ndarray) -> None:
+    """Copy the strict lower triangle of the square array a onto its strict
+    upper triangle, one tile at a time."""
+    d = a.shape[0]
+    for i in range(0, d, SYMMETRY_TILE):
+        rows = slice(i, i + SYMMETRY_TILE)
+        tile = a[rows, rows]
+        n = tile.shape[0]
+        np.copyto(tile, tile.T.copy(), where=_STRICT_UPPER[:n, :n])
+        for j in range(i + SYMMETRY_TILE, d, SYMMETRY_TILE):
+            cols = slice(j, j + SYMMETRY_TILE)
+            a[rows, cols] = a[cols, rows].T
+
+
 def _factor_with_jitter(
-    g: np.ndarray, what: str, context: str, finish, *, shift=None, reverse: bool = False
+    g: np.ndarray,
+    what: str,
+    context: str,
+    finish,
+    *,
+    shift=None,
+    reverse: bool = False,
+    overwrite: bool = False,
 ):
     """Return finish(c, eps, retries) for the lower Cholesky factor c of
     A + eps·I, retrying with escalating eps; A is G + diag(shift), or
     P·(G + diag(shift))·P with the index order reversed when `reverse` is set.
 
-    c is one Fortran-ordered d×d array that LAPACK factors in place and
-    `finish` may overwrite; each attempt refills it from G. A damped or
-    jittered fill adds 0.0 off the diagonal and (g_ii + shift_i) + eps on
-    it, the arithmetic of G + diag(shift) + eps·I. eps starts at 0, then
-    1e-6 · mean diag of G + diag(shift), doubling up to MAX_JITTER_RETRIES
-    times; `retries` counts the failed attempts, and `finish` raises
-    LinAlgError to ask for more jitter. The mean is taken only after a
-    failed attempt, over the diagonal in index order.
+    G must be exactly symmetric, so A is too and its C-ordered buffer reads
+    as A in Fortran order. c is one Fortran-ordered d×d array that LAPACK
+    factors in place and `finish` may overwrite:
+    - by default a new array, filled from G on every attempt;
+    - with `overwrite`, G's own buffer (G must be C-contiguous), reversed
+      in place when `reverse` is set. potrf and trtri write only the lower
+      triangle of c, so a retry refills c from its strict upper triangle
+      and a copy of the diagonal taken before G was touched; `finish` must
+      raise before it writes to that triangle. After NumericalFailure G
+      holds garbage.
+    A damped or jittered fill adds 0.0 off the diagonal and
+    (g_ii + shift_i) + eps on it, the arithmetic of G + diag(shift) + eps·I.
+    eps starts at 0, then 1e-6 · mean diag of G + diag(shift), doubling up
+    to MAX_JITTER_RETRIES times; `retries` counts the failed attempts, and
+    `finish` raises LinAlgError to ask for more jitter. The mean is taken
+    only after a failed attempt, over the diagonal in index order.
 
     scipy's LAPACK wrappers are imported here and in the `finish` closures,
     not at module load: importing scipy.linalg costs a few hundred ms and
@@ -177,18 +232,28 @@ def _factor_with_jitter(
     from scipy.linalg import lapack
 
     d = g.shape[0]
-    diag = np.diag(g)  # G + diag(shift) in index order
+    diag = np.diag(g).copy()  # G + diag(shift) in index order, taken before G is overwritten
     if shift is not None:
-        diag = diag + shift
+        diag += shift
         if not np.isfinite(diag).all():
             raise ValueError("G contains non-finite entries")
-    src, fill = (g[::-1, ::-1], diag[::-1]) if reverse else (g, diag)
-    work = np.empty((d, d), order="F")
-    work_diag = work.T.reshape(-1)[:: d + 1]  # a view: work.T is C-contiguous
+    fill = diag[::-1] if reverse else diag
+    if overwrite:
+        if reverse:
+            _reverse_in_place(g)
+        work = g.T
+    else:
+        src = g[::-1, ::-1] if reverse else g
+        work = np.empty((d, d), order="F")
+    work_c = work.T  # C-contiguous, and equal to work while it holds the symmetric A
+    work_diag = work_c.reshape(-1)[:: d + 1]  # a view
     eps = 0.0
     for retries in range(MAX_JITTER_RETRIES + 1):
         try:
-            np.copyto(work, src)
+            if not overwrite:
+                np.copyto(work_c, src)
+            elif retries:
+                _mirror_strict_lower(work_c)
             if shift is not None or eps != 0.0:
                 np.add(work, 0.0, out=work)
                 work_diag[:] = fill + eps if eps != 0.0 else fill
@@ -235,35 +300,48 @@ def _anti_transpose(b: np.ndarray) -> None:
             lower[...] = tmp[::-1, ::-1].T
 
 
+def _check_finite_upper(m: np.ndarray) -> None:
+    """Raise LinAlgError unless the upper triangle of m is finite; read in
+    row tiles, starting at the diagonal tile."""
+    for i in range(0, m.shape[0], SYMMETRY_TILE):
+        if not np.isfinite(m[i : i + SYMMETRY_TILE, i:]).all():
+            raise np.linalg.LinAlgError("non-finite factor")
+
+
 def _zero_strict_lower(m: np.ndarray) -> None:
-    """Zero the strict lower triangle of m in row tiles; raise LinAlgError
-    if what is left is not finite."""
+    """Zero the strict lower triangle of m in row tiles."""
     for i in range(0, m.shape[0], SYMMETRY_TILE):
         rows = m[i : i + SYMMETRY_TILE]
         n = rows.shape[0]
         rows[:, :i] = 0.0
         rows[:, i : i + n][_STRICT_LOWER[:n, :n]] = 0.0
-        if not np.isfinite(rows).all():
-            raise np.linalg.LinAlgError("non-finite factor")
 
 
-def chol_upper_of_inverse(g, *, shift=None, context: str = "matrix") -> TriangularFactor:
+def chol_upper_of_inverse(
+    g, *, shift=None, context: str = "matrix", overwrite_g: bool = False
+) -> TriangularFactor:
     """Upper-triangular M with MᵀM = (G + diag(shift))⁻¹, as M = P·L⁻¹·P for
     the lower Cholesky factor L of P·(G + diag(shift))·P, where P reverses
     the index order.
 
     The damped matrix is never built: one d×d array is filled with it,
-    factored, inverted and turned into M in place. On factorization
-    failure, adds eps·I with eps starting at 1e-6 · mean diag and doubling,
-    up to MAX_JITTER_RETRIES times. The jitter actually used and the
-    failed attempts are recorded on the returned factor.
+    factored, inverted and turned into M in place. With `overwrite_g` that
+    array is G's own buffer, so the call allocates only tiles and vectors
+    and the returned factor's data is G: the caller must not read G again,
+    and after NumericalFailure G holds garbage. Only an exactly symmetric,
+    C-contiguous, writeable float64 G is overwritten; any other G is copied
+    as without the flag. On factorization failure, adds eps·I with eps
+    starting at 1e-6 · mean diag and doubling, up to MAX_JITTER_RETRIES
+    times. The jitter actually used and the failed attempts are recorded
+    on the returned factor.
     """
     g = as_matrix(g, "G")
     if shift is not None:
         shift = np.asarray(shift, dtype=np.float64)
         if shift.shape != g.shape[:1] or not np.isfinite(shift).all():
             raise ValueError(f"shift must be a finite vector of length {g.shape[0]}")
-    g = _check_square_symmetric(g, "G", shift)
+    sym = _check_square_symmetric(g, "G", shift)
+    overwrite = overwrite_g and sym is g and g.flags.c_contiguous and g.flags.writeable
     d = g.shape[0]
 
     def finish(c, eps, retries):
@@ -274,13 +352,19 @@ def chol_upper_of_inverse(g, *, shift=None, context: str = "matrix") -> Triangul
             raise np.linalg.LinAlgError(f"triangular inverse failed (info {info})")
         # c.T is C-ordered with c.T[j, k] = L⁻¹[k, j]; its anti-transpose is
         # M[j, k] = L⁻¹[d-1-j, d-1-k]. potrf left the input in the strict
-        # upper triangle of c, which lands in the strict lower triangle of M
+        # lower triangle of c.T, which a retry refills from, so L⁻¹ is
+        # checked before the anti-transpose moves that triangle into the
+        # strict lower triangle of M. Its diagonal 1/L_jj needs no check:
+        # potrf's pivots L_jj are finite and positive
         m = c.T
+        _check_finite_upper(m)
         _anti_transpose(m)
         _zero_strict_lower(m)
         return TriangularFactor(dim=d, data=m, jitter=eps, retries=retries)
 
-    return _factor_with_jitter(g, "Cholesky of inverse", context, finish, shift=shift, reverse=True)
+    return _factor_with_jitter(
+        sym, "Cholesky of inverse", context, finish, shift=shift, reverse=True, overwrite=overwrite
+    )
 
 
 def solve_spd(g, b, *, context: str = "system") -> np.ndarray:

@@ -207,6 +207,17 @@ class TestQuantize:
         assert r.returncode == 3
         assert not (tmp_path / "q" / "report.json").exists()
 
+    @pytest.mark.parametrize("jobs, env", [("0", {}), ("-1", {}), (None, {"SARQC_JOBS": "0"})])
+    def test_jobs_below_one_exits_2_before_out_is_touched(self, tmp_path, jobs, env):
+        lossless_manifest(tmp_path)
+        args = ["quantize", "--manifest", tmp_path / "m.json", "--method", "rtn", "--out", tmp_path / "q"]
+        assert run_cli(*args).returncode == 0
+        report = (tmp_path / "q" / "report.json").read_bytes()
+        r = run_cli(*args, *(["--jobs", jobs] if jobs is not None else []), env=env)
+        assert r.returncode == 2
+        assert "--jobs must be at least 1" in r.stderr
+        assert (tmp_path / "q" / "report.json").read_bytes() == report
+
     def test_unknown_method_exits_2(self, tmp_path):
         lossless_manifest(tmp_path)
         r = run_cli("quantize", "--manifest", tmp_path / "m.json", "--method", "magic", "--out", tmp_path / "q")

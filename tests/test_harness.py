@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sarqc.gbs import GAMMA_GRID_DEFAULT, profile_for
+from sarqc.gbs import GAMMA_GRID_DEFAULT, build_curvature, profile_for
 from sarqc.harness import (
     METHODS,
     SynthLayerSpec,
@@ -233,3 +235,40 @@ class TestSolve:
             assert getattr(sel, field) == getattr(fixed, field)
         assert sel.factor.jitter == fixed.factor.jitter
         assert sel.layer.scheme == fixed.layer.scheme
+
+
+class TestGbsSolveMemory:
+    """gptq and sarqc-gbs build the full-layer factor in the Gram's buffer
+    and keep only its report, so one d_in×d_in array is live at a time."""
+
+    D_OUT, D_IN = 256, 1024
+    SCHEME = QuantScheme(bits=3, mode="asymmetric", group_size=64)
+
+    @pytest.fixture(scope="class")
+    def layer(self):
+        import scipy.linalg  # noqa: F401  # the first factor imports it; its modules are not the layer's
+
+        w = np.random.default_rng(21).standard_normal((self.D_OUT, self.D_IN))
+        return w, gen_calibration(self.D_IN, 512, 1e18, seed=21)
+
+    @pytest.mark.parametrize("method", ["gptq", "sarqc-gbs"])
+    def test_traced_peak_is_one_gram_and_four_weights(self, layer, method):
+        # building the factor beside the Gram, as before, peaked at about
+        # one Gram and 4.3 weight-sized arrays
+        w, batch = layer
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve(method, w, batch, self.SCHEME)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * self.D_IN * self.D_IN + 4 * w.nbytes
+
+    @pytest.mark.parametrize("method", ["gptq", "sarqc-gbs"])
+    def test_factor_report_is_that_of_the_full_layer_factor(self, layer, method):
+        w, batch = layer
+        sol = solve(method, w, batch, self.SCHEME, lam=0.25 if method == "sarqc-gbs" else None)
+        f = build_curvature(gram(batch.train), sol.profile, sol.lam)
+        assert sol.factor == (f.jitter, f.retries, f.min_pivot)
+        assert sol.factor._fields == ("jitter", "retries", "min_pivot")

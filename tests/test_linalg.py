@@ -204,9 +204,16 @@ class TestCholUpperOfInverse:
         assert f.min_pivot == 0.5
 
 
+# sizes that do not fill whole tiles, and tile edges
+TILE_SIZES = sorted(
+    {1, 7, 255, 256, 257, 300, 519, SYMMETRY_TILE - 1, SYMMETRY_TILE, SYMMETRY_TILE + 1, 2 * SYMMETRY_TILE + 7}
+)
+# the last row tile is partial
+DAMPED_SIZES = sorted({1, 7, 300, 519, 2 * SYMMETRY_TILE + 7})
+
+
 class TestAntiTranspose:
-    # sizes that do not fill whole tiles, and tile edges
-    @pytest.mark.parametrize("d", [1, 7, 255, 256, 257, 300, 2 * SYMMETRY_TILE + 7])
+    @pytest.mark.parametrize("d", TILE_SIZES)
     def test_mirrors_across_the_anti_diagonal(self, d):
         b = np.random.default_rng(d).standard_normal((d, d))
         want = b[::-1, ::-1].T.copy()
@@ -235,7 +242,7 @@ class TestDampedFactor:
         return g0, v
 
     @pytest.mark.parametrize("kind", ["unjittered", "rank deficient", "negative zero"])
-    @pytest.mark.parametrize("d", [1, 7, 300, 2 * SYMMETRY_TILE + 7])
+    @pytest.mark.parametrize("d", DAMPED_SIZES)
     def test_bytes_match_building_the_damped_matrix(self, d, kind):
         g0, v = self.gram_case(d, kind)
         want, eps, retries = damped_factor_by_copies(g0, v)
@@ -262,9 +269,93 @@ class TestDampedFactor:
             chol_upper_of_inverse(np.eye(2), shift=shift)
 
 
+def indefinite_gram(d, seed):
+    """An exactly symmetric G with one eigenvalue of -3e-5 · mean diag, which
+    takes several doublings of the jitter."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    vals, vecs = np.linalg.eigh(a @ a.T)
+    vals[0] = -3e-5 * float(np.mean(vals))
+    g = (vecs * vals) @ vecs.T
+    return (g + g.T) / 2.0
+
+
+class TestInPlaceFactor:
+    """chol_upper_of_inverse(G, overwrite_g=True) against the copying call."""
+
+    @staticmethod
+    def assert_same_factor(f, want):
+        assert f.data.tobytes() == want.data.tobytes()
+        assert (f.jitter, f.retries) == (want.jitter, want.retries)
+
+    @pytest.mark.parametrize("shifted", [True, False], ids=["damped", "undamped"])
+    @pytest.mark.parametrize("kind", ["unjittered", "rank deficient", "negative zero"])
+    @pytest.mark.parametrize("d", DAMPED_SIZES)
+    def test_bytes_match_the_copying_call(self, d, kind, shifted):
+        g0, v = TestDampedFactor.gram_case(d, kind)
+        shift = v if shifted else None
+        want = chol_upper_of_inverse(g0, shift=shift)
+        g = g0.copy()
+        f = chol_upper_of_inverse(g, shift=shift, overwrite_g=True)
+        self.assert_same_factor(f, want)
+        assert np.shares_memory(f.data, g)  # built in G's buffer
+        assert f.data.flags.c_contiguous
+
+    @pytest.mark.parametrize("d", [5, 40, 300])
+    def test_several_jitter_retries_refill_the_same_matrix(self, d):
+        g0 = indefinite_gram(d, d)
+        for shift in (None, np.full(d, 1e-12)):
+            want = chol_upper_of_inverse(g0, shift=shift)
+            assert want.retries >= 3
+            self.assert_same_factor(chol_upper_of_inverse(g0.copy(), shift=shift, overwrite_g=True), want)
+
+    @pytest.mark.parametrize("overwrite_g", [False, True])
+    def test_overflowing_triangular_inverse_gets_jitter(self, overwrite_g):
+        # P·G·P = L·Lᵀ for L with 1 on the diagonal and -1 below it, whose
+        # inverse has entries up to 2^(d-2): inf at d = 1100. The jittered
+        # retry refills from the triangle the failed attempt left untouched
+        d = 1100
+        low = np.tril(-np.ones((d, d)), -1) + np.eye(d)
+        g = np.ascontiguousarray((low @ low.T)[::-1, ::-1])
+        want = chol_upper_of_inverse(g)
+        assert want.retries == 1 and np.isfinite(want.data).all()
+        self.assert_same_factor(chol_upper_of_inverse(g.copy(), overwrite_g=overwrite_g), want)
+
+    @pytest.mark.parametrize("kind", ["unjittered", "rank deficient"])
+    def test_without_the_flag_g_is_unchanged(self, kind):
+        g0, v = TestDampedFactor.gram_case(300, kind)
+        g = g0.copy()
+        for shift in (v, None):
+            f = chol_upper_of_inverse(g, shift=shift)
+            assert not np.shares_memory(f.data, g)
+            assert g.tobytes() == g0.tobytes()
+
+    def test_non_contiguous_g_is_copied(self):
+        g0, v = TestDampedFactor.gram_case(300, "rank deficient")
+        big = g0.copy()
+        k = 2 * SYMMETRY_TILE + 7
+        want = chol_upper_of_inverse(g0[:k, :k].copy(), shift=v[:k])
+        f = chol_upper_of_inverse(big[:k, :k], shift=v[:k], overwrite_g=True)
+        self.assert_same_factor(f, want)
+        assert big.tobytes() == g0.tobytes()
+
+    def test_inexactly_symmetric_g_is_copied(self):
+        g0, v = TestDampedFactor.gram_case(300, "unjittered")
+        g0[3, 250] += 1e-12 * abs(g0[3, 250])
+        g = g0.copy()
+        f = chol_upper_of_inverse(g, shift=v, overwrite_g=True)
+        self.assert_same_factor(f, chol_upper_of_inverse((g0 + g0.T) / 2.0, shift=v))
+        assert g.tobytes() == g0.tobytes()
+
+    def test_failure_is_the_same_numerical_failure(self):
+        with pytest.raises(NumericalFailure, match="final eps 1.024e-03"):
+            chol_upper_of_inverse(-np.eye(3), overwrite_g=True)
+
+
 class TestPeakMemory:
     """At d = 1024 the d×d float64 output is 8 MiB; traced allocations may
-    exceed it by tiles and vectors only."""
+    exceed it by tiles and vectors only, and a factor built in G's buffer
+    allocates no more than those."""
 
     D = 1024
     BUDGET = 1.1 * 8 * D * D
@@ -283,6 +374,16 @@ class TestPeakMemory:
         f, peak = traced_peak(build_curvature, g0, profile, lam)
         assert f.retries == (0 if lam == 0.5 else 1)
         assert peak <= self.BUDGET
+
+    @pytest.mark.parametrize("n, lam", [(2 * D, 0.5), (D // 4, 1e-30)], ids=["unjittered", "jitter retry"])
+    def test_in_place_curvature_allocates_tiles_only(self, n, lam):
+        g0 = gram(np.random.default_rng(17).standard_normal((self.D, n)))
+        s = np.random.default_rng(18).uniform(0.5, 2.0, self.D)
+        profile = scale_normalize_gbs(s, float(np.mean(np.diag(g0))))
+        want = build_curvature(g0, profile, lam)
+        f, peak = traced_peak(build_curvature, g0, profile, lam, overwrite_g=True)
+        assert f.data.tobytes() == want.data.tobytes()
+        assert peak <= 0.1 * 8 * self.D * self.D
 
 
 class TestSymmetryCheck:
