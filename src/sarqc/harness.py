@@ -116,7 +116,7 @@ def solve(
         else:
             gamma = (gamma if gamma is not None else GAMMA_FIXED_DEFAULT) if kind == "gbs" else None
         prof = profile_for(stats, kind, gamma, g0)
-        # the last read of G0: the factor is built in its buffer
+        # the factor is built in G0's buffer, so G0 is not read after this
         factor = build_curvature(g0, prof, lam, context="full layer", overwrite_g=True)
         del g0
         layer = run_gbs(w, factor, scheme, block)

@@ -208,7 +208,7 @@ class TestCholUpperOfInverse:
 TILE_SIZES = sorted(
     {1, 7, 255, 256, 257, 300, 519, SYMMETRY_TILE - 1, SYMMETRY_TILE, SYMMETRY_TILE + 1, 2 * SYMMETRY_TILE + 7}
 )
-# the last row tile is partial
+# below one tile, and with a partial last row tile
 DAMPED_SIZES = sorted({1, 7, 300, 519, 2 * SYMMETRY_TILE + 7})
 
 
