@@ -118,7 +118,6 @@ def solve(
         prof = profile_for(stats, kind, gamma, g0)
         # the factor is built in G0's buffer, so G0 is not read after this
         factor = build_curvature(g0, prof, lam, context="full layer", overwrite_g=True)
-        del g0
         layer = run_gbs(w, factor, scheme, block)
         report = FactorReport(factor.jitter, factor.retries, factor.min_pivot)
         return Solution(layer, prof, lam=float(lam), gamma=gamma, factor=report)

@@ -40,8 +40,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     # a NaN or ±inf entry makes the sum non-finite, so a finite sum needs no
-    # d×d mask; only a sum that is not finite is checked entry by entry
-    if not math.isfinite(m.sum()) and not np.isfinite(m).all():
+    # entrywise mask; a sum that is not finite may still come from finite
+    # entries that overflow it, so only then are entries checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = math.isfinite(m.sum()) or np.isfinite(m).all()
+    if not finite:
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -210,14 +213,13 @@ def _factor_with_jitter(
 
     G must be exactly symmetric, so A is too and its C-ordered buffer reads
     as A in Fortran order. c is one Fortran-ordered d×d array that LAPACK
-    factors in place and `finish` may overwrite:
-    - by default a new array, filled from G on every attempt;
-    - with `overwrite`, G's own buffer (G must be C-contiguous), reversed
-      in place when `reverse` is set. potrf and trtri write only the lower
-      triangle of c, so a retry refills c from its strict upper triangle
-      and a copy of the diagonal taken before G was touched; `finish` must
-      raise before it writes to that triangle. After NumericalFailure G
-      holds garbage.
+    factors in place and `finish` may overwrite: a copy of G made once, or
+    with `overwrite` G's own buffer (G must be C-contiguous), reversed in
+    place when `reverse` is set; after NumericalFailure G then holds
+    garbage. potrf writes only the lower triangle of c, so a retry refills
+    c from its strict upper triangle and a copy of the diagonal taken
+    before G was touched; `finish` must raise before it writes to that
+    triangle.
     A damped or jittered fill adds 0.0 off the diagonal and
     (g_ii + shift_i) + eps on it, the arithmetic of G + diag(shift) + eps·I.
     eps starts at 0, then 1e-6 · mean diag of G + diag(shift), doubling up
@@ -239,20 +241,18 @@ def _factor_with_jitter(
             raise ValueError("G contains non-finite entries")
     fill = diag[::-1] if reverse else diag
     if overwrite:
+        work_c = g
         if reverse:
-            _reverse_in_place(g)
-        work = g.T
+            _reverse_in_place(work_c)
     else:
-        src = g[::-1, ::-1] if reverse else g
-        work = np.empty((d, d), order="F")
-    work_c = work.T  # C-contiguous, and equal to work while it holds the symmetric A
+        work_c = np.empty((d, d))
+        np.copyto(work_c, g[::-1, ::-1] if reverse else g)
+    work = work_c.T  # Fortran-ordered, and equal to work_c while it holds the symmetric A
     work_diag = work_c.reshape(-1)[:: d + 1]  # a view
     eps = 0.0
     for retries in range(MAX_JITTER_RETRIES + 1):
         try:
-            if not overwrite:
-                np.copyto(work_c, src)
-            elif retries:
+            if retries:
                 _mirror_strict_lower(work_c)
             if shift is not None or eps != 0.0:
                 np.add(work, 0.0, out=work)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sarqc.linalg import (
     TriangularFactor,
     _anti_transpose,
     _check_square_symmetric,
+    as_matrix,
     chol_upper_of_inverse,
     frobenius_sq,
     gram,
@@ -67,6 +69,26 @@ def damped_factor_by_copies(g0, v):
         except (scipy.linalg.LinAlgError, ValueError):
             eps = base if eps == 0.0 else 2.0 * eps
     raise AssertionError("the reference factorization failed")
+
+
+class TestAsMatrix:
+    def test_finite_entries_whose_sum_overflows_pass_silently(self):
+        a = np.full((4, 4), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert as_matrix(a) is a
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "both infinities"])
+    def test_non_finite_entries_are_rejected_silently(self, bad):
+        a = np.ones((4, 4))
+        if bad == "both infinities":
+            a[0, 1], a[-1, 0] = np.inf, -np.inf
+        else:
+            a[-1, -1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="A contains non-finite entries"):
+                as_matrix(a, "A")
 
 
 class TestGram:
