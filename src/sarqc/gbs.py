@@ -21,8 +21,10 @@ Callers build the Gram G0 = XXᵀ and the channel statistics of a layer once
 and pass them to `profile_for` (h̄ is the mean diagonal of G0) and
 `build_curvature`. `select_hparams_gbs` only picks (λ, γ), reading the
 leading block of the layer's G0 and the leading entries of its statistics;
-`harness.solve` runs the full layer with the same G0 and statistics, and
-builds the full-layer factor in G0's buffer once nothing reads G0 again.
+`harness.solve` runs the full layer with the same G0 and statistics,
+builds the full-layer factor in G0's buffer once nothing reads G0 again,
+and hands `run_gbs` its only reference to that factor, so the pass frees
+M before it builds its outputs.
 """
 
 from __future__ import annotations
@@ -106,7 +108,13 @@ def build_curvature(
 
 def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 128) -> QuantizedLayer:
     """Blockwise sequential quantization with closed-form compensation,
-    given the upper factor M of the inverse curvature."""
+    given the upper factor M of the inverse curvature.
+
+    M is read only in the column loop, and the pass drops its own
+    references to it before it builds the outputs. A caller that hands
+    over its only reference (for example `run_gbs(w, holder.pop(), …)`)
+    lets the pass free M at that point, so M does not sit beside the
+    outputs."""
     w = as_matrix(w, "W")
     d_out, d_in = w.shape
     m = factor.data
@@ -173,12 +181,20 @@ def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 
             # row j itself is not read again, so the update starts below it
             n = i_end - j - 1
             if n:
-                upd = np.multiply(m[j, j + 1 : i_end, None], e, out=scratch[:n])
+                # e times the column of m, written as a contiguous copy of e
+                # scaled in place, which is cheaper than the broadcast
+                # product; the products commute, so the bytes are the same
+                upd = scratch[:n]
+                upd[...] = e
+                upd *= m[j, j + 1 : i_end, None]
                 u[j + 1 : i_end] -= upd
         if i_end < d_in:
             # the fold is the (d_out, ·) GEMM, transposed; m[…].T @ e_blk.T
             # sums in another order and moves bytes
             u[i_end:] -= (e_blk @ m[i:i_end, i_end:]).T
+    # M is not read again: with the caller's reference handed over, it is
+    # freed here, before the outputs are built
+    del factor, m, q, e, scratch
     # each transposed output replaces its source before the next is built
     codes = np.ascontiguousarray(codes.T)
     qhat = np.ascontiguousarray(u.T)

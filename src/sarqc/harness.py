@@ -116,10 +116,14 @@ def solve(
         else:
             gamma = (gamma if gamma is not None else GAMMA_FIXED_DEFAULT) if kind == "gbs" else None
         prof = profile_for(stats, kind, gamma, g0)
-        # the factor is built in G0's buffer, so G0 is not read after this
-        factor = build_curvature(g0, prof, lam, context="full layer", overwrite_g=True)
-        layer = run_gbs(w, factor, scheme, block)
-        report = FactorReport(factor.jitter, factor.retries, factor.min_pivot)
+        # the factor is built in G0's buffer, so G0 is not read after this.
+        # Neither G0 nor the factor is referenced here once run_gbs has it:
+        # the pass gets the list's only reference, so it can free M before
+        # it builds its outputs
+        holder = [build_curvature(g0, prof, lam, context="full layer", overwrite_g=True)]
+        del g0
+        report = FactorReport(holder[0].jitter, holder[0].retries, holder[0].min_pivot)
+        layer = run_gbs(w, holder.pop(), scheme, block)
         return Solution(layer, prof, lam=float(lam), gamma=gamma, factor=report)
     raise ValueError(f"unknown method {method!r}")
 

@@ -1,8 +1,13 @@
+import sys
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sarqc.gbs
+import sarqc.harness
 from sarqc.calibration import split_batch
 from sarqc.gbs import (
     SUBSET_FRACTION,
@@ -203,6 +208,90 @@ class TestRunGbs:
         assert np.sum(out.codes == 0) > 100
         assert_same_bytes(out, run_gbs_column_layout(w, factor.data, SYM2_G32, block))
         assert not np.signbit(out.dequantized[out.codes == 0]).any()
+
+    @pytest.mark.parametrize("group", [128, 96])
+    @pytest.mark.parametrize("block", [128, 48])
+    def test_bytes_match_column_layout_loop_at_production_width(self, production_layer, block, group):
+        # the one-GEMM fold at trailing widths up to 1024 columns, where the
+        # BLAS picks other kernels than at the widths above; group 96
+        # straddles the block edges
+        w, factor = production_layer
+        scheme = QuantScheme(bits=3, mode="asymmetric", group_size=group)
+        out = run_gbs(w, factor, scheme, block_size=block)
+        assert_same_bytes(out, run_gbs_column_layout(w, factor.data, scheme, block))
+
+
+@pytest.fixture(scope="module")
+def production_layer():
+    """A 256×1024 layer and its λ = 0.25 identity-profile factor."""
+    rng = np.random.default_rng(17)
+    w = rng.standard_normal((256, 1024))
+    factor = build_curvature(gram(rng.standard_normal((1024, 1536))), identity_profile(1024), 0.25)
+    return w, factor
+
+
+def memory_of(a):
+    """The array that owns a's buffer."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class OutputStageSpy:
+    """Stands in for numpy in sarqc.gbs and records, at each
+    ascontiguousarray call (the output stage of run_gbs), whether every
+    watched array has been freed."""
+
+    def __init__(self):
+        self.watched = []
+        self.freed = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def ascontiguousarray(self, a, *args, **kwargs):
+        if self.watched:
+            self.freed.append(all(ref() is None for ref in self.watched))
+        return np.ascontiguousarray(a, *args, **kwargs)
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="CPython 3.10 keeps call arguments on the caller's stack until the call returns",
+)
+class TestFactorFreedBeforeOutputs:
+    """M is read only in the column loop; a pass handed the only reference
+    to its factor frees M before it builds the outputs."""
+
+    SCHEME = QuantScheme(bits=3, mode="asymmetric", group_size=32)
+
+    def test_run_gbs_frees_a_handed_over_factor(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        w = rng.standard_normal((16, 96))
+        holder = [build_curvature(gram(rng.standard_normal((96, 160))), identity_profile(96), 0.25)]
+        spy = OutputStageSpy()
+        spy.watched += [weakref.ref(holder[0].data), weakref.ref(memory_of(holder[0].data))]
+        monkeypatch.setattr(sarqc.gbs, "np", spy)
+        run_gbs(w, holder.pop(), self.SCHEME, block_size=32)
+        assert spy.freed and all(spy.freed)
+
+    @pytest.mark.parametrize("method", ["gptq", "sarqc-gbs"])
+    def test_solve_frees_the_full_layer_factor(self, monkeypatch, method):
+        rng = np.random.default_rng(29)
+        w = rng.standard_normal((16, 128))
+        batch = split_batch(rng.standard_normal((128, 96)))
+        spy = OutputStageSpy()
+
+        def watched_build_curvature(*args, **kwargs):
+            factor = build_curvature(*args, **kwargs)
+            spy.watched += [weakref.ref(factor.data), weakref.ref(memory_of(factor.data))]
+            return factor
+
+        monkeypatch.setattr(sarqc.harness, "build_curvature", watched_build_curvature)
+        monkeypatch.setattr(sarqc.gbs, "np", spy)
+        solve(method, w, batch, self.SCHEME, lambda_grid=(0.25,), gamma_grid=(0.5,))
+        assert len(spy.watched) == 2
+        assert spy.freed and all(spy.freed)
 
 
 class TestGptqEquivalence:
