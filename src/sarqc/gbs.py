@@ -181,9 +181,8 @@ def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 
             # row j itself is not read again, so the update starts below it
             n = i_end - j - 1
             if n:
-                # e times the column of m, written as a contiguous copy of e
-                # scaled in place, which is cheaper than the broadcast
-                # product; the products commute, so the bytes are the same
+                # copying e and scaling it in place is cheaper than the
+                # broadcast product, and the products commute: same bytes
                 upd = scratch[:n]
                 upd[...] = e
                 upd *= m[j, j + 1 : i_end, None]
