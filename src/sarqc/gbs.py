@@ -21,7 +21,7 @@ Callers build the Gram G0 = XXᵀ and the channel statistics of a layer once
 and pass them to `profile_for` (h̄ is the mean diagonal of G0) and
 `build_curvature`. `select_hparams_gbs` only picks (λ, γ), reading the
 leading block of the layer's G0 and the leading entries of its statistics;
-`harness.solve` runs the full layer with the same G0 and statistics,
+`harness.solutions` runs the full layer with the same G0 and statistics,
 builds the full-layer factor in G0's buffer once nothing reads G0 again,
 and hands `run_gbs` its only reference to that factor, so the pass frees
 M before it builds its outputs.
@@ -118,6 +118,8 @@ def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 
     w = as_matrix(w, "W")
     d_out, d_in = w.shape
     m = factor.data
+    if d_in == 0:
+        raise ValueError("layer has no input channels")
     if m.shape[0] != d_in:
         raise ValueError(f"curvature dim {m.shape[0]} does not match d_in {d_in}")
     if block_size < 1:

@@ -8,12 +8,13 @@ validation split. With λ = 0 the selection reduces to the plain
 activation-aware reconstruction argmin.
 
 The candidates and their raw losses do not depend on λ, only the argmin of
-the joint score does, so `run_gs` scores the grid once and
+the joint score does, so `run_gs` scores the grid once per layer and
 `select_lambda_gs` re-picks the winner for each λ from the stored losses.
-A fixed λ is a one-entry grid. Candidates are scored one at a time and
-dropped; `candidate` is deterministic, so each distinct winner is rebuilt
-with the same bytes. Peak memory is a few W-sized arrays, whatever the size
-of the α grid.
+A fixed λ is a one-entry grid; a λ sweep scores the grid once per layer
+and passes it to one `select_lambda_gs` call per row. Candidates are
+scored one at a time and dropped; `candidate` is deterministic, so each
+distinct winner is rebuilt with the same bytes. Peak memory is a few
+W-sized arrays, whatever the size of the α grid.
 """
 
 from __future__ import annotations
@@ -131,18 +132,20 @@ def run_gs(w, x, config: GsConfig) -> GsGrid:
     return GsGrid(stats=stats, profile=profile, recon=recon, sar=sar)
 
 
-def select_lambda_gs(w, batch: CalibrationBatch, config: GsConfig) -> GsResult:
+def select_lambda_gs(w, batch: CalibrationBatch, config: GsConfig, grid: GsGrid) -> GsResult:
     """Pick λ from `config.lambda_grid` by reconstruction error on the
     validation split; ties go to the smallest λ. A fixed λ is a one-entry
     grid.
 
-    One `run_gs` pass scores every α candidate on the training split; each λ
-    then only re-picks the joint-score winner. Each distinct winner is
-    rebuilt once, in the order the λ grid first picks it, to score its
-    validation loss; only the best so far is kept.
+    `grid` is the `run_gs` pass of W on the training split under `config`;
+    each λ only re-picks the joint-score winner from its losses, so one
+    pass serves any number of calls. Each distinct winner is rebuilt once,
+    in the order the λ grid first picks it, to score its validation loss;
+    only the best so far is kept.
     """
     w = as_matrix(w, "W")
-    grid = run_gs(w, batch.train, config)
+    if len(grid.recon) != len(config.alpha_grid):
+        raise ValueError("the scored grid does not match config.alpha_grid")
     winners = [select_joint(grid.recon, grid.sar, lam)[0] for lam in config.lambda_grid]
     val_of = {}
     best = None

@@ -1,8 +1,11 @@
 """Method dispatch, synthetic layers, calibration batches, and desk-scale
 experiments.
 
-`solve` wires each method name to its solver; the command line, the sweeps
-and the studies all go through it. `sweep_lambda` traces the
+`solutions` wires each method name to its solver and yields one solved layer
+per λ entry; `solve` is its one-entry case. The command line, the sweeps and
+the studies all go through it. A GS sweep scores the layer's α grid once
+for all its rows; a GBS sweep builds and factors each row's Gram in place,
+so one d_in×d_in array is live at a time. `sweep_lambda` traces the
 drift/reconstruction trade-off of a solver over a regularization grid with
 held-out risk per point; `calib_size_study` compares the λ = 0 baseline
 against hyperparameter-selected runs as the calibration set shrinks under a
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -28,7 +32,7 @@ from .gbs import (
     run_gbs,
     select_hparams_gbs,
 )
-from .gs import LAMBDA_GRID_GS_DEFAULT, GsConfig, select_lambda_gs
+from .gs import LAMBDA_GRID_GS_DEFAULT, GsConfig, run_gs, select_lambda_gs
 from .linalg import as_matrix, gram
 from .objective import LossBreakdown, recon_loss, sar_loss, weight_drift
 from .quantizer import QuantizedLayer, QuantScheme, rtn
@@ -64,6 +68,87 @@ class Solution:
     factor: FactorReport | None = None
 
 
+def solutions(
+    method: str,
+    w,
+    batch: CalibrationBatch,
+    scheme: QuantScheme,
+    lams,
+    *,
+    gamma: float | None = None,
+    lambda_grid=None,
+    gamma_grid=None,
+    block: int = 128,
+    saliency: str = "saliency",
+) -> Iterator[Solution]:
+    """Quantize one layer with one of METHODS, once per entry of `lams`,
+    yielding a Solution for each in order.
+
+    awq and gptq are the λ = 0, identity-profile cases of sarqc-gs and
+    sarqc-gbs. A numeric entry is a fixed λ: sarqc-gs picks α at that one λ
+    and sarqc-gbs runs once with γ = `gamma` (default GAMMA_FIXED_DEFAULT).
+    A None entry selects λ (and γ for sarqc-gbs) on the validation split
+    from `lambda_grid` / `gamma_grid`, the paper's grids when None.
+    `saliency="identity"` replaces the saliency profile with the identity.
+
+    The α grid of sarqc-gs does not depend on λ, so it is scored once for
+    all entries. Each sarqc-gbs entry builds and factors its own Gram in
+    place, so one d_in×d_in array is live at a time.
+    """
+    lams = tuple(lams)
+    if method == "rtn":
+        for _ in lams:
+            yield Solution(rtn(w, scheme), identity_profile(w.shape[1]))
+        return
+    if method in ("awq", "gptq"):
+        lams, saliency = (0.0,) * len(lams), "identity"
+    if method in ("awq", "sarqc-gs"):
+        kind = "identity" if saliency == "identity" else "gs"
+        select_grid = lambda_grid or LAMBDA_GRID_GS_DEFAULT
+        cfgs = [
+            GsConfig(scheme=scheme, lambda_grid=select_grid if lam is None else (lam,), saliency_kind=kind)
+            for lam in lams
+        ]
+        if not cfgs:
+            return
+        # the α candidates and their losses are shared by every entry
+        grid = run_gs(w, batch.train, cfgs[0])
+        for cfg in cfgs:
+            res = select_lambda_gs(w, batch, cfg, grid)
+            yield Solution(res.layer, res.profile, lam=res.chosen_lambda, alpha=res.chosen_alpha)
+        return
+    if method in ("gptq", "sarqc-gbs"):
+        kind = "identity" if saliency == "identity" else "gbs"
+        for lam in lams:
+            # one Gram and one stats pass per entry; selection reads their leading block
+            g0 = gram(batch.train)
+            stats = channel_stats(w, batch.train) if kind == "gbs" else None
+            if lam is None:
+                cfg = GbsConfig(
+                    scheme=scheme,
+                    lambda_grid=lambda_grid or LAMBDA_GRID_GBS_DEFAULT,
+                    gamma_grid=gamma_grid or GAMMA_GRID_DEFAULT,
+                    block_size=block,
+                    saliency_kind=kind,
+                )
+                sel = select_hparams_gbs(w, batch, cfg, g0, stats)
+                lam, gam = sel.lam, sel.gamma
+            else:
+                gam = (gamma if gamma is not None else GAMMA_FIXED_DEFAULT) if kind == "gbs" else None
+            prof = profile_for(stats, kind, gam, g0)
+            # the factor is built in G0's buffer, so G0 is not read after this.
+            # Neither G0 nor the factor is referenced here once run_gbs has it:
+            # the pass gets the list's only reference, so it can free M before
+            # it builds its outputs
+            holder = [build_curvature(g0, prof, lam, context="full layer", overwrite_g=True)]
+            del g0
+            report = FactorReport(holder[0].jitter, holder[0].retries, holder[0].min_pivot)
+            layer = run_gbs(w, holder.pop(), scheme, block)
+            yield Solution(layer, prof, lam=float(lam), gamma=gam, factor=report)
+        return
+    raise ValueError(f"unknown method {method!r}")
+
+
 def solve(
     method: str,
     w,
@@ -77,55 +162,22 @@ def solve(
     block: int = 128,
     saliency: str = "saliency",
 ) -> Solution:
-    """Quantize one layer with one of METHODS.
-
-    awq and gptq are the λ = 0, identity-profile cases of sarqc-gs and
-    sarqc-gbs. With `lam` given, sarqc-gs picks α at that one λ and sarqc-gbs
-    runs once with γ = `gamma` (default GAMMA_FIXED_DEFAULT); otherwise λ
-    (and γ for sarqc-gbs) are selected on the validation split from
-    `lambda_grid` / `gamma_grid`, the paper's grids when None.
-    `saliency="identity"` replaces the saliency profile with the identity.
-    """
-    if method == "rtn":
-        return Solution(rtn(w, scheme), identity_profile(w.shape[1]))
-    if method in ("awq", "gptq"):
-        lam, saliency = 0.0, "identity"
-    if method in ("awq", "sarqc-gs"):
-        cfg = GsConfig(
-            scheme=scheme,
-            lambda_grid=(lam,) if lam is not None else lambda_grid or LAMBDA_GRID_GS_DEFAULT,
-            saliency_kind="identity" if saliency == "identity" else "gs",
+    """Quantize one layer with one of METHODS: the one-entry case of
+    `solutions`, at the fixed `lam` or, when None, with λ selected."""
+    return next(
+        solutions(
+            method,
+            w,
+            batch,
+            scheme,
+            (lam,),
+            gamma=gamma,
+            lambda_grid=lambda_grid,
+            gamma_grid=gamma_grid,
+            block=block,
+            saliency=saliency,
         )
-        res = select_lambda_gs(w, batch, cfg)
-        return Solution(res.layer, res.profile, lam=res.chosen_lambda, alpha=res.chosen_alpha)
-    if method in ("gptq", "sarqc-gbs"):
-        kind = "identity" if saliency == "identity" else "gbs"
-        # one Gram and one stats pass per layer; selection reads their leading block
-        g0 = gram(batch.train)
-        stats = channel_stats(w, batch.train) if kind == "gbs" else None
-        if lam is None:
-            cfg = GbsConfig(
-                scheme=scheme,
-                lambda_grid=lambda_grid or LAMBDA_GRID_GBS_DEFAULT,
-                gamma_grid=gamma_grid or GAMMA_GRID_DEFAULT,
-                block_size=block,
-                saliency_kind=kind,
-            )
-            sel = select_hparams_gbs(w, batch, cfg, g0, stats)
-            lam, gamma = sel.lam, sel.gamma
-        else:
-            gamma = (gamma if gamma is not None else GAMMA_FIXED_DEFAULT) if kind == "gbs" else None
-        prof = profile_for(stats, kind, gamma, g0)
-        # the factor is built in G0's buffer, so G0 is not read after this.
-        # Neither G0 nor the factor is referenced here once run_gbs has it:
-        # the pass gets the list's only reference, so it can free M before
-        # it builds its outputs
-        holder = [build_curvature(g0, prof, lam, context="full layer", overwrite_g=True)]
-        del g0
-        report = FactorReport(holder[0].jitter, holder[0].retries, holder[0].min_pivot)
-        layer = run_gbs(w, holder.pop(), scheme, block)
-        return Solution(layer, prof, lam=float(lam), gamma=gamma, factor=report)
-    raise ValueError(f"unknown method {method!r}")
+    )
 
 
 @dataclass(frozen=True)
@@ -265,16 +317,18 @@ def sweep_layer(
     seed: int = 0,
 ) -> list[SweepRecord]:
     """One record per λ: a fixed-λ solve of one layer by `method` ("gs" or
-    "gbs"), scored by `layer_losses`."""
+    "gbs"), scored by `layer_losses`. The rows come from one `solutions`
+    pass, so a GS sweep scores the α grid once for the layer."""
     if method not in SWEEP_METHODS:
         raise ValueError(f"unknown sweep method {method!r}")
+    lams = tuple(float(lam) for lam in lambda_grid)
     records = []
-    for lam in lambda_grid:
-        sol = solve(SWEEP_METHODS[method], w, batch, scheme, lam=float(lam), gamma=gamma, block=block_size)
+    rows = solutions(SWEEP_METHODS[method], w, batch, scheme, lams, gamma=gamma, block=block_size)
+    for lam, sol in zip(lams, rows):
         losses, risk = layer_losses(w, sol, batch.train, x_heldout)
         records.append(
             SweepRecord(
-                lam=float(lam),
+                lam=lam,
                 gamma=sol.gamma,
                 recon=losses.recon,
                 sar=losses.sar,
@@ -285,6 +339,27 @@ def sweep_layer(
             )
         )
     return records
+
+
+def _seeded_problem(
+    spec: SynthLayerSpec,
+    seed: int,
+    n_calib: int,
+    n_heldout: int,
+    m_x: float,
+    corr_rank: int,
+    corr_strength: float,
+    **calib_kw,
+) -> tuple[np.ndarray, CalibrationBatch, np.ndarray]:
+    """The layer of `spec` at `seed`, a calibration batch of n_calib columns
+    (`calib_kw` goes to its `gen_calibration`) and n_heldout held-out
+    columns. Both batches share the seed's low-rank activation factor;
+    `corr_strength` 0 leaves it out."""
+    w = gen_layer(replace(spec, seed=seed))
+    factor = activation_factor(spec.d_in, corr_rank, corr_strength, seed) if corr_strength > 0.0 else None
+    batch = gen_calibration(spec.d_in, n_calib, m_x, seed, cov_factor=factor, **calib_kw)
+    heldout = gen_calibration(spec.d_in, n_heldout, m_x, seed, cov_factor=factor, stream="heldout")
+    return w, batch, heldout.x
 
 
 def sweep_lambda(
@@ -316,19 +391,11 @@ def sweep_lambda(
         raise ValueError("lambda grid must be nonempty")
     records = []
     for seed in seeds:
-        layer_spec = replace(spec, seed=int(seed))
-        w = gen_layer(layer_spec)
-        factor = None
-        if corr_strength > 0.0:
-            factor = activation_factor(spec.d_in, corr_rank, corr_strength, int(seed))
-        batch = gen_calibration(
-            spec.d_in, n_calib, m_x, int(seed), val_fraction=val_fraction, cov_factor=factor
-        )
-        heldout = gen_calibration(
-            spec.d_in, n_heldout, m_x, int(seed), cov_factor=factor, stream="heldout"
+        w, batch, heldout = _seeded_problem(
+            spec, int(seed), n_calib, n_heldout, m_x, corr_rank, corr_strength, val_fraction=val_fraction
         )
         records += sweep_layer(
-            w, batch, heldout.x, scheme, method, lambda_grid, gamma=gamma, block_size=block_size, seed=int(seed)
+            w, batch, heldout, scheme, method, lambda_grid, gamma=gamma, block_size=block_size, seed=int(seed)
         )
     records.sort(key=lambda r: (r.seed, r.lam))
     return records
@@ -363,29 +430,22 @@ def calib_size_study(
         base_risks = []
         sel_risks = []
         for seed in seeds:
-            layer_spec = replace(spec, seed=int(seed))
-            w = gen_layer(layer_spec)
-            factor = None
-            if corr_strength > 0.0:
-                factor = activation_factor(spec.d_in, corr_rank, corr_strength, int(seed))
             u = substream(int(seed), "covshift", size).uniform(-cov_shift, cov_shift, spec.d_in)
-            batch = gen_calibration(
-                spec.d_in,
-                int(size),
-                m_x,
+            w, batch, heldout = _seeded_problem(
+                spec,
                 int(seed),
+                int(size),
+                n_heldout,
+                m_x,
+                corr_rank,
+                corr_strength,
                 cov_diag=1.0 + u,
-                cov_factor=factor,
                 stream=f"calib-{size}",
             )
-            heldout = gen_calibration(
-                spec.d_in, n_heldout, m_x, int(seed), cov_factor=factor, stream="heldout"
-            )
-
             # both methods solve on the same training columns
             for method, risks in (("gptq", base_risks), ("sarqc-gbs", sel_risks)):
                 sol = solve(method, w, batch, scheme, block=block_size)
-                risks.append(evaluate(w, sol.layer, heldout.x)[1])
+                risks.append(evaluate(w, sol.layer, heldout)[1])
         rows.append(
             {
                 "size": int(size),

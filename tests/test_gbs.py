@@ -174,6 +174,14 @@ class TestRunGbs:
         with pytest.raises(ValueError):
             run_gbs(np.zeros((2, 3)), identity_curvature(4), SYM4)
 
+    @pytest.mark.parametrize("group", ["per_channel", "per_tensor", 4])
+    def test_no_input_channels(self, group):
+        # no column would be quantized, so the group parameters would be left
+        # as uninitialised memory
+        scheme = QuantScheme(bits=4, mode="symmetric", group_size=group)
+        with pytest.raises(ValueError, match="no input channels"):
+            run_gbs(np.zeros((3, 0)), TriangularFactor(dim=0, data=np.zeros((0, 0))), scheme)
+
     @settings(max_examples=60, deadline=None)
     @given(
         d_out=st.integers(1, 300),

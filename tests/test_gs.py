@@ -89,13 +89,19 @@ def fixed(cfg, lam):
     return replace(cfg, lambda_grid=(lam,))
 
 
+def select_lambda(w, batch, cfg):
+    """`select_lambda_gs` on a grid scored here, so the grid pass falls
+    inside whatever the caller counts or traces."""
+    return select_lambda_gs(w, batch, cfg, run_gs(w, batch.train, cfg))
+
+
 class TestRunGs:
     def test_lossless_ties_break_to_first_alpha(self):
         w, x = lossless_instance()
         cfg = GsConfig(scheme=SYM4, alpha_grid=(0.0, 0.5, 1.0), lambda_grid=(0.3,))
         grid = run_gs(w, x, cfg)
         assert np.all(grid.recon == 0.0) and np.all(grid.sar == 0.0)
-        res = select_lambda_gs(w, split_batch(x, 0.25), cfg)
+        res = select_lambda(w, split_batch(x, 0.25), cfg)
         assert (res.chosen_alpha, res.chosen_lambda) == (0.0, 0.3)
         assert np.array_equal(res.layer.dequantized, w)
 
@@ -107,7 +113,7 @@ class TestRunGs:
             batch = split_batch(rng.standard_normal((6, 12)), 0.25)
             grid = run_gs(w, batch.train, cfg)
             i = int(np.argmin(grid.recon))
-            res = select_lambda_gs(w, batch, cfg)
+            res = select_lambda(w, batch, cfg)
             assert res.chosen_alpha == cfg.alpha_grid[i]
             want = candidate(w, grid.stats, cfg.alpha_grid[i], cfg.scheme)
             assert np.array_equal(res.layer.dequantized, want.dequantized)
@@ -148,7 +154,7 @@ class TestRunGs:
         cfg = GsConfig(scheme=SYM4, lambda_grid=(0.7,))
         grid = run_gs(w, batch.train, cfg)
         joint = joint_score(minmax_normalize(grid.recon), minmax_normalize(grid.sar), 0.7)
-        assert select_lambda_gs(w, batch, cfg).chosen_alpha == cfg.alpha_grid[int(np.argmin(joint))]
+        assert select_lambda(w, batch, cfg).chosen_alpha == cfg.alpha_grid[int(np.argmin(joint))]
 
 
 class TestScalarizationMonotonicity:
@@ -164,7 +170,7 @@ class TestScalarizationMonotonicity:
             base = run_gs(w, batch.train, cfg)
             for lam in lambdas:
                 idx, recon_n, sar_n, _ = select_joint(base.recon, base.sar, lam)
-                res = select_lambda_gs(w, batch, fixed(cfg, lam))
+                res = select_lambda_gs(w, batch, fixed(cfg, lam), base)
                 assert res.chosen_alpha == cfg.alpha_grid[idx]
                 if prev_sar is not None:
                     assert sar_n[idx] <= prev_sar
@@ -178,7 +184,7 @@ class TestSelectLambdaGs:
         w = rng.standard_normal((3, 4))
         batch = split_batch(rng.standard_normal((4, 8)), 0.25)
         cfg = GsConfig(scheme=SYM4, lambda_grid=(0.0,))
-        res = select_lambda_gs(w, batch, cfg)
+        res = select_lambda(w, batch, cfg)
         direct = per_lambda_reference(w, batch, cfg)
         assert res.chosen_lambda == 0.0
         for f in fields(GsResult):
@@ -188,9 +194,18 @@ class TestSelectLambdaGs:
         w, x = lossless_instance()
         batch = split_batch(x, 0.25)
         cfg = GsConfig(scheme=SYM4, alpha_grid=(0.0, 1.0), lambda_grid=(0.1, 0.5, 1.0))
-        res = select_lambda_gs(w, batch, cfg)
+        res = select_lambda(w, batch, cfg)
         assert res.chosen_lambda == 0.1
         assert all(v == 0.0 for _, v in res.val_losses)
+
+    def test_rejects_a_grid_scored_on_another_alpha_grid(self):
+        rng = np.random.default_rng(6)
+        w = rng.standard_normal((3, 4))
+        batch = split_batch(rng.standard_normal((4, 8)), 0.25)
+        cfg = GsConfig(scheme=SYM4)
+        grid = run_gs(w, batch.train, replace(cfg, alpha_grid=(0.0, 0.5, 1.0)))
+        with pytest.raises(ValueError, match="alpha_grid"):
+            select_lambda_gs(w, batch, cfg, grid)
 
     def test_chosen_lambda_is_val_table_argmin(self):
         from sarqc.harness import SynthLayerSpec, gen_calibration, gen_layer
@@ -199,7 +214,7 @@ class TestSelectLambdaGs:
         w = gen_layer(spec)
         batch = gen_calibration(8, 16, 1e18, 7)
         cfg = GsConfig(scheme=QuantScheme(bits=3, mode="symmetric", group_size=4))
-        res = select_lambda_gs(w, batch, cfg)
+        res = select_lambda(w, batch, cfg)
         # rebuild the validation table independently, then check the argmin
         table = per_lambda_reference(w, batch, cfg).val_losses
         assert res.val_losses == table
@@ -262,7 +277,7 @@ class TestOnePassSelection:
     SCHEMES = (SYM4, QuantScheme(bits=3, mode="asymmetric", group_size=2))
 
     def assert_same_result(self, w, batch, cfg):
-        got = select_lambda_gs(w, batch, cfg)
+        got = select_lambda(w, batch, cfg)
         want = per_lambda_reference(w, batch, cfg)
         for f in fields(GsResult):
             assert_bit_equal(getattr(got, f.name), getattr(want, f.name))
@@ -305,7 +320,7 @@ class TestOnePassSelection:
         grid = run_gs(w, batch.train, cfg)
         winners = [cfg.alpha_grid[select_joint(grid.recon, grid.sar, lam)[0]] for lam in cfg.lambda_grid]
         monkeypatch.setattr(gs, "candidate", counting_candidate)
-        select_lambda_gs(w, batch, cfg)
+        select_lambda(w, batch, cfg)
         assert calls == list(cfg.alpha_grid) + list(dict.fromkeys(winners))
 
     def test_equals_per_lambda_reference_at_production_shape(self):
@@ -330,7 +345,7 @@ class TestPeakMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            res = select_lambda_gs(w, batch, GsConfig(scheme=scheme))
+            res = select_lambda(w, batch, GsConfig(scheme=scheme))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

@@ -6,15 +6,19 @@ import pytest
 from sarqc.gbs import GAMMA_GRID_DEFAULT, build_curvature, profile_for
 from sarqc.harness import (
     METHODS,
+    SWEEP_METHODS,
     SynthLayerSpec,
     activation_factor,
     calib_size_study,
     evaluate,
     gen_calibration,
     gen_layer,
+    layer_losses,
     outlier_channel_indices,
+    solutions,
     solve,
     sweep_lambda,
+    sweep_layer,
 )
 from sarqc.linalg import gram
 from sarqc.objective import recon_loss
@@ -129,6 +133,87 @@ class TestSweepLambda:
     def test_gs_method_records_no_gamma(self):
         recs = sweep_lambda(self.SPEC, self.SCHEME, "gs", [0.2], seeds=[0], n_calib=16, n_heldout=32)
         assert recs[0].gamma is None
+
+
+def layer_bytes(sol):
+    ql = sol.layer
+    return tuple(a.tobytes() for a in (ql.codes, ql.scales, ql.zero_points, ql.dequantized))
+
+
+class TestSweepLayer:
+    """A sweep's rows are those of one fixed-λ `solve` per λ, scored by
+    `layer_losses`, byte for byte."""
+
+    SCHEME = QuantScheme(bits=4, mode="asymmetric", group_size=4)
+
+    @pytest.fixture
+    def layer(self):
+        # at seed 1, λ = 0.5 and λ = 0 pick the same α and λ = 1 another
+        spec = SynthLayerSpec(d_out=8, d_in=12, outlier_channels=2, outlier_scale=5.0, seed=1)
+        heldout = gen_calibration(12, 48, 1e18, seed=1, stream="heldout")
+        return gen_layer(spec), gen_calibration(12, 32, 1e18, seed=1), heldout.x
+
+    def per_row_reference(self, method, w, batch, x_heldout, grid, gamma):
+        rows, sols = [], []
+        for lam in grid:
+            sol = solve(SWEEP_METHODS[method], w, batch, self.SCHEME, lam=lam, gamma=gamma)
+            losses, risk = layer_losses(w, sol, batch.train, x_heldout)
+            rows.append(tuple(map(repr, (lam, sol.gamma, losses.recon, losses.sar, losses.drift, risk))))
+            sols.append(sol)
+        return rows, sols
+
+    @pytest.mark.parametrize("method, gamma", [("gs", None), ("gbs", 0.35)])
+    def test_rows_equal_one_solve_per_lambda(self, layer, method, gamma):
+        w, batch, x_heldout = layer
+        grid = (0.5, 0.0, 1.0)
+        want_rows, want_sols = self.per_row_reference(method, w, batch, x_heldout, grid, gamma)
+        if method == "gs":
+            assert [s.alpha for s in want_sols] == [1.0, 1.0, 0.9]  # two λ share a winner
+        recs = sweep_layer(w, batch, x_heldout, self.SCHEME, method, grid, gamma=gamma, seed=3)
+        got = [tuple(map(repr, (r.lam, r.gamma, r.recon, r.sar, r.drift, r.heldout_risk))) for r in recs]
+        assert got == want_rows
+        assert {(r.method, r.seed) for r in recs} == {(method, 3)}
+        sols = list(solutions(SWEEP_METHODS[method], w, batch, self.SCHEME, grid, gamma=gamma))
+        assert [layer_bytes(s) for s in sols] == [layer_bytes(s) for s in want_sols]
+        assert [(s.lam, s.gamma, s.alpha, s.factor) for s in sols] == [
+            (s.lam, s.gamma, s.alpha, s.factor) for s in want_sols
+        ]
+
+    @pytest.mark.parametrize("method", ["awq", "sarqc-gs", "gptq", "sarqc-gbs"])
+    def test_selected_and_fixed_entries_equal_solve(self, layer, method):
+        # None selects λ; the GS entries share one scored α grid
+        w, batch, _ = layer
+        lams = (None, 0.3, None)
+        kw = dict(lambda_grid=(0.25, 0.5), gamma_grid=(0.5,))
+        got = list(solutions(method, w, batch, self.SCHEME, lams, **kw))
+        want = [solve(method, w, batch, self.SCHEME, lam=lam, **kw) for lam in lams]
+        assert [layer_bytes(s) for s in got] == [layer_bytes(s) for s in want]
+        assert [(s.lam, s.gamma, s.alpha, s.factor) for s in got] == [(s.lam, s.gamma, s.alpha, s.factor) for s in want]
+
+    def test_gs_sweep_scores_the_alpha_grid_once_per_layer(self, monkeypatch):
+        # a k-point sweep builds the 21 α candidates once per layer and one
+        # winner per row: 21 + k, where one solve per row built 22·k
+        import sarqc.gs
+        import sarqc.harness
+
+        run_gs_calls, candidate_calls = [], []
+
+        def counting(fn, calls):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(sarqc.harness, "run_gs", counting(sarqc.gs.run_gs, run_gs_calls))
+        monkeypatch.setattr(sarqc.gs, "candidate", counting(sarqc.gs.candidate, candidate_calls))
+        spec = SynthLayerSpec(d_out=8, d_in=12, outlier_channels=2, outlier_scale=5.0)
+        grid = (0.5, 0.0, 1.0, 0.25)
+        seeds = (0, 1)
+        recs = sweep_lambda(spec, self.SCHEME, "gs", grid, seeds=seeds, n_calib=16, n_heldout=32)
+        assert len(recs) == len(seeds) * len(grid)
+        assert len(run_gs_calls) == len(seeds)
+        assert len(candidate_calls) == len(seeds) * (len(sarqc.gs.ALPHA_GRID_DEFAULT) + len(grid))
 
 
 class TestCalibSizeStudy:
