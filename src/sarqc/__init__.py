@@ -35,7 +35,6 @@ from .linalg import (
     chol_upper_of_inverse,
     frobenius_sq,
     gram,
-    solve_spd,
 )
 from .objective import (
     LossBreakdown,

@@ -61,14 +61,19 @@ def _parse_group_size(text: str):
         raise UsageError(f"bad --group-size {text!r}") from exc
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
+def _finite_float(text: str) -> float:
+    # ArgumentTypeError, so argparse names the flag and exits 2
     try:
-        values = tuple(float(v) for v in text.split(","))
+        value = float(text)
     except ValueError as exc:
-        raise UsageError(f"bad grid {text!r}") from exc
-    if not values:
-        raise UsageError("grid must be nonempty")
-    return values
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _parse_grid(text: str) -> tuple[float, ...]:
+    return tuple(_finite_float(v) for v in text.split(","))
 
 
 def _scheme_from(args, defaults: dict) -> QuantScheme:
@@ -406,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--manifest", required=True)
     q.add_argument("--method", choices=METHODS, default=None)
     add_scheme_flags(q)
-    q.add_argument("--lambda", dest="lam", type=float, default=None)
+    q.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
     q.add_argument("--lambda-grid", type=_parse_grid, default=None)
-    q.add_argument("--gamma", type=float, default=None)
+    q.add_argument("--gamma", type=_finite_float, default=None)
     q.add_argument("--gamma-grid", type=_parse_grid, default=None)
     q.add_argument("--block", type=int, default=128)
     q.add_argument("--saliency", choices=("saliency", "identity"), default="saliency")
@@ -430,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", default="sarqc-gbs")
     add_scheme_flags(s)
     s.add_argument("--lambda-grid", type=_parse_grid, default=None)
-    s.add_argument("--gamma", type=float, default=None)
+    s.add_argument("--gamma", type=_finite_float, default=None)
     s.add_argument("--block", type=int, default=128)
     s.add_argument("--val-fraction", type=float, default=0.25)
     s.add_argument("--seeds", type=int, default=20)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .calibration import CalibrationBatch
 from .linalg import TriangularFactor, as_matrix, chol_upper_of_inverse
-from .objective import recon_loss
+from .objective import check_lambda_grid, recon_loss
 from .quantizer import QuantizedLayer, QuantScheme, group_params
 from .saliency import ChannelStats, SaliencyProfile, identity_profile, saliency_vector_gbs, scale_normalize_gbs
 
@@ -57,12 +57,8 @@ class GbsConfig:
     saliency_kind: str = "gbs"  # "identity" | "gbs"
 
     def __post_init__(self):
-        lgrid = tuple(float(v) for v in self.lambda_grid)
+        lgrid = check_lambda_grid(self.lambda_grid)
         ggrid = tuple(float(v) for v in self.gamma_grid)
-        if not lgrid or any(v < 0.0 for v in lgrid):
-            raise ValueError("lambda_grid must be nonempty with non-negative entries")
-        if any(b <= a for a, b in zip(lgrid, lgrid[1:])):
-            raise ValueError("lambda_grid must be strictly increasing")
         if not ggrid or any(not 0.0 <= v <= 1.0 for v in ggrid):
             raise ValueError("gamma_grid entries must lie in [0, 1]")
         if any(b <= a for a, b in zip(ggrid, ggrid[1:])):
@@ -94,8 +90,8 @@ def build_curvature(
     """
     if profile.values.shape[0] != g0.shape[0]:
         raise ValueError("profile length does not match input channels")
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
     if lam == 0.0:
         return chol_upper_of_inverse(g0, context=context, overwrite_g=overwrite_g)
     if profile.kind == "identity":

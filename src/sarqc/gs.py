@@ -25,7 +25,7 @@ import numpy as np
 
 from .calibration import CalibrationBatch
 from .linalg import as_matrix
-from .objective import joint_score, minmax_normalize, recon_loss, sar_loss
+from .objective import check_lambda_grid, joint_score, minmax_normalize, recon_loss, sar_loss
 from .quantizer import QuantizedLayer, QuantScheme, quantize_matrix
 from .saliency import (
     ChannelStats,
@@ -53,11 +53,7 @@ class GsConfig:
             raise ValueError("alpha_grid needs >= 2 strictly increasing entries")
         if any(not 0.0 <= a <= 1.0 for a in grid):
             raise ValueError("alpha_grid entries must lie in [0, 1]")
-        lgrid = tuple(float(v) for v in self.lambda_grid)
-        if not lgrid or any(v < 0.0 for v in lgrid):
-            raise ValueError("lambda_grid must be nonempty with non-negative entries")
-        if any(b <= a for a, b in zip(lgrid, lgrid[1:])):
-            raise ValueError("lambda_grid must be strictly increasing")
+        lgrid = check_lambda_grid(self.lambda_grid)
         if self.saliency_kind not in ("identity", "gs"):
             raise ValueError(f"unknown saliency kind {self.saliency_kind!r}")
         object.__setattr__(self, "alpha_grid", grid)

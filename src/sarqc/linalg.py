@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels shared by the solvers.
 
-Gram products, squared Frobenius norms, upper-triangular factors of inverse
-SPD matrices, and SPD solves. Everything runs in float64. Factorizations
-that fail get escalating diagonal jitter before giving up.
+Gram products, squared Frobenius norms and the upper-triangular factor of
+an inverse SPD matrix. Everything runs in float64. A factorization that
+fails gets escalating diagonal jitter before giving up.
 
 The upper factor M of G⁻¹ comes from one Cholesky factorization and one
 triangular inverse: with P the matrix that reverses the index order and
@@ -197,87 +197,6 @@ def _mirror_strict_lower(a: np.ndarray) -> None:
             a[rows, cols] = a[cols, rows].T
 
 
-def _factor_with_jitter(
-    g: np.ndarray,
-    what: str,
-    context: str,
-    finish,
-    *,
-    shift=None,
-    reverse: bool = False,
-    overwrite: bool = False,
-):
-    """Return finish(c, eps, retries) for the lower Cholesky factor c of
-    A + eps·I, retrying with escalating eps; A is G + diag(shift), or
-    P·(G + diag(shift))·P with the index order reversed when `reverse` is set.
-
-    G must be exactly symmetric, so A is too and its C-ordered buffer reads
-    as A in Fortran order. c is one Fortran-ordered d×d array that LAPACK
-    factors in place and `finish` may overwrite: a copy of G made once, or
-    with `overwrite` G's own buffer (G must be C-contiguous), reversed in
-    place when `reverse` is set; after NumericalFailure G then holds
-    garbage. potrf writes only the lower triangle of c, so a retry refills
-    c from its strict upper triangle and a copy of the diagonal taken
-    before G was touched; `finish` must raise before it writes to that
-    triangle.
-    A damped or jittered fill adds 0.0 off the diagonal and
-    (g_ii + shift_i) + eps on it, the arithmetic of G + diag(shift) + eps·I.
-    eps starts at 0, then 1e-6 · mean diag of G + diag(shift), doubling up
-    to MAX_JITTER_RETRIES times; `retries` counts the failed attempts, and
-    `finish` raises LinAlgError to ask for more jitter. The mean is taken
-    only after a failed attempt, over the diagonal in index order.
-
-    scipy's LAPACK wrappers are imported here and in the `finish` closures,
-    not at module load: importing scipy.linalg costs a few hundred ms and
-    about 20 MiB, which processes that never factor do not pay.
-    """
-    from scipy.linalg import lapack
-
-    d = g.shape[0]
-    diag = np.diag(g).copy()  # G + diag(shift) in index order, taken before G is overwritten
-    if shift is not None:
-        diag += shift
-        if not np.isfinite(diag).all():
-            raise ValueError("G contains non-finite entries")
-    fill = diag[::-1] if reverse else diag
-    if overwrite:
-        work_c = g
-        if reverse:
-            _reverse_in_place(work_c)
-    else:
-        work_c = np.empty((d, d))
-        np.copyto(work_c, g[::-1, ::-1] if reverse else g)
-    work = work_c.T  # Fortran-ordered, and equal to work_c while it holds the symmetric A
-    work_diag = work_c.reshape(-1)[:: d + 1]  # a view
-    eps = 0.0
-    for retries in range(MAX_JITTER_RETRIES + 1):
-        try:
-            if retries:
-                _mirror_strict_lower(work_c)
-            if shift is not None or eps != 0.0:
-                np.add(work, 0.0, out=work)
-                work_diag[:] = fill + eps if eps != 0.0 else fill
-                if not np.isfinite(work_diag).all():
-                    raise ValueError("jittered diagonal is not finite")
-            _, info = lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
-            if info > 0:
-                raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
-            if info < 0:
-                raise ValueError(f"illegal argument {-info} to potrf")
-            return finish(work, eps, retries)
-        except (np.linalg.LinAlgError, ValueError):
-            if eps != 0.0:
-                eps *= 2.0
-            else:
-                eps = 1e-6 * float(np.mean(diag))
-                if not eps > 0.0:  # non-positive mean diagonal, or the product underflowed
-                    eps = 1e-6
-    raise NumericalFailure(
-        f"{what} failed for {context} (dim {d}) after "
-        f"{MAX_JITTER_RETRIES} jitter retries, final eps {eps:.3e}"
-    )
-
-
 def _anti_transpose(b: np.ndarray) -> None:
     """Overwrite the square array b with b[::-1, ::-1].T, its mirror image
     across the anti-diagonal, one tile pair at a time.
@@ -321,19 +240,32 @@ def chol_upper_of_inverse(
     g, *, shift=None, context: str = "matrix", overwrite_g: bool = False
 ) -> TriangularFactor:
     """Upper-triangular M with MᵀM = (G + diag(shift))⁻¹, as M = P·L⁻¹·P for
-    the lower Cholesky factor L of P·(G + diag(shift))·P, where P reverses
+    the lower Cholesky factor L of A = P·(G + diag(shift))·P, where P reverses
     the index order.
 
-    The damped matrix is never built: one d×d array is filled with it,
+    The damped matrix is never built: one d×d array is filled with A,
     factored, inverted and turned into M in place. With `overwrite_g` that
-    array is G's own buffer, so the call allocates only tiles and vectors
-    and the returned factor's data is G: the caller must not read G again,
-    and after NumericalFailure G holds garbage. Only an exactly symmetric,
-    C-contiguous, writeable float64 G is overwritten; any other G is copied
-    as without the flag. On factorization failure, adds eps·I with eps
-    starting at 1e-6 · mean diag and doubling, up to MAX_JITTER_RETRIES
-    times. The jitter actually used and the failed attempts are recorded
-    on the returned factor.
+    array is G's own buffer, reversed in place, so the call allocates only
+    tiles and vectors and the returned factor's data is G: the caller must
+    not read G again, and after NumericalFailure G holds garbage. Only an
+    exactly symmetric, C-contiguous, writeable float64 G is overwritten; any
+    other G is copied as without the flag.
+
+    A is symmetric, so the C-ordered array reads as A in Fortran order.
+    potrf and trtri write only the lower triangle of that Fortran view, the
+    upper triangle of the array, so a retry refills the array from its
+    strict lower triangle and a copy of the diagonal taken before G was
+    touched; nothing writes to that triangle until the inverse has passed
+    its checks. A damped or jittered fill adds 0.0 off the diagonal and
+    (g_ii + shift_i) + eps on it, the arithmetic of G + diag(shift) + eps·I.
+    eps starts at 0, then 1e-6 · mean diag of G + diag(shift), doubling up
+    to MAX_JITTER_RETRIES times. The mean is taken only after a failed
+    attempt, over the diagonal in index order. The jitter actually used and
+    the failed attempts are recorded on the returned factor.
+
+    scipy's LAPACK wrappers are imported here, not at module load: importing
+    scipy.linalg costs a few hundred ms and about 20 MiB, which processes
+    that never factor do not pay.
     """
     g = as_matrix(g, "G")
     if shift is not None:
@@ -341,55 +273,59 @@ def chol_upper_of_inverse(
         if shift.shape != g.shape[:1] or not np.isfinite(shift).all():
             raise ValueError(f"shift must be a finite vector of length {g.shape[0]}")
     sym = _check_square_symmetric(g, "G", shift)
-    overwrite = overwrite_g and sym is g and g.flags.c_contiguous and g.flags.writeable
+    from scipy.linalg import lapack
+
     d = g.shape[0]
-
-    def finish(c, eps, retries):
-        from scipy.linalg import lapack
-
-        _, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"triangular inverse failed (info {info})")
-        # c.T is C-ordered with c.T[j, k] = L⁻¹[k, j]; its anti-transpose is
-        # M[j, k] = L⁻¹[d-1-j, d-1-k]. potrf left the input in the strict
-        # lower triangle of c.T, which a retry refills from, so L⁻¹ is
-        # checked before the anti-transpose moves that triangle into the
-        # strict lower triangle of M. Its diagonal 1/L_jj needs no check:
-        # potrf's pivots L_jj are finite and positive
-        m = c.T
-        _check_finite_upper(m)
-        _anti_transpose(m)
-        _zero_strict_lower(m)
-        return TriangularFactor(dim=d, data=m, jitter=eps, retries=retries)
-
-    return _factor_with_jitter(
-        sym, "Cholesky of inverse", context, finish, shift=shift, reverse=True, overwrite=overwrite
+    diag = np.diag(sym).copy()  # G + diag(shift) in index order, taken before G is overwritten
+    if shift is not None:
+        diag += shift
+        if not np.isfinite(diag).all():
+            raise ValueError("G contains non-finite entries")
+    fill = diag[::-1]
+    if overwrite_g and sym is g and g.flags.c_contiguous and g.flags.writeable:
+        work_c = g
+        _reverse_in_place(work_c)
+    else:
+        work_c = np.empty((d, d))
+        np.copyto(work_c, sym[::-1, ::-1])
+    work = work_c.T  # Fortran-ordered, and equal to work_c while it holds the symmetric A
+    work_diag = work_c.reshape(-1)[:: d + 1]  # a view
+    eps = 0.0
+    for retries in range(MAX_JITTER_RETRIES + 1):
+        try:
+            if retries:
+                _mirror_strict_lower(work_c)
+            if shift is not None or eps != 0.0:
+                np.add(work, 0.0, out=work)
+                work_diag[:] = fill + eps if eps != 0.0 else fill
+                if not np.isfinite(work_diag).all():
+                    raise ValueError("jittered diagonal is not finite")
+            _, info = lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+            if info < 0:
+                raise ValueError(f"illegal argument {-info} to potrf")
+            _, info = lapack.dtrtri(work, lower=1, overwrite_c=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"triangular inverse failed (info {info})")
+            # work_c is C-ordered with work_c[j, k] = L⁻¹[k, j]; its
+            # anti-transpose is M[j, k] = L⁻¹[d-1-j, d-1-k]. The strict lower
+            # triangle of work_c still holds A for a retry, so L⁻¹ is checked
+            # before the anti-transpose moves that triangle into the strict
+            # lower triangle of M. Its diagonal 1/L_jj needs no check:
+            # potrf's pivots L_jj are finite and positive
+            _check_finite_upper(work_c)
+            _anti_transpose(work_c)
+            _zero_strict_lower(work_c)
+            return TriangularFactor(dim=d, data=work_c, jitter=eps, retries=retries)
+        except (np.linalg.LinAlgError, ValueError):
+            if eps != 0.0:
+                eps *= 2.0
+            else:
+                eps = 1e-6 * float(np.mean(diag))
+                if not eps > 0.0:  # non-positive mean diagonal, or the product underflowed
+                    eps = 1e-6
+    raise NumericalFailure(
+        f"Cholesky of inverse failed for {context} (dim {d}) after "
+        f"{MAX_JITTER_RETRIES} jitter retries, final eps {eps:.3e}"
     )
-
-
-def solve_spd(g, b, *, context: str = "system") -> np.ndarray:
-    """Solve G y = b for symmetric positive definite G (after jitter policy)."""
-    g = _check_square_symmetric(as_matrix(g, "G"), "G")
-    rhs = np.asarray(b, dtype=np.float64)
-    if rhs.shape[0] != g.shape[0]:
-        raise ValueError("right-hand side length does not match G")
-
-    def finish(c, eps, retries):
-        from scipy.linalg import lapack
-
-        # the LAPACK routine cho_solve calls, without its per-call wrapping
-        y, info = lapack.dpotrs(c, rhs, lower=1)
-        if info != 0:
-            raise ValueError(f"illegal argument {-info} to potrs")
-        if not np.isfinite(y).all():
-            raise np.linalg.LinAlgError("non-finite solution")
-        return y
-
-    return _factor_with_jitter(g, "SPD solve", context, finish)
-
-
-def spd_inverse(g, *, context: str = "matrix") -> np.ndarray:
-    """G⁻¹ via the Cholesky factor, symmetrized on output."""
-    f = chol_upper_of_inverse(g, context=context)
-    ginv = f.data.T @ f.data
-    return (ginv + ginv.T) / 2.0

@@ -71,3 +71,14 @@ def joint_score(recon_n, sar_n, lam: float) -> np.ndarray:
     if lam < 0.0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
     return a + lam * b
+
+
+def check_lambda_grid(values) -> tuple[float, ...]:
+    """The λ grid as a tuple of floats, which must be nonempty, finite,
+    non-negative and strictly increasing."""
+    grid = tuple(float(v) for v in values)
+    if not grid or not (np.isfinite(grid).all() and min(grid) >= 0.0):
+        raise ValueError("lambda_grid must be nonempty with finite non-negative entries")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("lambda_grid must be strictly increasing")
+    return grid

@@ -1,10 +1,11 @@
 """Independent brute-force verifiers for the solver machinery.
 
 Everything here takes the dumb-but-obviously-correct route: reduced linear
-systems instead of factor tricks, exhaustive enumeration over product grids,
-a plain unblocked sequential reference pass, and Monte Carlo coverage of the
-finite-class concentration bound. The production solvers are checked against
-these paths, never the other way around.
+systems solved by scipy's own Cholesky solve, with no jitter, instead of
+factor tricks; exhaustive enumeration over product grids; a plain unblocked
+sequential reference pass; and Monte Carlo coverage of the finite-class
+concentration bound. The production solvers are checked against these
+paths, never the other way around.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, chol_upper_of_inverse, gram, solve_spd, spd_inverse
+from .linalg import as_matrix, chol_upper_of_inverse, gram
 from .quantizer import (
     QuantizedLayer,
     QuantScheme,
@@ -39,7 +40,9 @@ def oracle_row_update(w_row, g, j: int, qhat_j: float):
     """Exact constrained minimizer of ½ΔᵀGΔ subject to Δ_j = -(w_j - qhat_j).
 
     Independent path: eliminate coordinate j and solve the reduced SPD
-    system for the remaining coordinates. Returns (delta, objective).
+    system for the remaining coordinates with scipy's Cholesky solve, with
+    no jitter: a reduced block that is not positive definite raises
+    LinAlgError. Returns (delta, objective).
     """
     w = np.asarray(w_row, dtype=np.float64)
     g = as_matrix(g, "G")
@@ -53,8 +56,11 @@ def oracle_row_update(w_row, g, j: int, qhat_j: float):
     delta[j] = -e
     rest = [k for k in range(d) if k != j]
     if rest:
+        # imported here, not at module load: the CLI imports this module
+        from scipy.linalg import cho_factor, cho_solve
+
         sub = g[np.ix_(rest, rest)]
-        delta[rest] = e * solve_spd(sub, g[rest, j], context="reduced system")
+        delta[rest] = e * cho_solve(cho_factor(sub, lower=True), g[rest, j])
     obj = 0.5 * float(delta @ g @ delta)
     return delta, obj
 
@@ -70,7 +76,9 @@ def closed_form_row_update(w_row, g, j: int, qhat_j: float, *, flip_sign: bool =
     if not 0 <= j < d:
         raise ValueError(f"coordinate {j} out of range")
     e = float(w[j] - qhat_j)
-    ginv = spd_inverse(g, context="closed form")
+    m = chol_upper_of_inverse(g, context="closed form").data
+    ginv = m.T @ m
+    ginv = (ginv + ginv.T) / 2.0
     sign = -1.0 if flip_sign else 1.0
     delta = -sign * (e / ginv[j, j]) * ginv[:, j]
     obj = e * e / (2.0 * ginv[j, j])

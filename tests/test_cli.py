@@ -500,6 +500,21 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "--jobs" in r.stderr and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--lambda", "--lambda-grid", "--gamma", "--gamma-grid"])
+    @pytest.mark.parametrize("method", ["rtn", "awq", "gptq", "sarqc-gs", "sarqc-gbs"])
+    def test_non_finite_hyperparameter_exits_2(self, tmp_path, capsys, method, flag, value):
+        from sarqc import cli
+
+        lossless_manifest(tmp_path)
+        arg = f"0.25,{value}" if flag.endswith("-grid") else value
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", method,
+                      f"{flag}={arg}", "--out", str(tmp_path / "q")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "q" / "report.json").exists()
+
     def test_numerical_failure_maps_to_4(self, tmp_path, monkeypatch):
         from sarqc import cli
         from sarqc.linalg import NumericalFailure

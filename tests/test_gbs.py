@@ -20,7 +20,7 @@ from sarqc.gbs import (
     select_hparams_gbs,
 )
 from sarqc.harness import solve
-from sarqc.linalg import TriangularFactor, chol_upper_of_inverse, gram, spd_inverse
+from sarqc.linalg import TriangularFactor, chol_upper_of_inverse, gram
 from sarqc.objective import recon_loss
 from sarqc.oracles import greedy_sequential_reference, oracle_row_update
 from sarqc.quantizer import QuantScheme, dequantize_with_params, group_params, quantize_with_params, rtn
@@ -316,6 +316,17 @@ class TestGptqEquivalence:
             ref = greedy_sequential_reference(w, gram(x), scheme)
             assert_same_bytes(solver, ref)
 
+    @pytest.mark.parametrize("group", [128, "per_channel"])
+    def test_bit_identical_to_reference_at_production_shape(self, group):
+        # the README's λ = 0 contract beyond the d_in ≤ 64 of gptq-equiv: one
+        # block spans all 1024 channels, so nothing is folded across blocks
+        rng = np.random.default_rng(18)
+        w = rng.standard_normal((128, 1024))
+        g0 = gram(rng.standard_normal((1024, 2048)))
+        scheme = QuantScheme(bits=4, mode="asymmetric", group_size=group)
+        solver = run_gbs(w, build_curvature(g0, identity_profile(1024), 0.0), scheme, block_size=1024)
+        assert_same_bytes(solver, greedy_sequential_reference(w, g0, scheme))
+
     def test_negative_zero_bit_identical_to_reference(self):
         rng = np.random.default_rng(12)
         w = -np.abs(rng.standard_normal((16, 64))) * 1e-3
@@ -369,7 +380,7 @@ class TestCompensationOptimality:
                 raw = u[r, j] - qcol[r]
                 step_obj = raw * raw / (2.0 * m[j, j] ** 2)
                 assert abs(step_obj - obj) <= 1e-9 * (1.0 + abs(obj))
-                jj = spd_inverse(g_tail)[0, 0]
+                jj = np.linalg.inv(g_tail)[0, 0]
                 closed = raw * raw / (2.0 * jj)
                 assert abs(step_obj - closed) <= 1e-9 * (1.0 + abs(closed))
             u[:, j:] -= np.outer(e, m[j, j:])

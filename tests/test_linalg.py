@@ -21,8 +21,6 @@ from sarqc.linalg import (
     chol_upper_of_inverse,
     frobenius_sq,
     gram,
-    solve_spd,
-    spd_inverse,
 )
 
 
@@ -158,11 +156,8 @@ class TestCholUpperOfInverse:
 
     @pytest.mark.parametrize(
         "factor",
-        [
-            lambda g, context: chol_upper_of_inverse(g, context=context),
-            lambda g, context: solve_spd(g, np.ones(3), context=context),
-        ],
-        ids=["chol_upper_of_inverse", "solve_spd"],
+        [lambda g, context: chol_upper_of_inverse(g, context=context)],
+        ids=["chol_upper_of_inverse"],
     )
     def test_indefinite_fails_after_retries(self, factor):
         with pytest.raises(NumericalFailure) as exc:
@@ -502,34 +497,3 @@ class TestFrobeniusSq:
             frobenius_sq([[1e154, 1e154], [1e154, 1e154]])
         with pytest.raises(NumericalFailure):
             frobenius_sq([[1e160]])
-
-
-class TestSolveSpd:
-    def test_identity(self):
-        assert np.array_equal(solve_spd(np.eye(2), [1.0, 2.0]), [1.0, 2.0])
-
-    def test_scaled(self):
-        assert np.allclose(solve_spd(2.0 * np.eye(2), [4.0, 6.0]), [2.0, 3.0])
-
-    def test_two_by_two(self):
-        y = solve_spd(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
-        assert np.allclose(y, [1.0, 1.0], atol=1e-12)
-
-    def test_residual_bound_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            d = int(rng.integers(1, 33))
-            g = random_spd(rng, d)
-            b = rng.standard_normal(d)
-            y = solve_spd(g, b)
-            assert np.max(np.abs(g @ y - b)) <= 1e-9 * (1.0 + np.max(np.abs(b)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_spd(np.eye(2), [1.0, 2.0, 3.0])
-
-
-def test_spd_inverse_matches_solve():
-    rng = np.random.default_rng(4)
-    g = random_spd(rng, 5)
-    assert np.max(np.abs(spd_inverse(g) @ g - np.eye(5))) < 1e-9

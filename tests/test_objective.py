@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sarqc.gbs import GbsConfig
+from sarqc.gs import GsConfig
 from sarqc.linalg import gram
-from sarqc.objective import joint_score, minmax_normalize, recon_loss, sar_loss, weight_drift
+from sarqc.objective import check_lambda_grid, joint_score, minmax_normalize, recon_loss, sar_loss, weight_drift
+from sarqc.quantizer import QuantScheme
 from sarqc.saliency import SaliencyProfile, identity_profile
 
 
@@ -132,3 +135,18 @@ class TestJointScore:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             joint_score(np.zeros(2), np.zeros(3), 1.0)
+
+
+class TestCheckLambdaGrid:
+    def test_returns_floats(self):
+        assert check_lambda_grid([0, 0.5, 2]) == (0.0, 0.5, 2.0)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [(), (-0.1,), (float("nan"),), (float("inf"),), (0.1, float("nan")), (0.5, 0.5), (0.5, 0.25)],
+        ids=["empty", "negative", "nan", "inf", "trailing-nan", "repeated", "decreasing"],
+    )
+    @pytest.mark.parametrize("config", [GsConfig, GbsConfig])
+    def test_configs_reject_bad_grids(self, config, grid):
+        with pytest.raises(ValueError, match="lambda_grid"):
+            config(scheme=QuantScheme(bits=4, mode="symmetric", group_size="per_channel"), lambda_grid=grid)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sarqc.gbs import build_curvature, h_bar_of_gram, run_gbs
-from sarqc.linalg import chol_upper_of_inverse, gram, spd_inverse
+from sarqc.linalg import chol_upper_of_inverse, gram
 from sarqc.oracles import (
     FiniteCandidate,
     PreconditionError,
@@ -52,7 +52,7 @@ class TestOracleRowUpdate:
         delta, obj = oracle_row_update(w, g, 0, 0.0)  # e = 1
         assert np.allclose(delta, [-1.0, 0.5])
         assert obj == pytest.approx(0.75)
-        ginv = spd_inverse(g)
+        ginv = np.linalg.inv(g)
         assert obj == pytest.approx(1.0 / (2.0 * ginv[0, 0]))
         delta_c, obj_c = closed_form_row_update(w, g, 0, 0.0)
         assert np.allclose(delta, delta_c, atol=1e-12)
@@ -71,6 +71,26 @@ class TestOracleRowUpdate:
             delta_c, obj_c = closed_form_row_update(w, g, j, qhat)
             assert np.max(np.abs(delta_o - delta_c)) <= 1e-9
             assert abs(obj_o - obj_c) <= 1e-9 * (1.0 + abs(obj_c))
+
+    def test_reduced_system_residual_bound(self):
+        # the free coordinates solve G_rr Δ_r = e·G_rj, where Δ_j = -e
+        rng = np.random.default_rng(3)
+        for _ in range(1000):
+            d = int(rng.integers(2, 34))  # reduced systems of 1 to 32 unknowns
+            a = rng.standard_normal((d, d))
+            g = a @ a.T + (0.1 + rng.uniform()) * np.eye(d)
+            w = rng.standard_normal(d)
+            j = int(rng.integers(d))
+            delta, _ = oracle_row_update(w, g, j, w[j] + rng.uniform(-1.0, 1.0))
+            rest = [k for k in range(d) if k != j]
+            rhs = -delta[j] * g[rest, j]
+            residual = g[np.ix_(rest, rest)] @ delta[rest] - rhs
+            assert np.max(np.abs(residual)) <= 1e-9 * (1.0 + np.max(np.abs(rhs)))
+
+    def test_singular_reduced_block_raises(self):
+        # no jitter: the oracle must not answer for a different system
+        with pytest.raises(np.linalg.LinAlgError):
+            oracle_row_update(np.zeros(3), np.ones((3, 3)), 0, 1.0)
 
 
 class TestExhaustiveQuantMin:
