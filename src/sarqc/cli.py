@@ -53,12 +53,13 @@ class UsageError(ValueError):
 
 
 def _parse_group_size(text: str):
+    # ArgumentTypeError, so argparse names the flag, gives the reason and exits 2
     if text in (PER_CHANNEL, PER_TENSOR):
         return text
     try:
         return int(text)
     except ValueError as exc:
-        raise UsageError(f"bad --group-size {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not an integer, {PER_CHANNEL} or {PER_TENSOR}: {text!r}") from exc
 
 
 def _finite_float(text: str) -> float:
@@ -92,6 +93,15 @@ def _default_grids() -> dict:
         "lambda_gbs": list(LAMBDA_GRID_GBS_DEFAULT),
         "gamma": list(GAMMA_GRID_DEFAULT),
     }
+
+
+def _json_text(doc: dict) -> str:
+    """doc as standard JSON; a NaN or infinite value raises NumericalFailure
+    (exit 4) instead of being written as non-standard JSON."""
+    try:
+        return json.dumps(doc, indent=2, default=float, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalFailure(f"non-finite value in the output JSON: {exc}") from exc
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
@@ -233,7 +243,7 @@ def cmd_quantize(args) -> int:
         },
         "layers": report_layers,
     }
-    (out / "report.json").write_text(json.dumps(run_report, indent=2, default=float) + "\n")
+    (out / "report.json").write_text(_json_text(run_report))
     return 0
 
 
@@ -387,10 +397,11 @@ def cmd_verify(args) -> int:
         }
     all_passed = all(s["passed"] for s in suites.values())
     doc = {"schema": 1, "seed": args.seed, "versions": _versions(), "suites": suites}
+    text = _json_text(doc)
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2, default=float) + "\n")
+        Path(args.out).write_text(text)
     else:
-        print(json.dumps(doc, indent=2, default=float))
+        print(text, end="")
     return 0 if all_passed else 1
 
 

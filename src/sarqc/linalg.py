@@ -13,12 +13,20 @@ Only `chol_upper_of_inverse(..., overwrite_g=True)` writes to its input:
 it builds M in G's own buffer, so a caller that passes it must not read G
 again, whether the call returns or raises. Nothing else here modifies an
 argument.
+
+The LAPACK routines come from scipy's `_flapack` extension, which `_lapack`
+loads from its file at the first factor without importing `scipy.linalg`.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +36,41 @@ SYMMETRY_TILE = 128  # edge of the tiles the symmetry and triangle checks scan
 # strict lower triangle of one diagonal tile; a short tile reads its leading block
 _STRICT_LOWER = np.tri(SYMMETRY_TILE, k=-1, dtype=bool)
 _STRICT_UPPER = _STRICT_LOWER.T
+
+
+_FLAPACK = "scipy.linalg._flapack"
+_FLAPACK_LOCK = threading.Lock()  # --jobs workers reach the first factor together
+
+
+def _lapack():
+    """scipy's `_flapack` extension module, which holds dpotrf, dtrtri and
+    dpotrs.
+
+    Importing scipy.linalg costs a few hundred ms and about 20 MiB, most of
+    it in scipy._lib._array_api, numpy.testing and numpy.f2py, none of which
+    a factor uses. So unless scipy.linalg has already loaded the extension,
+    it is loaded from scipy's directory, which find_spec locates without
+    importing scipy, and registered under its own name: a later
+    `import scipy.linalg` then re-exports this same module. This relies on
+    scipy's layout, scipy/linalg/_flapack<extension suffix>; where that
+    file is missing, ImportError names the path.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    with _FLAPACK_LOCK:
+        module = sys.modules.get(_FLAPACK)
+        if module is None:
+            scipy_spec = importlib.util.find_spec("scipy")
+            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+            path = Path(scipy_spec.submodule_search_locations[0], "linalg", "_flapack" + suffix)
+            if not path.is_file():
+                raise ImportError(f"scipy's LAPACK extension is not at {path}")
+            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+    return module
 
 
 class NumericalFailure(RuntimeError):
@@ -263,9 +306,8 @@ def chol_upper_of_inverse(
     attempt, over the diagonal in index order. The jitter actually used and
     the failed attempts are recorded on the returned factor.
 
-    scipy's LAPACK wrappers are imported here, not at module load: importing
-    scipy.linalg costs a few hundred ms and about 20 MiB, which processes
-    that never factor do not pay.
+    scipy's LAPACK extension is loaded here, not at module load, so
+    processes that never factor do not pay for it; see `_lapack`.
     """
     g = as_matrix(g, "G")
     if shift is not None:
@@ -273,7 +315,7 @@ def chol_upper_of_inverse(
         if shift.shape != g.shape[:1] or not np.isfinite(shift).all():
             raise ValueError(f"shift must be a finite vector of length {g.shape[0]}")
     sym = _check_square_symmetric(g, "G", shift)
-    from scipy.linalg import lapack
+    lapack = _lapack()
 
     d = g.shape[0]
     diag = np.diag(sym).copy()  # G + diag(shift) in index order, taken before G is overwritten

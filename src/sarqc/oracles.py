@@ -1,10 +1,10 @@
 """Independent brute-force verifiers for the solver machinery.
 
 Everything here takes the dumb-but-obviously-correct route: reduced linear
-systems solved by scipy's own Cholesky solve, with no jitter, instead of
-factor tricks; exhaustive enumeration over product grids; a plain unblocked
-sequential reference pass; and Monte Carlo coverage of the finite-class
-concentration bound. The production solvers are checked against these
+systems solved by LAPACK's own Cholesky solve (dpotrf, then dpotrs), with
+no jitter, instead of factor tricks; exhaustive enumeration over product
+grids; a plain unblocked sequential reference pass; and Monte Carlo
+coverage of the finite-class concentration bound. The production solvers are checked against these
 paths, never the other way around.
 """
 
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, chol_upper_of_inverse, gram
+from .linalg import _lapack, as_matrix, chol_upper_of_inverse, gram
 from .quantizer import (
     QuantizedLayer,
     QuantScheme,
@@ -40,9 +40,10 @@ def oracle_row_update(w_row, g, j: int, qhat_j: float):
     """Exact constrained minimizer of ½ΔᵀGΔ subject to Δ_j = -(w_j - qhat_j).
 
     Independent path: eliminate coordinate j and solve the reduced SPD
-    system for the remaining coordinates with scipy's Cholesky solve, with
-    no jitter: a reduced block that is not positive definite raises
-    LinAlgError. Returns (delta, objective).
+    system for the remaining coordinates with LAPACK's Cholesky solve, the
+    dpotrf and dpotrs calls of scipy's cho_factor(lower=True) and
+    cho_solve, with no jitter: a reduced block that is not positive
+    definite raises LinAlgError. Returns (delta, objective).
     """
     w = np.asarray(w_row, dtype=np.float64)
     g = as_matrix(g, "G")
@@ -56,11 +57,16 @@ def oracle_row_update(w_row, g, j: int, qhat_j: float):
     delta[j] = -e
     rest = [k for k in range(d) if k != j]
     if rest:
-        # imported here, not at module load: the CLI imports this module
-        from scipy.linalg import cho_factor, cho_solve
-
-        sub = g[np.ix_(rest, rest)]
-        delta[rest] = e * cho_solve(cho_factor(sub, lower=True), g[rest, j])
+        lapack = _lapack()
+        c, info = lapack.dpotrf(g[np.ix_(rest, rest)], lower=1, clean=0)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"{info}-th leading minor of the reduced block is not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal argument {-info} to potrf")
+        x, info = lapack.dpotrs(c, g[rest, j], lower=1)
+        if info != 0:
+            raise ValueError(f"illegal argument {-info} to potrs")
+        delta[rest] = e * x
     obj = 0.5 * float(delta @ g @ delta)
     return delta, obj
 

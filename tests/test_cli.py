@@ -326,22 +326,27 @@ class TestPeakMemory:
         assert peaks[1] - peaks[0] < one_layer
 
 
-# runs sarqc's main in a fresh interpreter and reports whether it loaded
-# scipy.linalg; the test process itself has long since imported it
+# modules whose loading tells how a command reached LAPACK: a factor loads
+# only scipy's _flapack extension, never the scipy.linalg package, whose
+# import also pulls in scipy._lib._array_api
+_WATCHED = ("scipy.linalg", "scipy.linalg._flapack", "scipy._lib._array_api")
+
+# runs sarqc's main in a fresh interpreter and reports which watched modules
+# it loaded; the test process itself has long since imported them
 _MAIN_THEN_MODULES = (
     "import json, sys\n"
     "from sarqc.cli import main\n"
     "rc = main(sys.argv[1:])\n"
-    "print(json.dumps({'rc': rc, 'scipy.linalg': 'scipy.linalg' in sys.modules}))\n"
+    f"print(json.dumps({{'rc': rc, 'loaded': [m for m in {_WATCHED!r} if m in sys.modules]}}))\n"
 )
 
 
-def loads_scipy_linalg(*args) -> bool:
+def loaded_scipy_modules(*args) -> set:
     r = subprocess.run([sys.executable, "-c", _MAIN_THEN_MODULES, *map(str, args)], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     result = json.loads(r.stdout.splitlines()[-1])
     assert result["rc"] == 0
-    return result["scipy.linalg"]
+    return set(result["loaded"])
 
 
 class TestImportHygiene:
@@ -356,21 +361,30 @@ class TestImportHygiene:
     @pytest.mark.parametrize("method", ["rtn", "awq", "sarqc-gs"])
     def test_methods_that_never_factor_leave_lapack_unloaded(self, tmp_path, method):
         m = random_manifest(tmp_path, 2)
-        assert not loads_scipy_linalg("quantize", "--manifest", m, "--method", method, "--out", tmp_path / "q")
+        assert loaded_scipy_modules("quantize", "--manifest", m, "--method", method, "--out", tmp_path / "q") == set()
 
     def test_gen_leaves_lapack_unloaded(self, tmp_path):
-        assert not loads_scipy_linalg("gen", "--spec", gen_spec(tmp_path), "--out", tmp_path / "g", "--seed", 1)
+        assert loaded_scipy_modules("gen", "--spec", gen_spec(tmp_path), "--out", tmp_path / "g", "--seed", 1) == set()
 
     @pytest.mark.parametrize("suite", ["supportedness", "hoeffding"])
     def test_suites_that_never_factor_leave_lapack_unloaded(self, tmp_path, suite):
-        assert not loads_scipy_linalg("verify", "--suite", suite, "--trials", 20, "--out", tmp_path / "v.json")
+        loaded = loaded_scipy_modules("verify", "--suite", suite, "--trials", 20, "--out", tmp_path / "v.json")
+        assert loaded == set()
 
-    def test_gptq_loads_lapack(self, tmp_path):
+    @pytest.mark.parametrize("method", ["gptq", "sarqc-gbs"])
+    def test_methods_that_factor_load_only_the_lapack_extension(self, tmp_path, method):
         m = random_manifest(tmp_path, 1)
-        assert loads_scipy_linalg("quantize", "--manifest", m, "--method", "gptq", "--out", tmp_path / "q")
+        loaded = loaded_scipy_modules("quantize", "--manifest", m, "--method", method, "--out", tmp_path / "q")
+        assert loaded == {"scipy.linalg._flapack"}
+
+    @pytest.mark.parametrize("suite", ["gptq-equiv", "compensation"])
+    def test_suites_that_factor_load_only_the_lapack_extension(self, tmp_path, suite):
+        loaded = loaded_scipy_modules("verify", "--suite", suite, "--trials", 5, "--out", tmp_path / "v.json")
+        assert loaded == {"scipy.linalg._flapack"}
 
     def test_first_factor_on_two_workers_matches_one(self, tmp_path):
-        # with --jobs 2 both workers reach the first scipy.linalg import at once
+        # with --jobs 2 both workers reach the first factor, and so the
+        # locked load of scipy's _flapack extension, at once
         m = random_manifest(tmp_path, 4, d_out=16, d_in=64, n=48)
         for jobs in ("1", "2"):
             r = run_cli("quantize", "--manifest", m, "--method", "gptq", "--jobs", jobs, "--out", tmp_path / jobs)
@@ -514,6 +528,47 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "q" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["quantize", "sweep"])
+    def test_bad_group_size_exits_2_with_the_reason(self, tmp_path, capsys, command):
+        from sarqc import cli
+
+        lossless_manifest(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--manifest", str(tmp_path / "m.json"), "--group-size", "abc",
+                      "--out", str(tmp_path / "q")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --group-size: not an integer, per_channel or per_tensor: 'abc'" in err
+        assert "_parse_group_size" not in err
+
+    def test_non_finite_report_value_exits_4_without_a_report(self, tmp_path, monkeypatch, capsys):
+        from sarqc import cli
+
+        lossless_manifest(tmp_path)
+        layer_losses = cli.layer_losses
+
+        def nan_risk(*args):
+            losses, _ = layer_losses(*args)
+            return losses, float("nan")
+
+        monkeypatch.setattr(cli, "layer_losses", nan_risk)
+        rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", "rtn",
+                       "--out", str(tmp_path / "q")])
+        assert rc == 4
+        assert "non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "q" / "report.json").exists()
+
+    def test_non_finite_verify_value_exits_4(self, tmp_path, monkeypatch, capsys):
+        from sarqc import cli
+        from sarqc.oracles import SuiteResult
+
+        monkeypatch.setattr(cli, "run_supportedness_suite",
+                            lambda trials, seed: SuiteResult("supportedness", True, trials, {"gap": float("inf")}))
+        rc = cli.main(["verify", "--suite", "supportedness", "--trials", "1", "--out", str(tmp_path / "v.json")])
+        assert rc == 4
+        assert "non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "v.json").exists()
 
     def test_numerical_failure_maps_to_4(self, tmp_path, monkeypatch):
         from sarqc import cli

@@ -20,7 +20,7 @@ from sarqc.harness import (
     sweep_lambda,
     sweep_layer,
 )
-from sarqc.linalg import gram
+from sarqc.linalg import _lapack, gram
 from sarqc.objective import recon_loss
 from sarqc.quantizer import QuantScheme, quantize_matrix
 from sarqc.saliency import channel_stats, saliency_vector_gs
@@ -331,7 +331,7 @@ class TestGbsSolveMemory:
 
     @pytest.fixture(scope="class")
     def layer(self):
-        import scipy.linalg  # noqa: F401  # the first factor imports it; its modules are not the layer's
+        _lapack()  # the first factor loads scipy's LAPACK extension; that module is not the layer's
 
         w = np.random.default_rng(21).standard_normal((self.D_OUT, self.D_IN))
         return w, gen_calibration(self.D_IN, 512, 1e18, seed=21)

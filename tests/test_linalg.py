@@ -1,4 +1,7 @@
+import importlib.machinery
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -16,6 +19,7 @@ from sarqc.linalg import (
     NumericalFailure,
     TriangularFactor,
     _anti_transpose,
+    _lapack,
     _check_square_symmetric,
     as_matrix,
     chol_upper_of_inverse,
@@ -497,3 +501,68 @@ class TestFrobeniusSq:
             frobenius_sq([[1e154, 1e154], [1e154, 1e154]])
         with pytest.raises(NumericalFailure):
             frobenius_sq([[1e160]])
+
+
+def run_python(code: str) -> None:
+    """Run code in a fresh interpreter, which has not imported scipy."""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+class TestLapackLoader:
+    def test_factor_then_scipy_linalg_share_one_module(self):
+        run_python(
+            "import sys\n"
+            "import numpy as np\n"
+            "from sarqc import linalg\n"
+            "g = linalg.gram(np.random.default_rng(3).standard_normal((48, 96)))\n"
+            "before = linalg.chol_upper_of_inverse(g).data.tobytes()\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg\n"
+            "assert scipy.linalg.lapack.dpotrf is linalg._lapack().dpotrf\n"
+            "assert linalg.chol_upper_of_inverse(g).data.tobytes() == before\n"
+        )
+
+    def test_scipy_linalg_first_is_reused(self):
+        run_python(
+            "import sys\n"
+            "import scipy.linalg\n"
+            "from sarqc import linalg\n"
+            "assert linalg._lapack() is scipy.linalg.lapack._flapack is sys.modules['scipy.linalg._flapack']\n"
+        )
+
+    def test_concurrent_first_loads_share_one_module(self):
+        # eight threads ask for the module at once; a slowed load widens the
+        # window in which a thread that found it missing would start a
+        # second load of the extension without the lock
+        run_python(
+            "import importlib.util, sys, threading, time\n"
+            "from sarqc import linalg\n"
+            "loads = []\n"
+            "spec_from_file_location = importlib.util.spec_from_file_location\n"
+            "def slow_spec(*args, **kwargs):\n"
+            "    loads.append(args[0])\n"
+            "    time.sleep(0.05)\n"
+            "    return spec_from_file_location(*args, **kwargs)\n"
+            "importlib.util.spec_from_file_location = slow_spec\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "start = threading.Barrier(8)\n"
+            "got = []\n"
+            "def first_load():\n"
+            "    start.wait(timeout=30)\n"
+            "    got.append(linalg._lapack())\n"
+            "threads = [threading.Thread(target=first_load) for _ in range(8)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(timeout=60)\n"
+            "assert not any(t.is_alive() for t in threads)\n"
+            "assert loads == ['scipy.linalg._flapack'], loads\n"
+            "assert len(got) == 8 and all(m is sys.modules['scipy.linalg._flapack'] for m in got)\n"
+        )
+
+    def test_missing_extension_names_its_path(self, monkeypatch):
+        # the loader reads scipy's private layout, scipy/linalg/_flapack<suffix>;
+        # where that file is missing it raises, and there is no other route
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+        with pytest.raises(ImportError, match=r"linalg/_flapack\.missing\.so"):
+            _lapack()
