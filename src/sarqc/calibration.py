@@ -21,6 +21,11 @@ class CalibrationBatch:
         x = as_matrix(self.x, "calibration")
         if not 1 <= self.n_val < x.shape[1]:
             raise ValueError(f"n_val must be in [1, n), got {self.n_val} of {x.shape[1]}")
+        # an all-zero training split leaves nothing to calibrate on and a zero
+        # Gram, whose mean diagonal cannot scale sarqc-gbs's damping; np.any
+        # reduces the view without copying it
+        if not np.any(x[:, : x.shape[1] - self.n_val]):
+            raise ValueError("the training split of the calibration batch is all zero")
         object.__setattr__(self, "x", x)
 
     @property

@@ -144,20 +144,15 @@ def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 
         for j in range(i, i_end):
             gi = groups[j]
             if gi != gi_cur:  # groups are visited in order; j is the first column of group gi
-                if scheme.per_tensor:
-                    s1, z1 = group_params(u.reshape(1, -1), scheme)
-                    scales[gi] = s1[0]
-                    zps[gi] = z1[0]
-                else:
-                    sl = slices[gi]
-                    g_slice = u[sl]
-                    if sl.stop > i_end and j > i:
-                        # group columns past the block boundary are missing the
-                        # pending updates from columns [i, j); fold them in so
-                        # group parameters are block-size independent
-                        g_slice = g_slice.copy()
-                        g_slice[i_end - sl.start :] -= (e_blk[:, : j - i] @ m[i:j, i_end : sl.stop]).T
-                    scales[gi], zps[gi] = group_params(g_slice.T, scheme)
+                sl = slices[gi]
+                g_slice = u[sl]
+                if sl.stop > i_end and j > i:
+                    # group columns past the block boundary are missing the
+                    # pending updates from columns [i, j); fold them in so
+                    # group parameters are block-size independent
+                    g_slice = g_slice.copy()
+                    g_slice[i_end - sl.start :] -= (e_blk[:, : j - i] @ m[i:j, i_end : sl.stop]).T
+                scales[gi], zps[gi] = group_params(g_slice.T, scheme)
                 gi_cur = gi
                 s = scales[gi]
                 zf = zps[gi].astype(np.float64)

@@ -4,7 +4,8 @@ Everything here takes the dumb-but-obviously-correct route: reduced linear
 systems solved by LAPACK's own Cholesky solve (dpotrf, then dpotrs), with
 no jitter, instead of factor tricks; exhaustive enumeration over product
 grids; a plain unblocked sequential reference pass; and Monte Carlo
-coverage of the finite-class concentration bound. The production solvers are checked against these
+coverage of the finite-class concentration bound, against each class
+member's exact true risk. The production solvers are checked against these
 paths, never the other way around.
 """
 
@@ -289,6 +290,30 @@ def _clip_columns(x: np.ndarray, m_x: float) -> np.ndarray:
     return x * factor[None, :]
 
 
+def _clipped_second_moment(d: int, m_x: float) -> float:
+    """c with E[x̃x̃ᵀ] = c·I for x ~ N(0, I_d) clipped to ‖x̃‖ ≤ m_x.
+
+    Clipping changes only the norm, so by rotational symmetry
+    c = E[min(Q, m_x²)]/d with Q ~ χ²_d, which is
+    P(χ²_{d+2} ≤ m_x²) + (m_x²/d)·(1 − P(χ²_d ≤ m_x²)).
+    P(χ²_k ≤ 2y) is the regularized lower incomplete gamma P(k/2, y). It
+    starts from P(1/2, y) = erf(√y) for odd d and P(1, y) = 1 − e^{−y} for
+    even d, and steps up with P(a+1, y) = P(a, y) − yᵃe^{−y}/Γ(a+1); each
+    step subtracts a term from a value already small where y is small, so
+    no step cancels against 1.
+    """
+    y = 0.5 * m_x * m_x
+    if d % 2:
+        a, p, t = 0.5, math.erf(math.sqrt(y)), 2.0 * math.sqrt(y / math.pi) * math.exp(-y)
+    else:
+        a, p, t = 1.0, -math.expm1(-y), y * math.exp(-y)
+    while a < 0.5 * d:  # invariant: p = P(a, y), t = yᵃe^{−y}/Γ(a+1)
+        p -= t
+        a += 1.0
+        t *= y / a
+    return (p - t) + (m_x * m_x / d) * (1.0 - p)
+
+
 @dataclass
 class CoverageReport:
     trials: int
@@ -309,24 +334,24 @@ def hoeffding_check(
     trials: int,
     *,
     d_out: int = 4,
-    heldout_factor: int = 50,
     seed: int = 0,
 ) -> CoverageReport:
     """Monte Carlo coverage of the uniform deviation bound over a random
     finite class of weight perturbations with bounded Frobenius norm.
 
-    The true risk has no closed form for norm-clipped Gaussian inputs, so it
-    is itself estimated on a held-out sample of >= heldout_factor·n columns;
-    the pass threshold carries binomial slack for that estimator noise.
+    Each trial draws the class and n norm-clipped Gaussian calibration
+    columns. A member Δ's true risk is exact: E[‖Δx̃‖²] = c·‖Δ‖_F², with c
+    from `_clipped_second_moment`. A trial violates when some member's
+    calibration risk is farther than the bound from its true risk; the
+    pass threshold allows δ plus three binomial standard deviations of the
+    violation rate.
     """
     if d_in < 1 or d_out < 1 or r < 0.0 or m_x <= 0.0 or n < 2 or class_size < 1:
         raise ValueError("invalid check parameters")
     if trials < 1000:
         raise ValueError("coverage estimate needs at least 1000 trials")
-    if heldout_factor < 50:
-        raise ValueError("held-out sample must be at least 50x the calibration size")
     bound = hoeffding_bound(r, m_x, class_size, n, delta)
-    m_held = heldout_factor * n
+    c = _clipped_second_moment(d_in, m_x)
     violations = 0
     for t in range(trials):
         rng = substream(seed, "hoeffding", t)
@@ -336,13 +361,11 @@ def hoeffding_check(
         stacked = deltas.reshape(class_size * d_out, d_in)
 
         x_cal = _clip_columns(rng.standard_normal((d_in, n)), m_x)
-        x_held = _clip_columns(rng.standard_normal((d_in, m_held)), m_x)
 
         y_cal = stacked @ x_cal
-        y_held = stacked @ x_held
         risk_cal = (y_cal * y_cal).reshape(class_size, d_out, n).sum(axis=1).mean(axis=1)
-        risk_held = (y_held * y_held).reshape(class_size, d_out, m_held).sum(axis=1).mean(axis=1)
-        if np.max(np.abs(risk_cal - risk_held)) > bound:
+        risk_true = c * (deltas * deltas).sum(axis=1)
+        if np.max(np.abs(risk_cal - risk_true)) > bound:
             violations += 1
     rate = violations / trials
     threshold = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
@@ -385,12 +408,7 @@ def greedy_sequential_reference(w, g, scheme: QuantScheme) -> QuantizedLayer:
     for j in range(d_in):
         gi = int(grp_idx[j])
         if not ready[gi]:
-            if scheme.per_tensor:
-                s1, z1 = group_params(u.reshape(1, -1), scheme)
-                scales[:, gi] = s1[0]
-                zps[:, gi] = z1[0]
-            else:
-                scales[:, gi], zps[:, gi] = group_params(u[:, slices[gi]], scheme)
+            scales[:, gi], zps[:, gi] = group_params(u[:, slices[gi]], scheme)
             ready[gi] = True
         s = scales[:, gi]
         z = zps[:, gi]
@@ -515,18 +533,29 @@ def run_supportedness_suite(trials: int, seed: int, max_candidates: int = 16) ->
     )
 
 
-def run_hoeffding_suite(
-    trials: int,
-    seed: int,
-    *,
-    d_in: int = 8,
-    r: float = 1.0,
-    m_x: float = 1.0,
-    n: int = 200,
-    delta: float = 0.05,
-    class_size: int = 16,
-) -> SuiteResult:
-    report = hoeffding_check(d_in, r, m_x, n, delta, class_size, trials, seed=seed)
+# the hoeffding suite's instance: d_in, radius R, input norm M_X, calibration
+# size n, confidence δ and class size K
+HOEFFDING_D_IN = 8
+HOEFFDING_R = 1.0
+HOEFFDING_M_X = 1.0
+HOEFFDING_N = 200
+HOEFFDING_DELTA = 0.05
+HOEFFDING_CLASS_SIZE = 16
+
+
+def run_hoeffding_suite(trials: int, seed: int) -> SuiteResult:
+    """`hoeffding_check` on the suite's fixed instance, scored against the
+    exact true risk of each class member."""
+    report = hoeffding_check(
+        HOEFFDING_D_IN,
+        HOEFFDING_R,
+        HOEFFDING_M_X,
+        HOEFFDING_N,
+        HOEFFDING_DELTA,
+        HOEFFDING_CLASS_SIZE,
+        trials,
+        seed=seed,
+    )
     return SuiteResult(
         name="hoeffding",
         passed=report.passed,

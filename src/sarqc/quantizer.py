@@ -93,21 +93,24 @@ TINY_SCALE = float(np.finfo(np.float64).smallest_subnormal)
 def group_params(w, scheme: QuantScheme):
     """Per-row (scale, zero_point) for one group slice of shape (rows, g).
 
-    Constant groups are degenerate: they get parameters that reproduce the
-    constant exactly under dequantization. A range so small that range /
-    qmax underflows gets the smallest positive scale instead of 0.
+    A per-tensor scheme reduces over the whole array instead and returns
+    its one (scale, zero_point) for every row. Constant groups are
+    degenerate: they get parameters that reproduce the constant exactly
+    under dequantization. A range so small that range / qmax underflows
+    gets the smallest positive scale instead of 0.
     """
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     if w.shape[1] == 0:
         raise ValueError("empty quantization group")
+    rows = w.shape[0]
+    axis = None if scheme.per_tensor else 1
     qmax = scheme.qmax
     if scheme.mode == "symmetric":
-        amax = np.max(np.abs(w), axis=1)
+        amax = np.max(np.abs(w), axis=axis)
         scale = np.where(amax > 0.0, np.maximum(amax / qmax, TINY_SCALE), 1.0)
-        zp = np.zeros(w.shape[0], dtype=np.int32)
-        return scale, zp
-    lo = np.min(w, axis=1)
-    hi = np.max(w, axis=1)
+        return np.full(rows, scale), np.zeros(rows, dtype=np.int32)
+    lo = np.min(w, axis=axis)
+    hi = np.max(w, axis=axis)
     span = hi - lo
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = np.maximum(span / qmax, TINY_SCALE)
@@ -116,8 +119,7 @@ def group_params(w, scheme: QuantScheme):
     if np.any(const):
         scale = np.where(const, np.where(lo == 0.0, 1.0, np.abs(lo)), scale)
         zp_f = np.where(const, np.where(lo < 0.0, 1.0, 0.0), zp_f)
-    zp = np.clip(zp_f, 0, qmax).astype(np.int32)
-    return scale, zp
+    return np.full(rows, scale), np.full(rows, np.clip(zp_f, 0, qmax), dtype=np.int32)
 
 
 def quantize_with_params(w, scale, zp, scheme: QuantScheme) -> np.ndarray:
@@ -160,12 +162,7 @@ def quantize_matrix(w, scheme: QuantScheme) -> QuantizedLayer:
     scales = np.empty((d_out, len(slices)), dtype=np.float64)
     zps = np.empty((d_out, len(slices)), dtype=np.int32)
     for gi, sl in enumerate(slices):
-        if scheme.per_tensor:
-            s1, z1 = group_params(w.reshape(1, -1), scheme)
-            scale = np.full(d_out, s1[0])
-            zp = np.full(d_out, z1[0], dtype=np.int32)
-        else:
-            scale, zp = group_params(w[:, sl], scheme)
+        scale, zp = group_params(w[:, sl], scheme)
         c = quantize_with_params(w[:, sl], scale, zp, scheme)
         codes[:, sl] = c
         deq[:, sl] = dequantize_with_params(c, scale, zp)

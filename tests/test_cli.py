@@ -529,6 +529,24 @@ class TestExitCodes:
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "q" / "report.json").exists()
 
+    @pytest.mark.parametrize("zeroed, code", [("all", 2), ("train", 2), ("channel", 0)])
+    @pytest.mark.parametrize("method", ["rtn", "awq", "gptq", "sarqc-gs", "sarqc-gbs"])
+    def test_all_zero_training_split_exits_2(self, tmp_path, capsys, method, zeroed, code):
+        # an all-zero X, or only its 12 training columns zeroed, is rejected
+        # by every method; one all-zero input channel is not
+        from sarqc import cli
+
+        lossless_manifest(tmp_path)
+        x = read_tensor(tmp_path / "x.sqt").copy()
+        x[{"all": np.s_[:], "train": np.s_[:, :12], "channel": np.s_[3]}[zeroed]] = 0.0
+        write_tensor(tmp_path / "x.sqt", x)
+        rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", method,
+                       "--out", str(tmp_path / "q")])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert ("training split of the calibration batch is all zero" in err) == (code == 2)
+        assert (tmp_path / "q" / "report.json").exists() == (code == 0)
+
     @pytest.mark.parametrize("command", ["quantize", "sweep"])
     def test_bad_group_size_exits_2_with_the_reason(self, tmp_path, capsys, command):
         from sarqc import cli

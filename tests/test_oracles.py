@@ -9,6 +9,7 @@ from sarqc.oracles import (
     FiniteCandidate,
     PreconditionError,
     WORKED_FRONTIER,
+    _clipped_second_moment,
     closed_form_row_update,
     exhaustive_quant_min,
     exhaustive_tradeoff_sweep,
@@ -247,18 +248,45 @@ class TestHoeffding:
         assert b4 == pytest.approx(b1 / 2.0)
 
     def test_zero_radius_never_violates(self):
-        rep = hoeffding_check(4, 0.0, 1.0, 20, 0.05, 4, 1000, heldout_factor=50, seed=1)
+        rep = hoeffding_check(4, 0.0, 1.0, 20, 0.05, 4, 1000, seed=1)
         assert rep.violations == 0
         assert rep.passed
 
     def test_smoke_coverage(self):
-        rep = hoeffding_check(4, 1.0, 1.0, 50, 0.05, 8, 1000, heldout_factor=50, seed=2)
+        rep = hoeffding_check(4, 1.0, 1.0, 50, 0.05, 8, 1000, seed=2)
         assert rep.passed
         assert rep.bound == pytest.approx(hoeffding_bound(1.0, 1.0, 8, 50, 0.05))
 
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             hoeffding_check(4, 1.0, 1.0, 50, 0.05, 8, 10)
+
+    def test_tight_bound_coverage(self):
+        # at n = 2000 the bound, 0.038, is below the error of a wrong true
+        # risk: χ²_d in place of χ²_{d+2} moves c by 0.076 at d = 4, m_x = 1
+        rep = hoeffding_check(4, 1.0, 1.0, 2000, 0.05, 8, 1000, seed=3)
+        assert rep.passed
+
+    def test_clipped_second_moment_matches_gammainc(self):
+        # c = P(χ²_{d+2} ≤ m²) + (m²/d)(1 − P(χ²_d ≤ m²)), with scipy's
+        # regularized lower incomplete gamma as the reference
+        from scipy.special import gammainc
+
+        worst = 0.0
+        for d in range(1, 65):
+            for m_x in np.geomspace(0.05, 30.0, 60):
+                y = 0.5 * m_x * m_x
+                want = gammainc(d / 2 + 1, y) + (m_x * m_x / d) * (1.0 - gammainc(d / 2, y))
+                worst = max(worst, abs(_clipped_second_moment(d, m_x) - want) / want)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 63, 64])
+    def test_clipped_second_moment_limits(self, d):
+        # no clipping leaves E[xxᵀ] = I; clipping everything leaves
+        # ‖x̃‖ = m_x, so E[x̃x̃ᵀ] = (m_x²/d)·I
+        assert _clipped_second_moment(d, 1e3) == 1.0
+        m_x = 1e-4
+        assert _clipped_second_moment(d, m_x) == pytest.approx(m_x * m_x / d, rel=1e-3)
 
 
 class TestSuites:
@@ -302,6 +330,20 @@ class TestSuites:
             # scales are positive, so their int64 views order like the floats
             ulps = np.abs(solver.scales.view(np.int64) - ref.scales.view(np.int64))
             assert ulps.max() <= CROSS_BLOCK_SCALE_ULP
+
+    @pytest.mark.parametrize("group", [128, "per_channel"])
+    def test_lambda_zero_across_block_boundaries_at_production_shape(self, group):
+        # the README's multi-block contract at 256×1024: eight blocks of 128
+        rng = np.random.default_rng(21)
+        w = rng.standard_normal((256, 1024))
+        g0 = gram(rng.standard_normal((1024, 256)))
+        scheme = QuantScheme(bits=4, mode="asymmetric", group_size=group)
+        solver = run_gbs(w, build_curvature(g0, identity_profile(1024), 0.0), scheme, block_size=128)
+        ref = greedy_sequential_reference(w, g0, scheme)
+        assert np.array_equal(solver.codes, ref.codes)
+        assert np.array_equal(solver.zero_points, ref.zero_points)
+        ulps = np.abs(solver.scales.view(np.int64) - ref.scales.view(np.int64))
+        assert ulps.max() <= CROSS_BLOCK_SCALE_ULP
 
 
 class TestTradeoffSweepOracle:

@@ -154,6 +154,15 @@ class TestQuantizeMatrix:
         assert ql.scales.shape == (2, 1)
         assert np.unique(ql.scales).size == 1
 
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    def test_per_tensor_group_params_reduce_the_whole_array(self, mode):
+        # the whole array as one row of a per-channel scheme, repeated per row
+        w = np.random.default_rng(4).standard_normal((5, 8))
+        scale, zp = group_params(w, QuantScheme(bits=4, mode=mode, group_size="per_tensor"))
+        s1, z1 = group_params(w.reshape(1, -1), QuantScheme(bits=4, mode=mode, group_size="per_channel"))
+        assert scale.dtype == np.float64 and zp.dtype == np.int32
+        assert np.array_equal(scale, np.full(5, s1[0])) and np.array_equal(zp, np.full(5, z1[0]))
+
     def test_rtn_is_alias(self):
         rng = np.random.default_rng(2)
         w = rng.standard_normal((4, 6))
