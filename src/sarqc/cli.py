@@ -303,7 +303,6 @@ def cmd_gen(args) -> int:
     defaults = {
         "scheme": {"bits": 4, "mode": "asym", "group_size": spec.get("group_size", 128)},
         "method": spec.get("method", "sarqc-gbs"),
-        "grids": _default_grids(),
     }
     write_manifest(out / "manifest.json", entries, defaults)
     return 0
@@ -386,7 +385,7 @@ def cmd_verify(args) -> int:
         elif name == "supportedness":
             res = run_supportedness_suite(trials, args.seed)
         elif name == "hoeffding":
-            res = run_hoeffding_suite(max(trials, 1000), args.seed)
+            res = run_hoeffding_suite(trials, args.seed)
         else:
             res = run_gptq_equiv_suite(trials, args.seed)
         suites[name] = {

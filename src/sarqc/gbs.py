@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import CalibrationBatch
-from .linalg import TriangularFactor, as_matrix, chol_upper_of_inverse
+from .linalg import NumericalFailure, TriangularFactor, as_matrix, chol_upper_of_inverse
 from .objective import check_lambda_grid, recon_loss
 from .quantizer import QuantizedLayer, QuantScheme, group_params
 from .saliency import ChannelStats, SaliencyProfile, identity_profile, saliency_vector_gbs, scale_normalize_gbs
@@ -72,7 +72,12 @@ class GbsConfig:
 
 
 def h_bar_of_gram(g0: np.ndarray) -> float:
-    return float(np.mean(np.diag(g0)))
+    """h̄, the mean diagonal of the Gram G0; NumericalFailure when it overflows."""
+    with np.errstate(over="ignore"):
+        h_bar = float(np.mean(np.diag(g0)))
+    if not math.isfinite(h_bar):
+        raise NumericalFailure(f"mean diagonal of the {g0.shape} Gram matrix is not finite")
+    return h_bar
 
 
 def build_curvature(
@@ -206,7 +211,7 @@ def profile_for(stats: ChannelStats | None, kind: str, gamma: float | None, g0: 
     if stats is None:
         raise ValueError("channel statistics are required for the gbs saliency profile")
     raw = saliency_vector_gbs(stats, gamma)
-    return scale_normalize_gbs(raw, h_bar_of_gram(g0), gamma=gamma)
+    return scale_normalize_gbs(raw, h_bar_of_gram(g0))
 
 
 class HparamSelection(NamedTuple):

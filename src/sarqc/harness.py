@@ -4,8 +4,9 @@ experiments.
 `solutions` wires each method name to its solver and yields one solved layer
 per λ entry; `solve` is its one-entry case. The command line, the sweeps and
 the studies all go through it. A GS sweep scores the layer's α grid once
-for all its rows; a GBS sweep builds and factors each row's Gram in place,
-so one d_in×d_in array is live at a time. `sweep_lambda` traces the
+for all its rows; a GBS sweep takes the channel statistics once and builds
+and factors each row's Gram in place, so one d_in×d_in array is live at a
+time. `layer_losses` scores a solved layer. `sweep_lambda` traces the
 drift/reconstruction trade-off of a solver over a regularization grid with
 held-out risk per point; `calib_size_study` compares the λ = 0 baseline
 against hyperparameter-selected runs as the calibration set shrinks under a
@@ -33,7 +34,7 @@ from .gbs import (
     select_hparams_gbs,
 )
 from .gs import LAMBDA_GRID_GS_DEFAULT, GsConfig, run_gs, select_lambda_gs
-from .linalg import as_matrix, gram
+from .linalg import gram
 from .objective import LossBreakdown, recon_loss, sar_loss, weight_drift
 from .quantizer import QuantizedLayer, QuantScheme, rtn
 from .saliency import SaliencyProfile, channel_stats, identity_profile
@@ -43,6 +44,10 @@ UNCLIPPED = 1e18  # column-norm cap large enough to never bind
 METHODS = ("rtn", "awq", "gptq", "sarqc-gs", "sarqc-gbs")
 SWEEP_METHODS = {"gs": "sarqc-gs", "gbs": "sarqc-gbs"}
 GAMMA_FIXED_DEFAULT = 0.5  # γ of a fixed-λ sarqc-gbs run when none is given
+# rank and strength of the low-rank activation directions the synthetic
+# problems share between calibration and held-out batches
+CORR_RANK = 8
+CORR_STRENGTH = 2.0
 
 
 class FactorReport(NamedTuple):
@@ -92,8 +97,9 @@ def solutions(
     `saliency="identity"` replaces the saliency profile with the identity.
 
     The α grid of sarqc-gs does not depend on λ, so it is scored once for
-    all entries. Each sarqc-gbs entry builds and factors its own Gram in
-    place, so one d_in×d_in array is live at a time.
+    all entries, and so are the channel statistics of sarqc-gbs. Each
+    sarqc-gbs entry builds and factors its own Gram in place, so one
+    d_in×d_in array is live at a time.
     """
     lams = tuple(lams)
     if method == "rtn":
@@ -119,10 +125,10 @@ def solutions(
         return
     if method in ("gptq", "sarqc-gbs"):
         kind = "identity" if saliency == "identity" else "gbs"
+        stats = channel_stats(w, batch.train) if kind == "gbs" else None
         for lam in lams:
-            # one Gram and one stats pass per entry; selection reads their leading block
+            # one Gram per entry; selection reads its leading block
             g0 = gram(batch.train)
-            stats = channel_stats(w, batch.train) if kind == "gbs" else None
             if lam is None:
                 cfg = GbsConfig(
                     scheme=scheme,
@@ -266,25 +272,6 @@ def gen_calibration(
     return split_batch(x, val_fraction)
 
 
-def evaluate(w, layer: QuantizedLayer, x_heldout, profile: SaliencyProfile | None = None):
-    """Losses of a quantized layer on a held-out batch.
-
-    Returns (LossBreakdown, heldout_risk) where heldout_risk is the mean
-    squared output deviation per held-out column.
-    """
-    w = as_matrix(w, "W")
-    x = as_matrix(x_heldout, "X_heldout")
-    if profile is None:
-        profile = identity_profile(w.shape[1])
-    recon = recon_loss(w, layer.dequantized, x)
-    losses = LossBreakdown(
-        recon=recon,
-        sar=sar_loss(w, layer.dequantized, profile),
-        drift=weight_drift(w, layer.dequantized),
-    )
-    return losses, recon / x.shape[1]
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     lam: float
@@ -297,11 +284,23 @@ class SweepRecord:
     seed: int
 
 
+def heldout_risk(w, layer: QuantizedLayer, x_heldout) -> float:
+    """Mean squared output deviation per held-out column: the
+    reconstruction loss on `x_heldout` divided by its column count."""
+    return recon_loss(w, layer.dequantized, x_heldout) / np.shape(x_heldout)[1]
+
+
 def layer_losses(w, sol: Solution, x_train, x_heldout) -> tuple[LossBreakdown, float]:
     """Reconstruction loss on the training columns, sar loss under the
-    solver's profile, drift, and held-out risk of a solved layer."""
-    heldout, risk = evaluate(w, sol.layer, x_heldout, sol.profile)
-    return replace(heldout, recon=recon_loss(w, sol.layer.dequantized, x_train)), risk
+    solver's profile, drift, and held-out risk of a solved layer.
+
+    The identity profile is all ones and scaling by 1.0 is exact, so its
+    sar loss is the drift, bit for bit, and is not computed twice."""
+    w_hat = sol.layer.dequantized
+    drift = weight_drift(w, w_hat)
+    sar = drift if sol.profile.kind == "identity" else sar_loss(w, w_hat, sol.profile)
+    losses = LossBreakdown(recon=recon_loss(w, w_hat, x_train), sar=sar, drift=drift)
+    return losses, heldout_risk(w, sol.layer, x_heldout)
 
 
 def sweep_layer(
@@ -375,8 +374,8 @@ def sweep_lambda(
     gamma: float | None = None,
     block_size: int = 128,
     val_fraction: float = 0.25,
-    corr_rank: int = 8,
-    corr_strength: float = 2.0,
+    corr_rank: int = CORR_RANK,
+    corr_strength: float = CORR_STRENGTH,
 ) -> list[SweepRecord]:
     """Quantize at every (seed, λ) and record the trade-off plus held-out
     risk; output is sorted by (seed, λ).
@@ -408,17 +407,12 @@ def calib_size_study(
     *,
     seeds=range(20),
     n_heldout: int = 1024,
-    m_x: float = UNCLIPPED,
-    block_size: int = 128,
-    cov_shift: float = 0.3,
-    corr_rank: int = 8,
-    corr_strength: float = 2.0,
 ) -> list[dict]:
     """Median held-out risk of the λ = 0 baseline vs hyperparameter-selected
     runs for each calibration size.
 
-    Calibration columns are drawn from a per-channel perturbed covariance
-    (diagonal scaled by 1 + u, u uniform in [-cov_shift, cov_shift]) while
+    Calibration columns are unclipped and drawn from a per-channel perturbed
+    covariance (diagonal scaled by 1 + u, u uniform in [-0.3, 0.3]) while
     the held-out batch uses the base covariance.
     """
     sizes = list(sizes)
@@ -430,22 +424,21 @@ def calib_size_study(
         base_risks = []
         sel_risks = []
         for seed in seeds:
-            u = substream(int(seed), "covshift", size).uniform(-cov_shift, cov_shift, spec.d_in)
+            u = substream(int(seed), "covshift", size).uniform(-0.3, 0.3, spec.d_in)
             w, batch, heldout = _seeded_problem(
                 spec,
                 int(seed),
                 int(size),
                 n_heldout,
-                m_x,
-                corr_rank,
-                corr_strength,
+                UNCLIPPED,
+                CORR_RANK,
+                CORR_STRENGTH,
                 cov_diag=1.0 + u,
                 stream=f"calib-{size}",
             )
             # both methods solve on the same training columns
             for method, risks in (("gptq", base_risks), ("sarqc-gbs", sel_risks)):
-                sol = solve(method, w, batch, scheme, block=block_size)
-                risks.append(evaluate(w, sol.layer, heldout)[1])
+                risks.append(heldout_risk(w, solve(method, w, batch, scheme).layer, heldout))
         rows.append(
             {
                 "size": int(size),

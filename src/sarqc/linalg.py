@@ -36,6 +36,7 @@ SYMMETRY_TILE = 128  # edge of the tiles the symmetry and triangle checks scan
 # strict lower triangle of one diagonal tile; a short tile reads its leading block
 _STRICT_LOWER = np.tri(SYMMETRY_TILE, k=-1, dtype=bool)
 _STRICT_UPPER = _STRICT_LOWER.T
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -127,29 +128,18 @@ class TriangularFactor:
 
 
 def gram(x) -> np.ndarray:
-    """XXᵀ for X of shape (d_in, n); output is exactly symmetric.
+    """XXᵀ for X of shape (d_in, n), exactly symmetric: numpy computes an
+    array times its own transpose by SYRK and mirrors the triangle.
 
-    Each tile is averaged with its mirror in place, (a + b)/2 as for
-    (G + Gᵀ)/2, so no second d_in×d_in array is built. Raises
-    NumericalFailure when XXᵀ overflows.
+    Raises NumericalFailure when an entry is not finite or is past half the
+    float64 range, so that any two entries sum to a finite value.
     """
     x = as_matrix(x, "X")
-    d = x.shape[0]
-    scratch = np.empty((min(d, SYMMETRY_TILE),) * 2)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         g = x @ x.T
-        for i in range(0, d, SYMMETRY_TILE):
-            rows = slice(i, i + SYMMETRY_TILE)
-            for j in range(i, d, SYMMETRY_TILE):
-                cols = slice(j, j + SYMMETRY_TILE)
-                upper = g[rows, cols]
-                avg = np.add(upper, g[cols, rows].T, out=scratch[: upper.shape[0], : upper.shape[1]])
-                avg /= 2.0
-                if not np.isfinite(avg).all():
-                    raise NumericalFailure(f"Gram matrix of X {x.shape} is not finite")
-                g[rows, cols] = avg
-                if j != i:
-                    g[cols, rows] = avg.T
+        # NaN fails both comparisons
+        if not (g.max() <= _HALF_MAX and g.min() >= -_HALF_MAX):
+            raise NumericalFailure(f"Gram matrix of X {x.shape} is not finite or past half the float64 range")
     return g
 
 
@@ -364,7 +354,8 @@ def chol_upper_of_inverse(
             if eps != 0.0:
                 eps *= 2.0
             else:
-                eps = 1e-6 * float(np.mean(diag))
+                with np.errstate(over="ignore"):  # an overflowing mean gives eps = inf, which fails every retry
+                    eps = 1e-6 * float(np.mean(diag))
                 if not eps > 0.0:  # non-positive mean diagonal, or the product underflowed
                     eps = 1e-6
     raise NumericalFailure(

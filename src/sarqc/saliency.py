@@ -30,8 +30,6 @@ class SaliencyProfile:
 
     values: np.ndarray
     kind: str  # "identity" | "gs" | "gbs"
-    gamma: float | None = None
-    h_bar: float | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -94,7 +92,7 @@ def saliency_vector_gbs(stats: ChannelStats, gamma: float) -> np.ndarray:
     return stats.mean_abs_x**gamma / stats.mean_abs_w ** (1.0 - gamma)
 
 
-def scale_normalize_gbs(s, h_bar: float, gamma: float | None = None) -> SaliencyProfile:
+def scale_normalize_gbs(s, h_bar: float) -> SaliencyProfile:
     """Rescale s so that mean(values²) equals h_bar exactly."""
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0 or not np.isfinite(s).all() or np.any(s <= 0.0):
@@ -102,4 +100,4 @@ def scale_normalize_gbs(s, h_bar: float, gamma: float | None = None) -> Saliency
     if not h_bar > 0.0:
         raise ValueError(f"h_bar must be positive, got {h_bar}")
     values = np.sqrt(h_bar) * s / np.sqrt(np.mean(s * s))
-    return SaliencyProfile(values=values, kind="gbs", gamma=gamma, h_bar=float(h_bar))
+    return SaliencyProfile(values=values, kind="gbs")

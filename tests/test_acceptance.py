@@ -37,7 +37,7 @@ def report(number, name, ok, elapsed, budget):
 
 def test_01_compensation_oracle_equivalence():
     t0 = time.perf_counter()
-    res = run_compensation_suite(500, seed=101, d_max=8)
+    res = run_compensation_suite(500, seed=101)
     elapsed = time.perf_counter() - t0
     ok = res.passed and res.details["max_delta_err"] <= 1e-9 and res.details["max_obj_rel_err"] <= 1e-9
     report(1, "compensation oracle equivalence", ok, elapsed, 10.0)
@@ -45,14 +45,14 @@ def test_01_compensation_oracle_equivalence():
 
 def test_02_gptq_recovery():
     t0 = time.perf_counter()
-    res = run_gptq_equiv_suite(100, seed=202, d_in_max=64, n=256)
+    res = run_gptq_equiv_suite(100, seed=202)
     elapsed = time.perf_counter() - t0
     report(2, "gptq recovery at lambda zero", res.passed, elapsed, 30.0)
 
 
 def test_03_supportedness_enumeration():
     t0 = time.perf_counter()
-    res = run_supportedness_suite(1000, seed=303, max_candidates=16)
+    res = run_supportedness_suite(1000, seed=303)
     elapsed = time.perf_counter() - t0
     report(3, "supportedness enumeration", res.passed, elapsed, 10.0)
 

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +67,11 @@ class TestGen:
         doc = json.loads((tmp_path / "d" / "manifest.json").read_text())
         assert doc["layers"][0]["n"] == 128
 
+    def test_manifest_defaults_hold_only_what_quantize_reads(self, tmp_path):
+        assert run_cli("gen", "--spec", gen_spec(tmp_path), "--out", tmp_path / "d", "--seed", 0).returncode == 0
+        doc = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert set(doc["defaults"]) == {"scheme", "method"}
+
 
 def lossless_manifest(tmp_path):
     # weights already on the symmetric 4-bit grid with per-row max 7
@@ -80,6 +87,28 @@ def lossless_manifest(tmp_path):
 
 
 class TestQuantize:
+    @pytest.mark.parametrize(
+        "method, flags",
+        [("rtn", []), ("awq", []), ("gptq", []), ("sarqc-gs", []), ("sarqc-gbs", []),
+         ("sarqc-gs", ["--saliency", "identity"]), ("sarqc-gbs", ["--lambda", "0.25", "--saliency", "identity"])],
+    )
+    def test_report_losses_are_three_finite_values(self, tmp_path, method, flags):
+        # the benchmark's output check rejects a layer on any other losses
+        # shape; under the identity profile the sar loss is the drift
+        from sarqc import cli
+
+        m = random_manifest(tmp_path, 2)
+        assert cli.main(["quantize", "--manifest", str(m), "--method", method, *flags,
+                         "--out", str(tmp_path / "q")]) == 0
+        layers = json.loads((tmp_path / "q" / "report.json").read_text())["layers"]
+        for layer in layers:
+            losses = layer["losses"]
+            assert set(losses) == {"recon", "sar", "drift"}
+            assert all(math.isfinite(v) for v in losses.values())
+            assert math.isfinite(layer["heldout_risk"])
+            if method in ("rtn", "awq", "gptq") or flags[-1:] == ["identity"]:
+                assert losses["sar"].hex() == losses["drift"].hex()
+
     def test_rtn_lossless_layer_bytes(self, tmp_path):
         lossless_manifest(tmp_path)
         r = run_cli(
@@ -659,6 +688,29 @@ class TestExitCodes:
         # besides l0, only l1 (already running) and at most one layer the freed
         # worker took before the queue was cancelled have started
         assert "l0" in started and len(started) <= 1 + 2
+
+    @pytest.mark.parametrize("scale", [3e153, 2.2e153])
+    @pytest.mark.parametrize(
+        "method, flags",
+        [("gptq", []), ("sarqc-gbs", []), ("sarqc-gbs", ["--lambda", "0.5"]),
+         ("sarqc-gbs", ["--lambda", "0.5", "--saliency", "identity"])],
+    )
+    def test_activations_near_the_float_range_exit_4(self, tmp_path, capsys, method, flags, scale):
+        # every entry of X is ±scale, one sign per column, so XXᵀ has rank 1
+        # and every entry 12·scale²: past half the float64 range at 3e153,
+        # and at 2.2e153 (5.8e307) a diagonal whose mean overflows
+        from sarqc import cli
+
+        lossless_manifest(tmp_path)
+        signs = np.where(np.random.default_rng(5).standard_normal(16) < 0.0, -1.0, 1.0)
+        write_tensor(tmp_path / "x.sqt", scale * np.ones((8, 1)) * signs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", method, *flags,
+                           "--out", str(tmp_path / "q")])
+        assert rc == 4
+        assert "numerical failure" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("method", ["gptq", "sarqc-gbs"])
     def test_overflowing_activations_exit_4(self, tmp_path, method, capsys):

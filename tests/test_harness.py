@@ -9,10 +9,11 @@ from sarqc.harness import (
     SWEEP_METHODS,
     SynthLayerSpec,
     activation_factor,
+    Solution,
     calib_size_study,
-    evaluate,
     gen_calibration,
     gen_layer,
+    heldout_risk,
     layer_losses,
     outlier_channel_indices,
     solutions,
@@ -23,7 +24,7 @@ from sarqc.harness import (
 from sarqc.linalg import _lapack, gram
 from sarqc.objective import recon_loss
 from sarqc.quantizer import QuantScheme, quantize_matrix
-from sarqc.saliency import channel_stats, saliency_vector_gs
+from sarqc.saliency import channel_stats, identity_profile, saliency_vector_gs
 
 
 class TestGenLayer:
@@ -86,11 +87,13 @@ class TestGenCalibration:
 
 
 class TestEvaluate:
+    """Scoring a solved layer: `layer_losses` and `heldout_risk`."""
+
     def test_exact_layer_scores_zero(self):
         w = np.array([[7.0, -7.0, 3.0]])
         scheme = QuantScheme(bits=4, mode="symmetric", group_size="per_channel")
         layer = quantize_matrix(w, scheme)
-        losses, risk = evaluate(w, layer, np.eye(3))
+        losses, risk = layer_losses(w, Solution(layer, identity_profile(3)), np.eye(3), np.eye(3))
         assert losses.recon == 0.0 and losses.sar == 0.0 and losses.drift == 0.0
         assert risk == 0.0
 
@@ -100,7 +103,7 @@ class TestEvaluate:
         scheme = QuantScheme(bits=3, mode="asymmetric", group_size=2)
         layer = quantize_matrix(w, scheme)
         x = rng.standard_normal((4, 10))
-        losses, risk = evaluate(w, layer, x)
+        losses, risk = layer_losses(w, Solution(layer, identity_profile(4)), x, x)
         assert risk * 10 == pytest.approx(losses.recon, rel=1e-15)
         assert losses.recon == recon_loss(w, layer.dequantized, x)
 
@@ -110,8 +113,49 @@ class TestEvaluate:
         layer = quantize_matrix(np.array([[2.0]]), scheme)
         # delta is exactly 2 at unit scale, single input column of 3
         assert np.array_equal(layer.dequantized, [[2.0]])
-        _, risk = evaluate(w, layer, np.array([[3.0]]))
+        risk = heldout_risk(w, layer, np.array([[3.0]]))
         assert risk == 36.0
+
+    def test_each_loss_is_computed_once(self, monkeypatch):
+        # an identity-profile layer takes its sar from the one drift it
+        # computes; the study scores only the held-out risk
+        import sarqc.harness
+
+        calls = []
+
+        def counting(name):
+            fn = getattr(sarqc.harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("sar_loss", "weight_drift"):
+            monkeypatch.setattr(sarqc.harness, name, counting(name))
+        scheme = QuantScheme(bits=4, mode="asymmetric", group_size=8)
+        w = gen_layer(SynthLayerSpec(d_out=6, d_in=16, outlier_channels=2, outlier_scale=6.0, seed=4))
+        batch = gen_calibration(16, 48, 1e18, seed=4)
+        for method, saliency, want in (
+            ("rtn", "saliency", ["weight_drift"]),
+            ("awq", "saliency", ["weight_drift"]),
+            ("gptq", "saliency", ["weight_drift"]),
+            ("sarqc-gs", "identity", ["weight_drift"]),
+            ("sarqc-gbs", "identity", ["weight_drift"]),
+            ("sarqc-gs", "saliency", ["weight_drift", "sar_loss"]),
+            ("sarqc-gbs", "saliency", ["weight_drift", "sar_loss"]),
+        ):
+            sol = solve(method, w, batch, scheme, lam=0.25, saliency=saliency)
+            calls.clear()
+            losses, _ = layer_losses(w, sol, batch.train, batch.val)
+            assert calls == want, method
+            if sol.profile.kind == "identity":
+                assert losses.sar == losses.drift
+        calls.clear()
+        spec = SynthLayerSpec(d_out=8, d_in=8, outlier_channels=1, outlier_scale=4.0)
+        calib_size_study(spec, scheme, [8, 16], seeds=range(2), n_heldout=32)
+        assert calls == []
 
 
 class TestSweepLambda:
@@ -305,6 +349,13 @@ class TestSolve:
         assert stats_rows == [d_in]
         # the γ profiles read the leading 32×32 block of the layer's Gram
         assert sorted(profile_rows) == [32] * len(GAMMA_GRID_DEFAULT) + [d_in]
+        # a k-row sweep builds one Gram per row and takes the statistics once
+        gram_rows.clear()
+        stats_rows.clear()
+        lams = (0.25, None, 0.5)
+        assert len(list(solutions("sarqc-gbs", w, batch, self.SCHEME, lams))) == len(lams)
+        assert gram_rows == [d_in] * len(lams)
+        assert stats_rows == [d_in]
 
     @pytest.mark.parametrize("saliency", ["saliency", "identity"])
     def test_selected_gbs_equals_fixed_lambda_at_the_chosen_pair(self, layer, saliency):
@@ -314,8 +365,7 @@ class TestSolve:
         for field in ("codes", "scales", "zero_points", "dequantized"):
             assert np.array_equal(getattr(sel.layer, field), getattr(fixed.layer, field))
         assert np.array_equal(sel.profile.values, fixed.profile.values)
-        for field in ("kind", "gamma", "h_bar"):
-            assert getattr(sel.profile, field) == getattr(fixed.profile, field)
+        assert sel.profile.kind == fixed.profile.kind
         for field in ("lam", "gamma", "alpha"):
             assert getattr(sel, field) == getattr(fixed, field)
         assert sel.factor.jitter == fixed.factor.jitter

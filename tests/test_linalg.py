@@ -120,6 +120,22 @@ class TestGram:
         with pytest.raises(NumericalFailure, match="not finite"):
             gram(np.full((2, 3), 1e160))
 
+    @pytest.mark.parametrize("x", [[[1e154]], [[1e154, 1e-300], [-1e154, 0.0]], [[1e160, -1e160]]])
+    def test_entry_past_half_the_float_range_fails_without_a_warning(self, x):
+        # 1e308 is finite, but twice it is not; 1e160 overflows to inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalFailure):
+                gram(x)
+        assert not caught
+
+    def test_strided_training_view_exactly_symmetric(self):
+        # the training split is a column slice of X; 300 rows span three tiles
+        x = np.random.default_rng(1).standard_normal((300, 400))[:, :300]
+        g = gram(x)
+        assert np.array_equal(g, g.T)
+        assert np.array_equal(g, gram(x.copy()))
+
 
 class TestCholUpperOfInverse:
     def test_scaled_identity(self):

@@ -21,6 +21,7 @@ from sarqc.oracles import (
     penalized_argmin,
     run_compensation_suite,
     run_gptq_equiv_suite,
+    run_hoeffding_suite,
     run_supportedness_suite,
     verify_supportedness,
 )
@@ -260,6 +261,10 @@ class TestHoeffding:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             hoeffding_check(4, 1.0, 1.0, 50, 0.05, 8, 10)
+
+    def test_suite_runs_at_least_the_trials_floor(self):
+        res = run_hoeffding_suite(10, seed=0)
+        assert res.passed and res.trials == 1000
 
     def test_tight_bound_coverage(self):
         # at n = 2000 the bound, 0.038, is below the error of a wrong true
