@@ -23,8 +23,11 @@ from .calibration import split_batch
 from .gbs import GAMMA_GRID_DEFAULT, LAMBDA_GRID_GBS_DEFAULT
 from .gs import ALPHA_GRID_DEFAULT, LAMBDA_GRID_GS_DEFAULT
 from .harness import (
+    CORR_RANK,
+    CORR_STRENGTH,
     METHODS,
     SWEEP_METHODS,
+    UNCLIPPED,
     SynthLayerSpec,
     gen_calibration,
     gen_layer,
@@ -261,6 +264,8 @@ def _load_spec(path) -> dict:
 def cmd_gen(args) -> int:
     spec = _load_spec(args.spec)
     n_layers = int(spec.get("layers", 1))
+    if n_layers < 1:  # checked before --out is touched
+        raise UsageError(f"spec \"layers\" must be at least 1, got {n_layers}")
     d_out = int(spec.get("d_out", 64))
     d_in = int(spec.get("d_in", 128))
     n = int(spec.get("n", 128))
@@ -284,7 +289,7 @@ def cmd_gen(args) -> int:
         batch = gen_calibration(
             d_in,
             n,
-            float(spec.get("m_x", 1e18)),
+            float(spec.get("m_x", UNCLIPPED)),
             cseed,
             val_fraction=float(spec.get("val_fraction", 0.25)),
         )
@@ -322,6 +327,8 @@ def cmd_sweep(args) -> int:
     scheme = _scheme_from(args, {})
 
     if args.spec is not None:
+        if args.seeds < 1:
+            raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
         spec = _load_spec(args.spec)
         layer_spec = SynthLayerSpec(
             d_out=int(spec.get("d_out", 64)),
@@ -339,10 +346,10 @@ def cmd_sweep(args) -> int:
             seeds,
             n_calib=int(spec.get("n_calib", 192)),
             n_heldout=int(spec.get("n_heldout", 512)),
-            m_x=float(spec.get("m_x", 1e18)),
+            m_x=float(spec.get("m_x", UNCLIPPED)),
             val_fraction=args.val_fraction,
-            corr_rank=int(spec.get("corr_rank", 8)),
-            corr_strength=float(spec.get("corr_strength", 2.0)),
+            corr_rank=int(spec.get("corr_rank", CORR_RANK)),
+            corr_strength=float(spec.get("corr_strength", CORR_STRENGTH)),
             gamma=args.gamma,
             block_size=args.block,
         )

@@ -7,7 +7,8 @@ fails gets escalating diagonal jitter before giving up.
 The upper factor M of G⁻¹ comes from one Cholesky factorization and one
 triangular inverse: with P the matrix that reverses the index order and
 P·G·P = L·Lᵀ, M = P·L⁻¹·P is upper triangular and MᵀM = P·L⁻ᵀ·L⁻¹·P = G⁻¹.
-Neither G⁻¹ nor a second factorization is formed.
+Neither G⁻¹ nor a second factorization is formed. G must be exactly
+symmetric, as `gram` returns it for every layout of X.
 
 Only `chol_upper_of_inverse(..., overwrite_g=True)` writes to its input:
 it builds M in G's own buffer, so a caller that passes it must not read G
@@ -129,12 +130,17 @@ class TriangularFactor:
 
 def gram(x) -> np.ndarray:
     """XXᵀ for X of shape (d_in, n), exactly symmetric: numpy computes an
-    array times its own transpose by SYRK and mirrors the triangle.
+    array times its own transpose by SYRK and mirrors the triangle, but only
+    when one stride is the item size and the other a whole number of items
+    spanning a line, so any other X is first copied to C order.
 
     Raises NumericalFailure when an entry is not finite or is past half the
     float64 range, so that any two entries sum to a finite value.
     """
     x = as_matrix(x, "X")
+    rows, cols = (s // x.itemsize if s % x.itemsize == 0 else -1 for s in x.strides)
+    if not ((cols == 1 and rows >= x.shape[1]) or (rows == 1 and cols >= x.shape[0])):
+        x = np.ascontiguousarray(x)
     with np.errstate(over="ignore", invalid="ignore"):
         g = x @ x.T
         # NaN fails both comparisons
@@ -161,41 +167,18 @@ def frobenius_sq(a) -> float:
     return total
 
 
-def _check_square_symmetric(g: np.ndarray, name: str, shift: np.ndarray | None = None) -> np.ndarray:
-    """Reject G unless |G - Gᵀ| ≤ 1e-8·(1 + max|G + diag(shift)|); return
-    (G + Gᵀ)/2, or G itself when it is exactly symmetric.
-
-    Upper tiles are compared with the transposed lower ones, so neither
-    G - Gᵀ nor G + diag(shift) is built in full. An exactly symmetric G
-    passes whatever its range, so the range is scanned only when it is not.
-    """
+def _check_square_symmetric(g: np.ndarray, name: str) -> None:
+    """Raise ValueError unless G is square and exactly symmetric. Upper tiles
+    are compared with the transposed lower ones, so Gᵀ is never built."""
     d = g.shape[0]
     if d != g.shape[1]:
         raise ValueError(f"{name} must be square, got shape {g.shape}")
-    tiles = [
-        (slice(i, i + SYMMETRY_TILE), slice(j, j + SYMMETRY_TILE))
-        for i in range(0, d, SYMMETRY_TILE)
-        for j in range(i, d, SYMMETRY_TILE)
-    ]
-    if all((g[rows, cols] == g[cols, rows].T).all() for rows, cols in tiles):
-        return g
-    hi = lo = worst = 0.0
-    for rows, cols in tiles:
-        upper, lower = g[rows, cols], g[cols, rows]
-        if rows != cols:
-            extremes = (upper, lower)
-        elif shift is None:
-            extremes = (upper,)
-        else:
-            damped = upper.copy()
-            np.fill_diagonal(damped, np.diag(upper) + shift[rows])
-            extremes = (damped,)
-        for t in extremes:
-            hi, lo = max(hi, float(t.max())), min(lo, float(t.min()))
-        worst = max(worst, float(np.max(np.abs(upper - lower.T))))
-    if worst > 1e-8 * (1.0 + max(hi, -lo)):
-        raise ValueError(f"{name} is not symmetric")
-    return (g + g.T) / 2.0
+    for i in range(0, d, SYMMETRY_TILE):
+        rows = slice(i, i + SYMMETRY_TILE)
+        for j in range(i, d, SYMMETRY_TILE):
+            cols = slice(j, j + SYMMETRY_TILE)
+            if not (g[rows, cols] == g[cols, rows].T).all():
+                raise ValueError(f"{name} is not symmetric")
 
 
 def _reverse_in_place(a: np.ndarray) -> None:
@@ -274,15 +257,16 @@ def chol_upper_of_inverse(
 ) -> TriangularFactor:
     """Upper-triangular M with MᵀM = (G + diag(shift))⁻¹, as M = P·L⁻¹·P for
     the lower Cholesky factor L of A = P·(G + diag(shift))·P, where P reverses
-    the index order.
+    the index order. G must be exactly symmetric, as `gram` returns it; any
+    other G raises ValueError before anything is written.
 
     The damped matrix is never built: one d×d array is filled with A,
     factored, inverted and turned into M in place. With `overwrite_g` that
     array is G's own buffer, reversed in place, so the call allocates only
     tiles and vectors and the returned factor's data is G: the caller must
-    not read G again, and after NumericalFailure G holds garbage. Only an
-    exactly symmetric, C-contiguous, writeable float64 G is overwritten; any
-    other G is copied as without the flag.
+    not read G again, and after NumericalFailure G holds garbage. Only a
+    C-contiguous, writeable float64 G is overwritten; any other G is copied
+    as without the flag.
 
     A is symmetric, so the C-ordered array reads as A in Fortran order.
     potrf and trtri write only the lower triangle of that Fortran view, the
@@ -293,7 +277,8 @@ def chol_upper_of_inverse(
     (g_ii + shift_i) + eps on it, the arithmetic of G + diag(shift) + eps·I.
     eps starts at 0, then 1e-6 · mean diag of G + diag(shift), doubling up
     to MAX_JITTER_RETRIES times. The mean is taken only after a failed
-    attempt, over the diagonal in index order. The jitter actually used and
+    attempt, over the diagonal in index order, or as the sum of each entry
+    times 1e-6 / d where the plain sum overflows. The jitter actually used and
     the failed attempts are recorded on the returned factor.
 
     scipy's LAPACK extension is loaded here, not at module load, so
@@ -304,22 +289,22 @@ def chol_upper_of_inverse(
         shift = np.asarray(shift, dtype=np.float64)
         if shift.shape != g.shape[:1] or not np.isfinite(shift).all():
             raise ValueError(f"shift must be a finite vector of length {g.shape[0]}")
-    sym = _check_square_symmetric(g, "G", shift)
+    _check_square_symmetric(g, "G")
     lapack = _lapack()
 
     d = g.shape[0]
-    diag = np.diag(sym).copy()  # G + diag(shift) in index order, taken before G is overwritten
+    diag = np.diag(g).copy()  # G + diag(shift) in index order, taken before G is overwritten
     if shift is not None:
         diag += shift
         if not np.isfinite(diag).all():
             raise ValueError("G contains non-finite entries")
     fill = diag[::-1]
-    if overwrite_g and sym is g and g.flags.c_contiguous and g.flags.writeable:
+    if overwrite_g and g.flags.c_contiguous and g.flags.writeable:
         work_c = g
         _reverse_in_place(work_c)
     else:
         work_c = np.empty((d, d))
-        np.copyto(work_c, sym[::-1, ::-1])
+        np.copyto(work_c, g[::-1, ::-1])
     work = work_c.T  # Fortran-ordered, and equal to work_c while it holds the symmetric A
     work_diag = work_c.reshape(-1)[:: d + 1]  # a view
     eps = 0.0
@@ -354,8 +339,10 @@ def chol_upper_of_inverse(
             if eps != 0.0:
                 eps *= 2.0
             else:
-                with np.errstate(over="ignore"):  # an overflowing mean gives eps = inf, which fails every retry
+                with np.errstate(over="ignore"):
                     eps = 1e-6 * float(np.mean(diag))
+                if eps == math.inf:  # the sum overflowed; diag is finite, so scale before summing
+                    eps = float(np.sum(diag * (1e-6 / d)))
                 if not eps > 0.0:  # non-positive mean diagonal, or the product underflowed
                     eps = 1e-6
     raise NumericalFailure(

@@ -85,7 +85,6 @@ def closed_form_row_update(w_row, g, j: int, qhat_j: float, *, flip_sign: bool =
     e = float(w[j] - qhat_j)
     m = chol_upper_of_inverse(g, context="closed form").data
     ginv = m.T @ m
-    ginv = (ginv + ginv.T) / 2.0
     sign = -1.0 if flip_sign else 1.0
     delta = -sign * (e / ginv[j, j]) * ginv[:, j]
     obj = e * e / (2.0 * ginv[j, j])

@@ -72,6 +72,13 @@ class TestGen:
         doc = json.loads((tmp_path / "d" / "manifest.json").read_text())
         assert set(doc["defaults"]) == {"scheme", "method"}
 
+    @pytest.mark.parametrize("layers", [0, -1])
+    def test_layers_below_one_exits_2_before_out_is_touched(self, tmp_path, layers):
+        r = run_cli("gen", "--spec", gen_spec(tmp_path, layers=layers), "--out", tmp_path / "d", "--seed", 0)
+        assert r.returncode == 2
+        assert '"layers" must be at least 1' in r.stderr
+        assert not (tmp_path / "d").exists()
+
 
 def lossless_manifest(tmp_path):
     # weights already on the symmetric 4-bit grid with per-row max 7
@@ -453,6 +460,15 @@ class TestSweep:
             ).returncode == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("seeds", [0, -2])
+    def test_seeds_below_one_exits_2(self, tmp_path, seeds):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(self.SPEC))
+        r = run_cli("sweep", "--spec", p, "--method", "sarqc-gs", "--seeds", seeds, "--out", tmp_path / "out.csv")
+        assert r.returncode == 2
+        assert "--seeds must be at least 1" in r.stderr
+        assert not (tmp_path / "out.csv").exists()
+
     def test_requires_exactly_one_source(self, tmp_path):
         r = run_cli("sweep", "--method", "sarqc-gbs", "--out", tmp_path / "o.csv")
         assert r.returncode == 2
@@ -689,16 +705,11 @@ class TestExitCodes:
         # worker took before the queue was cancelled have started
         assert "l0" in started and len(started) <= 1 + 2
 
-    @pytest.mark.parametrize("scale", [3e153, 2.2e153])
-    @pytest.mark.parametrize(
-        "method, flags",
-        [("gptq", []), ("sarqc-gbs", []), ("sarqc-gbs", ["--lambda", "0.5"]),
-         ("sarqc-gbs", ["--lambda", "0.5", "--saliency", "identity"])],
-    )
-    def test_activations_near_the_float_range_exit_4(self, tmp_path, capsys, method, flags, scale):
-        # every entry of X is ±scale, one sign per column, so XXᵀ has rank 1
-        # and every entry 12·scale²: past half the float64 range at 3e153,
-        # and at 2.2e153 (5.8e307) a diagonal whose mean overflows
+    @staticmethod
+    def quantize_rank_one(tmp_path, scale, method, flags):
+        """(exit code, warnings) of quantize on the lossless layer with every
+        entry of X ±scale, one sign per column, so XXᵀ has rank 1 and every
+        entry 12·scale²."""
         from sarqc import cli
 
         lossless_manifest(tmp_path)
@@ -708,9 +719,33 @@ class TestExitCodes:
             warnings.simplefilter("always")
             rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", method, *flags,
                            "--out", str(tmp_path / "q")])
-        assert rc == 4
+        return rc, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize(
+        "method, flags, scale",
+        [pytest.param("gptq", [], 3e153, id="gptq-flags0-3e+153")]
+        + [
+            pytest.param("sarqc-gbs", flags, scale, id=f"sarqc-gbs-flags{i}-{scale:g}")
+            for i, flags in enumerate([[], ["--lambda", "0.5"], ["--lambda", "0.5", "--saliency", "identity"]], 1)
+            for scale in (3e153, 2.2e153)
+        ],
+    )
+    def test_activations_near_the_float_range_exit_4(self, tmp_path, capsys, method, flags, scale):
+        # the Gram entries 12·scale² are past half the float64 range at
+        # 3e153; at 2.2e153 (5.8e307) the mean Gram diagonal that sarqc-gbs
+        # scales its damping by overflows
+        assert self.quantize_rank_one(tmp_path, scale, method, flags) == (4, [])
         assert "numerical failure" in capsys.readouterr().err
-        assert [str(w.message) for w in caught] == []
+
+    def test_gptq_near_the_float_range_takes_a_finite_jitter(self, tmp_path):
+        # the Gram diagonal 5.808e307 sums past the float64 range, but its
+        # first jitter, 1e-6 times its mean, is finite
+        assert self.quantize_rank_one(tmp_path, 2.2e153, "gptq", []) == (0, [])
+        layer = json.loads((tmp_path / "q" / "report.json").read_text())["layers"][0]
+        assert all(math.isfinite(v) for v in layer["losses"].values())
+        assert math.isfinite(layer["heldout_risk"])
+        assert layer["factor"]["retries"] == 1
+        assert layer["factor"]["jitter"] == pytest.approx(1e-6 * 12 * 2.2e153**2, rel=1e-12)
 
     @pytest.mark.parametrize("method", ["gptq", "sarqc-gbs"])
     def test_overflowing_activations_exit_4(self, tmp_path, method, capsys):
