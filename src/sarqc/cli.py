@@ -36,7 +36,7 @@ from .harness import (
     sweep_lambda,
     sweep_layer,
 )
-from .linalg import NumericalFailure
+from .linalg import NumericalFailure, scipy_build
 from .oracles import (
     run_compensation_suite,
     run_gptq_equiv_suite,
@@ -112,16 +112,14 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"
 
 def _versions() -> dict:
     # Gram bytes depend on numpy's BLAS and its thread count, factor bytes on
-    # scipy's LAPACK, so all of them belong to the replay config. Importing
-    # scipy here loads neither scipy.linalg nor its LAPACK.
-    import scipy
-
+    # scipy's LAPACK, so all of them belong to the replay config. scipy's are
+    # read from its files; the scipy package is not imported.
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    scipy_version, lapack = scipy_build()
     return {
         "sarqc": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy_version,
         "python": platform.python_version(),
         "blas": {
             "name": blas.get("name"),
@@ -384,17 +382,16 @@ def cmd_verify(args) -> int:
     if args.trials is not None and args.trials < 1:
         raise UsageError("--trials must be >= 1")
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    runners = {
+        "compensation": run_compensation_suite,
+        "supportedness": run_supportedness_suite,
+        "hoeffding": run_hoeffding_suite,
+        "gptq-equiv": run_gptq_equiv_suite,
+    }
     suites = {}
     for name in names:
         trials = args.trials if args.trials is not None else SUITE_DEFAULT_TRIALS[name]
-        if name == "compensation":
-            res = run_compensation_suite(trials, args.seed, flip_sign=args.inject_fault)
-        elif name == "supportedness":
-            res = run_supportedness_suite(trials, args.seed)
-        elif name == "hoeffding":
-            res = run_hoeffding_suite(trials, args.seed)
-        else:
-            res = run_gptq_equiv_suite(trials, args.seed)
+        res = runners[name](trials, args.seed, inject_fault=args.inject_fault)
         suites[name] = {
             "passed": res.passed,
             "trials": res.trials,

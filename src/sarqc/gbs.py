@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import CalibrationBatch
-from .linalg import NumericalFailure, TriangularFactor, as_matrix, chol_upper_of_inverse
+from .linalg import NumericalFailure, TriangularFactor, as_matrix, chol_upper_of_inverse, scaled_mean
 from .objective import check_lambda_grid, recon_loss
 from .quantizer import QuantizedLayer, QuantScheme, group_params
 from .saliency import ChannelStats, SaliencyProfile, identity_profile, saliency_vector_gbs, scale_normalize_gbs
@@ -72,9 +72,10 @@ class GbsConfig:
 
 
 def h_bar_of_gram(g0: np.ndarray) -> float:
-    """h̄, the mean diagonal of the Gram G0; NumericalFailure when it overflows."""
-    with np.errstate(over="ignore"):
-        h_bar = float(np.mean(np.diag(g0)))
+    """h̄, the mean diagonal of the Gram G0, by `scaled_mean`, so a diagonal
+    whose sum overflows still gives the finite mean; NumericalFailure when
+    the mean itself is not finite."""
+    h_bar = scaled_mean(np.diag(g0))
     if not math.isfinite(h_bar):
         raise NumericalFailure(f"mean diagonal of the {g0.shape} Gram matrix is not finite")
     return h_bar

@@ -16,7 +16,6 @@ covariance shift.
 from __future__ import annotations
 
 import math
-import statistics
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -419,6 +418,8 @@ def calib_size_study(
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be ascending")
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     rows = []
     for size in sizes:
         base_risks = []
@@ -442,8 +443,8 @@ def calib_size_study(
         rows.append(
             {
                 "size": int(size),
-                "baseline_median": statistics.median(base_risks),
-                "selected_median": statistics.median(sel_risks),
+                "baseline_median": float(np.median(base_risks)),
+                "selected_median": float(np.median(sel_risks)),
             }
         )
     return rows

@@ -44,6 +44,36 @@ _FLAPACK = "scipy.linalg._flapack"
 _FLAPACK_LOCK = threading.Lock()  # --jobs workers reach the first factor together
 
 
+def _scipy_file(*parts: str) -> Path:
+    """The file at `parts` inside the installed scipy package, located by
+    find_spec, which does not import scipy. Only this module reads scipy's
+    files; ImportError names a missing file's path."""
+    path = Path(importlib.util.find_spec("scipy").submodule_search_locations[0], *parts)
+    if not path.is_file():
+        raise ImportError(f"scipy's {path.name} is not at {path}")
+    return path
+
+
+def _run_scipy_source(name: str) -> dict:
+    """The globals of scipy's plain-Python module `name` (version or
+    __config__), run from its source without importing the scipy package."""
+    path = _scipy_file(name + ".py")
+    namespace = {"__name__": f"scipy.{name}"}
+    exec(compile(path.read_bytes(), str(path), "exec"), namespace)
+    return namespace
+
+
+def scipy_build() -> tuple[str, dict]:
+    """scipy's version and the build entry of the LAPACK its `_flapack` links,
+    `CONFIG["Build Dependencies"]["lapack"]` as `scipy.show_config` gives it.
+
+    Both are read from scipy's own version.py and __config__.py, so the
+    report costs neither the scipy package's import time nor its memory."""
+    version = _run_scipy_source("version")["version"]
+    lapack = _run_scipy_source("__config__")["CONFIG"]["Build Dependencies"]["lapack"]
+    return version, lapack
+
+
 def _lapack():
     """scipy's `_flapack` extension module, which holds dpotrf, dtrtri and
     dpotrs.
@@ -51,11 +81,9 @@ def _lapack():
     Importing scipy.linalg costs a few hundred ms and about 20 MiB, most of
     it in scipy._lib._array_api, numpy.testing and numpy.f2py, none of which
     a factor uses. So unless scipy.linalg has already loaded the extension,
-    it is loaded from scipy's directory, which find_spec locates without
-    importing scipy, and registered under its own name: a later
-    `import scipy.linalg` then re-exports this same module. This relies on
-    scipy's layout, scipy/linalg/_flapack<extension suffix>; where that
-    file is missing, ImportError names the path.
+    it is loaded from scipy's directory (`_scipy_file`) and registered under
+    its own name: a later `import scipy.linalg` then re-exports this same
+    module.
     """
     module = sys.modules.get(_FLAPACK)
     if module is not None:
@@ -63,11 +91,7 @@ def _lapack():
     with _FLAPACK_LOCK:
         module = sys.modules.get(_FLAPACK)
         if module is None:
-            scipy_spec = importlib.util.find_spec("scipy")
-            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-            path = Path(scipy_spec.submodule_search_locations[0], "linalg", "_flapack" + suffix)
-            if not path.is_file():
-                raise ImportError(f"scipy's LAPACK extension is not at {path}")
+            path = _scipy_file("linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
             spec = importlib.util.spec_from_file_location(_FLAPACK, path)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
@@ -165,6 +189,17 @@ def frobenius_sq(a) -> float:
     if not math.isfinite(total):
         raise NumericalFailure(f"sum of squares of a {m.shape} matrix is not finite")
     return total
+
+
+def scaled_mean(v: np.ndarray, scale: float = 1.0) -> float:
+    """scale · mean(v) for a finite vector v, as `scale * np.mean(v)`; where
+    that is +inf because the sum overflowed, the sum of each entry times
+    scale / len(v) instead, which is finite whenever the mean is."""
+    with np.errstate(over="ignore"):
+        mean = scale * float(np.mean(v))
+    if mean == math.inf:
+        mean = float(np.sum(v * (scale / v.size)))
+    return mean
 
 
 def _check_square_symmetric(g: np.ndarray, name: str) -> None:
@@ -277,8 +312,8 @@ def chol_upper_of_inverse(
     (g_ii + shift_i) + eps on it, the arithmetic of G + diag(shift) + eps·I.
     eps starts at 0, then 1e-6 · mean diag of G + diag(shift), doubling up
     to MAX_JITTER_RETRIES times. The mean is taken only after a failed
-    attempt, over the diagonal in index order, or as the sum of each entry
-    times 1e-6 / d where the plain sum overflows. The jitter actually used and
+    attempt, over the diagonal in index order, by `scaled_mean`, so a sum
+    that overflows still gives a finite jitter. The jitter actually used and
     the failed attempts are recorded on the returned factor.
 
     scipy's LAPACK extension is loaded here, not at module load, so
@@ -339,10 +374,7 @@ def chol_upper_of_inverse(
             if eps != 0.0:
                 eps *= 2.0
             else:
-                with np.errstate(over="ignore"):
-                    eps = 1e-6 * float(np.mean(diag))
-                if eps == math.inf:  # the sum overflowed; diag is finite, so scale before summing
-                    eps = float(np.sum(diag * (1e-6 / d)))
+                eps = scaled_mean(diag, 1e-6)
                 if not eps > 0.0:  # non-positive mean diagonal, or the product underflowed
                     eps = 1e-6
     raise NumericalFailure(

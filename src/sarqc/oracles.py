@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import _lapack, as_matrix, chol_upper_of_inverse, gram
+from .linalg import TriangularFactor, _lapack, as_matrix, chol_upper_of_inverse, gram
 from .quantizer import (
     QuantizedLayer,
     QuantScheme,
@@ -243,11 +243,18 @@ def verify_supportedness(
     chosen_id: str,
     r_sq: float,
     lambda_probe_grid: Sequence[float] | None = None,
+    *,
+    collapse_interval: bool = False,
 ) -> SupportednessReport:
     """Check membership of the chosen candidate in the penalized argmin set
     against the interval prediction, probe by probe. Without a probe grid,
-    the probes are the interval's ends, midpoints and points past them."""
+    the probes are the interval's ends, midpoints and points past them.
+
+    `collapse_interval` is a test-only fault hook that replaces the computed
+    interval by its lower end alone."""
     interval = lambda_interval(candidates, chosen_id, r_sq)
+    if collapse_interval:
+        interval = LambdaInterval(interval.lambda_min, interval.lambda_min, True)
     probes = _probes_for(interval) if lambda_probe_grid is None else [float(v) for v in lambda_probe_grid]
     for lam in probes:
         if lam < 0.0 or not math.isfinite(lam):
@@ -333,6 +340,7 @@ def hoeffding_check(
     trials: int,
     *,
     seed: int = 0,
+    zero_bound: bool = False,
 ) -> CoverageReport:
     """Monte Carlo coverage of the uniform deviation bound over a random
     finite class of weight perturbations, HOEFFDING_D_OUT × d_in, with
@@ -344,12 +352,15 @@ def hoeffding_check(
     calibration risk is farther than the bound from its true risk; the
     pass threshold allows δ plus three binomial standard deviations of the
     violation rate.
+
+    `zero_bound` is a test-only fault hook that checks against a bound of
+    0 in place of the Hoeffding bound, which every trial violates.
     """
     if d_in < 1 or r < 0.0 or m_x <= 0.0 or n < 2 or class_size < 1:
         raise ValueError("invalid check parameters")
     if trials < HOEFFDING_MIN_TRIALS:
         raise ValueError(f"coverage estimate needs at least {HOEFFDING_MIN_TRIALS} trials")
-    bound = hoeffding_bound(r, m_x, class_size, n, delta)
+    bound = 0.0 if zero_bound else hoeffding_bound(r, m_x, class_size, n, delta)
     c = _clipped_second_moment(d_in, m_x)
     violations = 0
     for t in range(trials):
@@ -382,41 +393,41 @@ def hoeffding_check(
 # Plain sequential reference pass (unblocked)
 
 
-def greedy_sequential_reference(w, g, scheme: QuantScheme) -> QuantizedLayer:
-    """Column-by-column quantize-and-compensate pass with no blocking.
+def greedy_sequential_reference(w, factor: TriangularFactor, scheme: QuantScheme) -> QuantizedLayer:
+    """Column-by-column quantize-and-compensate pass with no blocking, given
+    the upper factor M of the inverse curvature, which it only reads.
 
-    Transliterates the sequential pseudo-code directly: quantize the current
-    working column, divide the error by the factor diagonal, subtract the
-    outer product with the factor row from everything to the right. Used as
-    the reference the blocked solver must reproduce bit-for-bit at λ = 0.
+    Transliterates the sequential pseudo-code directly: freeze each group's
+    parameters from the working matrix when its first column is reached;
+    then, column by column, quantize the working column, divide the error by
+    the factor diagonal and subtract its product with the factor row from
+    everything to the right. Used as the reference the blocked solver must
+    reproduce bit-for-bit at λ = 0.
     """
     w = as_matrix(w, "W")
-    g = as_matrix(g, "G")
     d_out, d_in = w.shape
-    m = chol_upper_of_inverse(g, context="reference").data
+    m = factor.data
+    if m.shape[0] != d_in:
+        raise ValueError(f"curvature dim {m.shape[0]} does not match d_in {d_in}")
 
     slices = scheme.group_slices(d_in)
-    grp_idx = scheme.group_index(d_in)
     codes = np.empty((d_out, d_in), dtype=np.int32)
     qhat = np.empty_like(w)
     scales = np.empty((d_out, len(slices)), dtype=np.float64)
     zps = np.empty((d_out, len(slices)), dtype=np.int32)
-    ready = np.zeros(len(slices), dtype=bool)
 
     u = w.copy()
-    for j in range(d_in):
-        gi = int(grp_idx[j])
-        if not ready[gi]:
-            scales[:, gi], zps[:, gi] = group_params(u[:, slices[gi]], scheme)
-            ready[gi] = True
+    for gi, sl in enumerate(slices):
+        scales[:, gi], zps[:, gi] = group_params(u[:, sl], scheme)
         s = scales[:, gi]
         z = zps[:, gi]
-        c = quantize_with_params(u[:, j], s, z, scheme)
-        qcol = dequantize_with_params(c, s, z)
-        codes[:, j] = c
-        qhat[:, j] = qcol
-        e = (u[:, j] - qcol) / m[j, j]
-        u[:, j:] -= np.outer(e, m[j, j:])
+        for j in range(sl.start, sl.stop):
+            c = quantize_with_params(u[:, j], s, z, scheme)
+            qcol = dequantize_with_params(c, s, z)
+            codes[:, j] = c
+            qhat[:, j] = qcol
+            e = (u[:, j] - qcol) / m[j, j]
+            u[:, j:] -= e[:, None] * m[j, j:]
     return QuantizedLayer(codes=codes, scales=scales, zero_points=zps, dequantized=qhat, scheme=scheme)
 
 
@@ -451,8 +462,10 @@ HOEFFDING_CLASS_SIZE = 16
 HOEFFDING_MIN_TRIALS = 1000
 
 
-def run_compensation_suite(trials: int, seed: int, *, flip_sign: bool = False) -> SuiteResult:
-    """Closed-form update vs reduced-system oracle on random SPD instances."""
+def run_compensation_suite(trials: int, seed: int, *, inject_fault: bool = False) -> SuiteResult:
+    """Closed-form update vs reduced-system oracle on random SPD instances.
+
+    `inject_fault` is a test-only hook that negates the closed-form update."""
     worst_delta = 0.0
     worst_obj = 0.0
     for t in range(trials):
@@ -464,7 +477,7 @@ def run_compensation_suite(trials: int, seed: int, *, flip_sign: bool = False) -
         j = int(rng.integers(d))
         qhat = w[j] + rng.uniform(-0.5, 0.5)
         delta_o, obj_o = oracle_row_update(w, g, j, qhat)
-        delta_c, obj_c = closed_form_row_update(w, g, j, qhat, flip_sign=flip_sign)
+        delta_c, obj_c = closed_form_row_update(w, g, j, qhat, flip_sign=inject_fault)
         err_d = float(np.max(np.abs(delta_o - delta_c)))
         err_o = abs(obj_o - obj_c) / (1.0 + abs(obj_o))
         worst_delta = max(worst_delta, err_d)
@@ -500,13 +513,17 @@ WORKED_FRONTIER = (
 )
 
 
-def run_supportedness_suite(trials: int, seed: int) -> SuiteResult:
+def run_supportedness_suite(trials: int, seed: int, *, inject_fault: bool = False) -> SuiteResult:
     """Interval membership <=> penalized argmin on random finite frontiers.
 
     Trial 0 is the fixed worked three-candidate instance; even trials use
     integer-valued losses so ties are exact, odd trials continuous ones.
+    `inject_fault` is a test-only hook that collapses the worked instance's
+    interval onto its lower end, so its probes inside the interval fail.
     """
-    report = verify_supportedness(WORKED_FRONTIER, "A", 4.0, [0.05, 0.1, 0.2, 1.0 / 3.0, 0.5])
+    report = verify_supportedness(
+        WORKED_FRONTIER, "A", 4.0, [0.05, 0.1, 0.2, 1.0 / 3.0, 0.5], collapse_interval=inject_fault
+    )
     if not report.passed:
         return SuiteResult("supportedness", False, trials, counterexample=report.counterexample)
     iv = report.interval
@@ -550,12 +567,14 @@ def run_supportedness_suite(trials: int, seed: int) -> SuiteResult:
     )
 
 
-def run_hoeffding_suite(trials: int, seed: int) -> SuiteResult:
+def run_hoeffding_suite(trials: int, seed: int, *, inject_fault: bool = False) -> SuiteResult:
     """`hoeffding_check` on the suite's fixed instance, at least
     HOEFFDING_MIN_TRIALS trials. Its worst calibration gap, about 0.03–0.04,
     sits so far inside the bound of 0.127 that an error in the true risk
     c·‖Δ‖²_F below about 0.09·‖Δ‖²_F goes unseen; the tests of
-    `_clipped_second_moment` and `test_tight_bound_coverage` pin c."""
+    `_clipped_second_moment` and `test_tight_bound_coverage` pin c.
+
+    `inject_fault` is a test-only hook that checks against a zero bound."""
     trials = max(trials, HOEFFDING_MIN_TRIALS)
     report = hoeffding_check(
         HOEFFDING_D_IN,
@@ -566,6 +585,7 @@ def run_hoeffding_suite(trials: int, seed: int) -> SuiteResult:
         HOEFFDING_CLASS_SIZE,
         trials,
         seed=seed,
+        zero_bound=inject_fault,
     )
     return SuiteResult(
         name="hoeffding",
@@ -580,9 +600,13 @@ def run_hoeffding_suite(trials: int, seed: int) -> SuiteResult:
     )
 
 
-def run_gptq_equiv_suite(trials: int, seed: int) -> SuiteResult:
+def run_gptq_equiv_suite(trials: int, seed: int, *, inject_fault: bool = False) -> SuiteResult:
     """Blocked solver at λ = 0 vs the unblocked reference, bit for bit:
-    codes, scales, zero points and dequantized weights."""
+    codes, scales, zero points and dequantized weights. Both passes read the
+    one λ = 0 factor of each trial's Gram.
+
+    `inject_fault` is a test-only hook that changes one solver code before
+    the comparison."""
     from .gbs import build_curvature, run_gbs
     from .saliency import identity_profile
 
@@ -596,10 +620,11 @@ def run_gptq_equiv_suite(trials: int, seed: int) -> SuiteResult:
         group: int | str = [16, 32, "per_channel"][int(rng.integers(3))]
         scheme = QuantScheme(bits=int(rng.integers(3, 5)), mode=mode, group_size=group)
 
-        g0 = gram(x)
-        curv = build_curvature(g0, identity_profile(d_in), 0.0)
-        solver = run_gbs(w, curv, scheme, block_size=128)
-        ref = greedy_sequential_reference(w, g0, scheme)
+        factor = build_curvature(gram(x), identity_profile(d_in), 0.0)
+        solver = run_gbs(w, factor, scheme, block_size=128)
+        ref = greedy_sequential_reference(w, factor, scheme)
+        if inject_fault:
+            solver.codes[0, 0] ^= 1
         # bytes, not values: a −0.0 in place of +0.0 is a difference
         if not all(
             getattr(solver, f).tobytes() == getattr(ref, f).tobytes()

@@ -305,12 +305,14 @@ class TestOutputs:
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         assert cli.main(["quantize", "--manifest", str(m), "--method", "rtn", "--out", str(tmp_path / "q")]) == 0
-        blas = json.loads((tmp_path / "q" / "report.json").read_text())["versions"]["blas"]
+        versions = json.loads((tmp_path / "q" / "report.json").read_text())["versions"]
+        assert versions["scipy"] == scipy.__version__
+        blas = versions["blas"]
         build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert (blas["name"], blas["version"]) == (build["name"], build["version"])
         assert blas["threads"] == {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None, "OMP_NUM_THREADS": "3"}
         # the factors come from scipy's LAPACK, which need not be numpy's BLAS
-        lapack = json.loads((tmp_path / "q" / "report.json").read_text())["versions"]["lapack"]
+        lapack = versions["lapack"]
         build = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
         assert lapack == {"name": build["name"], "version": build["version"]}
 
@@ -362,10 +364,11 @@ class TestPeakMemory:
         assert peaks[1] - peaks[0] < one_layer
 
 
-# modules whose loading tells how a command reached LAPACK: a factor loads
-# only scipy's _flapack extension, never the scipy.linalg package, whose
-# import also pulls in scipy._lib._array_api
-_WATCHED = ("scipy.linalg", "scipy.linalg._flapack", "scipy._lib._array_api")
+# modules whose loading tells what a command paid for: a factor loads only
+# scipy's _flapack extension, never the scipy package or scipy.linalg, whose
+# import also pulls in scipy._lib._array_api; _hashlib, which maps OpenSSL,
+# loads only where seeded streams are drawn; statistics loads nowhere
+_WATCHED = ("scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy._lib._array_api", "_hashlib", "statistics")
 
 # runs sarqc's main in a fresh interpreter and reports which watched modules
 # it loaded; the test process itself has long since imported them
@@ -377,7 +380,7 @@ _MAIN_THEN_MODULES = (
 )
 
 
-def loaded_scipy_modules(*args) -> set:
+def loaded_watched_modules(*args) -> set:
     r = subprocess.run([sys.executable, "-c", _MAIN_THEN_MODULES, *map(str, args)], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     result = json.loads(r.stdout.splitlines()[-1])
@@ -387,8 +390,10 @@ def loaded_scipy_modules(*args) -> set:
 
 class TestImportHygiene:
     def test_importing_the_cli_loads_no_scipy(self):
+        # nor OpenSSL's _hashlib, nor statistics
         r = subprocess.run(
-            [sys.executable, "-c", "import sys, sarqc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            [sys.executable, "-c", "import sys, sarqc.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', '_hashlib', 'statistics')))"],
             capture_output=True, text=True,
         )
         assert r.returncode == 0, r.stderr
@@ -397,26 +402,27 @@ class TestImportHygiene:
     @pytest.mark.parametrize("method", ["rtn", "awq", "sarqc-gs"])
     def test_methods_that_never_factor_leave_lapack_unloaded(self, tmp_path, method):
         m = random_manifest(tmp_path, 2)
-        assert loaded_scipy_modules("quantize", "--manifest", m, "--method", method, "--out", tmp_path / "q") == set()
+        assert loaded_watched_modules("quantize", "--manifest", m, "--method", method, "--out", tmp_path / "q") == set()
 
     def test_gen_leaves_lapack_unloaded(self, tmp_path):
-        assert loaded_scipy_modules("gen", "--spec", gen_spec(tmp_path), "--out", tmp_path / "g", "--seed", 1) == set()
+        loaded = loaded_watched_modules("gen", "--spec", gen_spec(tmp_path), "--out", tmp_path / "g", "--seed", 1)
+        assert loaded == {"_hashlib"}
 
     @pytest.mark.parametrize("suite", ["supportedness", "hoeffding"])
     def test_suites_that_never_factor_leave_lapack_unloaded(self, tmp_path, suite):
-        loaded = loaded_scipy_modules("verify", "--suite", suite, "--trials", 20, "--out", tmp_path / "v.json")
-        assert loaded == set()
+        loaded = loaded_watched_modules("verify", "--suite", suite, "--trials", 20, "--out", tmp_path / "v.json")
+        assert loaded == {"_hashlib"}
 
     @pytest.mark.parametrize("method", ["gptq", "sarqc-gbs"])
     def test_methods_that_factor_load_only_the_lapack_extension(self, tmp_path, method):
         m = random_manifest(tmp_path, 1)
-        loaded = loaded_scipy_modules("quantize", "--manifest", m, "--method", method, "--out", tmp_path / "q")
+        loaded = loaded_watched_modules("quantize", "--manifest", m, "--method", method, "--out", tmp_path / "q")
         assert loaded == {"scipy.linalg._flapack"}
 
     @pytest.mark.parametrize("suite", ["gptq-equiv", "compensation"])
     def test_suites_that_factor_load_only_the_lapack_extension(self, tmp_path, suite):
-        loaded = loaded_scipy_modules("verify", "--suite", suite, "--trials", 5, "--out", tmp_path / "v.json")
-        assert loaded == {"scipy.linalg._flapack"}
+        loaded = loaded_watched_modules("verify", "--suite", suite, "--trials", 5, "--out", tmp_path / "v.json")
+        assert loaded == {"scipy.linalg._flapack", "_hashlib"}
 
     def test_first_factor_on_two_workers_matches_one(self, tmp_path):
         # with --jobs 2 both workers reach the first factor, and so the
@@ -535,15 +541,21 @@ class TestVerify:
         assert doc["suites"]["compensation"]["passed"]
 
     def test_fault_injection_fails_with_counterexample(self, tmp_path):
-        r = run_cli(
-            "verify", "--suite", "compensation", "--trials", 20,
-            "--inject-fault", "--out", tmp_path / "v.json",
-        )
-        assert r.returncode == 1
+        # --suite all carries the fault to every suite
+        r = run_cli("verify", "--suite", "all", "--trials", 5, "--inject-fault", "--out", tmp_path / "v.json")
+        assert r.returncode == 1, r.stderr
+        suites = json.loads((tmp_path / "v.json").read_text())["suites"]
+        assert set(suites) == {"compensation", "supportedness", "hoeffding", "gptq-equiv"}
+        assert all(not s["passed"] and s["counterexample"] for s in suites.values())
+
+    @pytest.mark.parametrize("suite", ["compensation", "supportedness", "hoeffding", "gptq-equiv"])
+    def test_injected_fault_fails_the_suite_with_a_counterexample(self, tmp_path, suite):
+        # each suite's own comparison sees the fault: exit 1, not a crash
+        r = run_cli("verify", "--suite", suite, "--trials", 5, "--inject-fault", "--out", tmp_path / "v.json")
+        assert r.returncode == 1, r.stderr
         doc = json.loads((tmp_path / "v.json").read_text())
-        suite = doc["suites"]["compensation"]
-        assert not suite["passed"]
-        assert suite["counterexample"] is not None
+        assert not doc["suites"][suite]["passed"]
+        assert doc["suites"][suite]["counterexample"]
 
 
 class TestExitCodes:
@@ -627,7 +639,7 @@ class TestExitCodes:
         from sarqc.oracles import SuiteResult
 
         monkeypatch.setattr(cli, "run_supportedness_suite",
-                            lambda trials, seed: SuiteResult("supportedness", True, trials, {"gap": float("inf")}))
+                            lambda trials, seed, **_: SuiteResult("supportedness", True, trials, {"gap": float("inf")}))
         rc = cli.main(["verify", "--suite", "supportedness", "--trials", "1", "--out", str(tmp_path / "v.json")])
         assert rc == 4
         assert "non-finite value" in capsys.readouterr().err
@@ -721,19 +733,18 @@ class TestExitCodes:
                            "--out", str(tmp_path / "q")])
         return rc, [str(w.message) for w in caught]
 
+    GBS_FLAGS = [[], ["--lambda", "0.5"], ["--lambda", "0.5", "--saliency", "identity"]]
+
     @pytest.mark.parametrize(
         "method, flags, scale",
         [pytest.param("gptq", [], 3e153, id="gptq-flags0-3e+153")]
         + [
-            pytest.param("sarqc-gbs", flags, scale, id=f"sarqc-gbs-flags{i}-{scale:g}")
-            for i, flags in enumerate([[], ["--lambda", "0.5"], ["--lambda", "0.5", "--saliency", "identity"]], 1)
-            for scale in (3e153, 2.2e153)
+            pytest.param("sarqc-gbs", flags, 3e153, id=f"sarqc-gbs-flags{i}-3e+153")
+            for i, flags in enumerate(GBS_FLAGS, 1)
         ],
     )
     def test_activations_near_the_float_range_exit_4(self, tmp_path, capsys, method, flags, scale):
-        # the Gram entries 12·scale² are past half the float64 range at
-        # 3e153; at 2.2e153 (5.8e307) the mean Gram diagonal that sarqc-gbs
-        # scales its damping by overflows
+        # the Gram entries 12·scale² are past half the float64 range
         assert self.quantize_rank_one(tmp_path, scale, method, flags) == (4, [])
         assert "numerical failure" in capsys.readouterr().err
 
@@ -746,6 +757,16 @@ class TestExitCodes:
         assert math.isfinite(layer["heldout_risk"])
         assert layer["factor"]["retries"] == 1
         assert layer["factor"]["jitter"] == pytest.approx(1e-6 * 12 * 2.2e153**2, rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [pytest.param(f, id=f"flags{i}") for i, f in enumerate(GBS_FLAGS, 1)])
+    def test_sarqc_gbs_near_the_float_range_takes_a_finite_h_bar(self, tmp_path, flags):
+        # the same diagonal: its mean h̄, which scales the gbs damping, is
+        # finite although the plain sum of the diagonal overflows
+        assert self.quantize_rank_one(tmp_path, 2.2e153, "sarqc-gbs", flags) == (0, [])
+        layer = json.loads((tmp_path / "q" / "report.json").read_text())["layers"][0]
+        assert all(math.isfinite(v) for v in layer["losses"].values())
+        assert math.isfinite(layer["heldout_risk"])
+        assert layer["factor"]["retries"] == 0
 
     @pytest.mark.parametrize("method", ["gptq", "sarqc-gbs"])
     def test_overflowing_activations_exit_4(self, tmp_path, method, capsys):

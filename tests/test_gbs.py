@@ -124,6 +124,13 @@ class TestBuildCurvature:
         factor = build_curvature(gram(x), identity_profile(2), lam=0.5)
         assert_factor_of(factor, np.array([[2.75, 1.0], [1.0, 1.75]]))
 
+    def test_h_bar_of_a_diagonal_whose_sum_overflows(self):
+        # every diagonal entry 5.808e307: the sum overflows, the mean does not
+        g0 = np.full((8, 8), 5.808e307)
+        assert h_bar_of_gram(g0) == float(np.sum(np.diag(g0) * (1.0 / 8))) == pytest.approx(5.808e307, rel=1e-15)
+        g0 = gram(np.random.default_rng(2).standard_normal((8, 16)))
+        assert h_bar_of_gram(g0) == float(np.mean(np.diag(g0)))
+
     def test_identity_plus_lambda_is_isotropic_damping(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, 20))
@@ -313,7 +320,7 @@ class TestGptqEquivalence:
             scheme = QuantScheme(bits=4, mode=mode, group_size=8)
             factor = build_curvature(gram(x), identity_profile(d_in), 0.0)
             solver = run_gbs(w, factor, scheme, block_size=128)
-            ref = greedy_sequential_reference(w, gram(x), scheme)
+            ref = greedy_sequential_reference(w, factor, scheme)
             assert_same_bytes(solver, ref)
 
     @pytest.mark.parametrize("group", [128, "per_channel"])
@@ -324,16 +331,18 @@ class TestGptqEquivalence:
         w = rng.standard_normal((128, 1024))
         g0 = gram(rng.standard_normal((1024, 2048)))
         scheme = QuantScheme(bits=4, mode="asymmetric", group_size=group)
-        solver = run_gbs(w, build_curvature(g0, identity_profile(1024), 0.0), scheme, block_size=1024)
-        assert_same_bytes(solver, greedy_sequential_reference(w, g0, scheme))
+        factor = build_curvature(g0, identity_profile(1024), 0.0)
+        solver = run_gbs(w, factor, scheme, block_size=1024)
+        assert_same_bytes(solver, greedy_sequential_reference(w, factor, scheme))
 
     def test_negative_zero_bit_identical_to_reference(self):
         rng = np.random.default_rng(12)
         w = -np.abs(rng.standard_normal((16, 64))) * 1e-3
         x = rng.standard_normal((64, 128))
         g0 = gram(x)
-        solver = run_gbs(w, build_curvature(g0, identity_profile(64), 0.0), SYM2_G32, block_size=128)
-        ref = greedy_sequential_reference(w, g0, SYM2_G32)
+        factor = build_curvature(g0, identity_profile(64), 0.0)
+        solver = run_gbs(w, factor, SYM2_G32, block_size=128)
+        ref = greedy_sequential_reference(w, factor, SYM2_G32)
         assert np.sum(ref.codes == 0) > 100
         assert_same_bytes(solver, ref)
 
@@ -346,7 +355,7 @@ class TestGptqEquivalence:
         factor = build_curvature(gram(x), identity_profile(d_in), lam)
         out = run_gbs(w, factor, SYM4, block_size=128)
         damped = gram(x) + lam * h_bar_of_gram(gram(x)) * np.eye(d_in)
-        ref = greedy_sequential_reference(w, damped, SYM4)
+        ref = greedy_sequential_reference(w, chol_upper_of_inverse(damped), SYM4)
         assert np.max(np.abs(out.dequantized - ref.dequantized)) < 1e-9
 
 

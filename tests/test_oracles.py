@@ -301,7 +301,7 @@ class TestSuites:
         assert res.details["max_delta_err"] <= 1e-9
 
     def test_compensation_fault_injection(self):
-        res = run_compensation_suite(10, seed=0, flip_sign=True)
+        res = run_compensation_suite(10, seed=0, inject_fault=True)
         assert not res.passed
         assert res.counterexample is not None
         assert "delta_err" in res.counterexample
@@ -328,8 +328,9 @@ class TestSuites:
             group = [16, 32, "per_channel"][int(rng.integers(3))]
             scheme = QuantScheme(bits=int(rng.integers(3, 5)), mode=mode, group_size=group)
             g0 = gram(x)
-            solver = run_gbs(w, build_curvature(g0, identity_profile(d_in), 0.0), scheme, block_size=block)
-            ref = greedy_sequential_reference(w, g0, scheme)
+            factor = build_curvature(g0, identity_profile(d_in), 0.0)
+            solver = run_gbs(w, factor, scheme, block_size=block)
+            ref = greedy_sequential_reference(w, factor, scheme)
             assert np.array_equal(solver.codes, ref.codes)
             assert np.array_equal(solver.zero_points, ref.zero_points)
             # scales are positive, so their int64 views order like the floats
@@ -343,8 +344,9 @@ class TestSuites:
         w = rng.standard_normal((256, 1024))
         g0 = gram(rng.standard_normal((1024, 256)))
         scheme = QuantScheme(bits=4, mode="asymmetric", group_size=group)
-        solver = run_gbs(w, build_curvature(g0, identity_profile(1024), 0.0), scheme, block_size=128)
-        ref = greedy_sequential_reference(w, g0, scheme)
+        factor = build_curvature(g0, identity_profile(1024), 0.0)
+        solver = run_gbs(w, factor, scheme, block_size=128)
+        ref = greedy_sequential_reference(w, factor, scheme)
         assert np.array_equal(solver.codes, ref.codes)
         assert np.array_equal(solver.zero_points, ref.zero_points)
         ulps = np.abs(solver.scales.view(np.int64) - ref.scales.view(np.int64))
