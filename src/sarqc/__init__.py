@@ -13,7 +13,6 @@ from .calibration import CalibrationBatch, split_batch
 from .gbs import (
     GAMMA_GRID_DEFAULT,
     LAMBDA_GRID_GBS_DEFAULT,
-    GbsConfig,
     build_curvature,
     profile_for,
     run_gbs,
@@ -22,7 +21,6 @@ from .gbs import (
 from .gs import (
     ALPHA_GRID_DEFAULT,
     LAMBDA_GRID_GS_DEFAULT,
-    GsConfig,
     GsGrid,
     GsResult,
     candidate,

@@ -45,6 +45,13 @@ class CalibrationBatch:
         return self.x[:, self.n - self.n_val :]
 
 
+def clip_columns(x: np.ndarray, m_x: float) -> np.ndarray:
+    """Scale each column of x in place to a 2-norm of at most m_x, by
+    min(1, m_x / ‖x_j‖); returns x."""
+    x *= np.minimum(1.0, m_x / np.maximum(np.linalg.norm(x, axis=0), 1e-300))[None, :]
+    return x
+
+
 def split_batch(x, val_fraction: float = 0.25) -> CalibrationBatch:
     """Split off the last ceil(val_fraction · n) columns as validation."""
     x = as_matrix(x, "calibration")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import split_batch
-from .gbs import GAMMA_GRID_DEFAULT, LAMBDA_GRID_GBS_DEFAULT
+from .gbs import BLOCK_DEFAULT, GAMMA_GRID_DEFAULT, LAMBDA_GRID_GBS_DEFAULT
 from .gs import ALPHA_GRID_DEFAULT, LAMBDA_GRID_GS_DEFAULT
 from .harness import (
     CORR_RANK,
@@ -429,10 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--lambda-grid", type=_parse_grid, default=None)
     q.add_argument("--gamma", type=_finite_float, default=None)
     q.add_argument("--gamma-grid", type=_parse_grid, default=None)
-    q.add_argument("--block", type=int, default=128)
+    q.add_argument("--block", type=int, default=BLOCK_DEFAULT)
     q.add_argument("--saliency", choices=("saliency", "identity"), default="saliency")
     q.add_argument("--val-fraction", type=float, default=0.25)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=int, default=0, help="only recorded in report.json: quantize draws nothing random")
     q.add_argument("--jobs", type=int, default=os.environ.get("SARQC_JOBS", "1"))
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_quantize)
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scheme_flags(s)
     s.add_argument("--lambda-grid", type=_parse_grid, default=None)
     s.add_argument("--gamma", type=_finite_float, default=None)
-    s.add_argument("--block", type=int, default=128)
+    s.add_argument("--block", type=int, default=BLOCK_DEFAULT)
     s.add_argument("--val-fraction", type=float, default=0.25)
     s.add_argument("--seeds", type=int, default=20)
     s.add_argument("--seed", type=int, default=0)

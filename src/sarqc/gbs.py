@@ -30,45 +30,23 @@ M before it builds its outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .calibration import CalibrationBatch
 from .linalg import NumericalFailure, TriangularFactor, as_matrix, chol_upper_of_inverse, scaled_mean
-from .objective import check_lambda_grid, recon_loss
+from .objective import recon_loss
 from .quantizer import QuantizedLayer, QuantScheme, group_params
 from .saliency import ChannelStats, SaliencyProfile, identity_profile, saliency_vector_gbs, scale_normalize_gbs
 
 LAMBDA_GRID_GBS_DEFAULT = (0.25, 0.5, 0.75)
 GAMMA_GRID_DEFAULT = (0.1, 0.15, 0.35, 0.5)
+BLOCK_DEFAULT = 128  # columns per block of the sequential pass
 # selection runs on the first max(SUBSET_MIN, ceil(SUBSET_FRACTION · d_in)) channels
 SUBSET_FRACTION = 0.25
 SUBSET_MIN = 32
-
-
-@dataclass(frozen=True)
-class GbsConfig:
-    scheme: QuantScheme
-    lambda_grid: tuple[float, ...] = LAMBDA_GRID_GBS_DEFAULT
-    gamma_grid: tuple[float, ...] = GAMMA_GRID_DEFAULT
-    block_size: int = 128
-    saliency_kind: str = "gbs"  # "identity" | "gbs"
-
-    def __post_init__(self):
-        lgrid = check_lambda_grid(self.lambda_grid)
-        ggrid = tuple(float(v) for v in self.gamma_grid)
-        if not ggrid or any(not 0.0 <= v <= 1.0 for v in ggrid):
-            raise ValueError("gamma_grid entries must lie in [0, 1]")
-        if any(b <= a for a, b in zip(ggrid, ggrid[1:])):
-            raise ValueError("gamma_grid must be strictly increasing")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if self.saliency_kind not in ("identity", "gbs"):
-            raise ValueError(f"unknown saliency kind {self.saliency_kind!r}")
-        object.__setattr__(self, "lambda_grid", lgrid)
-        object.__setattr__(self, "gamma_grid", ggrid)
 
 
 def h_bar_of_gram(g0: np.ndarray) -> float:
@@ -108,7 +86,7 @@ def build_curvature(
     return chol_upper_of_inverse(g0, shift=lam * profile.values**2, context=context, overwrite_g=overwrite_g)
 
 
-def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 128) -> QuantizedLayer:
+def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = BLOCK_DEFAULT) -> QuantizedLayer:
     """Blockwise sequential quantization with closed-form compensation,
     given the upper factor M of the inverse curvature.
 
@@ -222,9 +200,19 @@ class HparamSelection(NamedTuple):
 
 
 def select_hparams_gbs(
-    w, batch: CalibrationBatch, config: GbsConfig, g0: np.ndarray, stats: ChannelStats | None
+    w,
+    batch: CalibrationBatch,
+    scheme: QuantScheme,
+    g0: np.ndarray,
+    stats: ChannelStats | None,
+    lambda_grid: tuple[float, ...],
+    gamma_grid: tuple[float, ...],
+    saliency_kind: str,
+    block_size: int,
 ) -> HparamSelection:
-    """Search (λ, γ) on a contiguous low-index channel subset of k channels.
+    """Search (λ, γ) over the two grids on a contiguous low-index channel
+    subset of k channels; the identity `saliency_kind` has no γ and searches
+    λ alone. The grids are used as given: `harness.solutions` checks them.
 
     g0 is the Gram of the full training split and stats the channel
     statistics of W and that split (None for the identity kind). The
@@ -248,16 +236,16 @@ def select_hparams_gbs(
     g0_sub = g0[:k, :k]
     stats_sub = None if stats is None else ChannelStats(*(getattr(stats, f.name)[:k] for f in fields(stats)))
     gammas: tuple[float | None, ...]
-    gammas = config.gamma_grid if config.saliency_kind == "gbs" else (None,)
+    gammas = gamma_grid if saliency_kind == "gbs" else (None,)
 
-    profiles = {gamma: profile_for(stats_sub, config.saliency_kind, gamma, g0_sub) for gamma in gammas}
+    profiles = {gamma: profile_for(stats_sub, saliency_kind, gamma, g0_sub) for gamma in gammas}
     best: tuple[float, float | None] | None = None
     best_v = np.inf
     table: list[tuple[float, float | None, float]] = []
-    for lam in config.lambda_grid:
+    for lam in lambda_grid:
         for gamma in gammas:
             factor = build_curvature(g0_sub, profiles[gamma], lam, context="hparam subset")
-            ql = run_gbs(w_sub, factor, config.scheme, config.block_size)
+            ql = run_gbs(w_sub, factor, scheme, block_size)
             v = recon_loss(w_sub, ql.dequantized, x_val_sub)
             table.append((lam, gamma, v))
             if v < best_v:

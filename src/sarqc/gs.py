@@ -8,13 +8,14 @@ validation split. With λ = 0 the selection reduces to the plain
 activation-aware reconstruction argmin.
 
 The candidates and their raw losses do not depend on λ, only the argmin of
-the joint score does, so `run_gs` scores the grid once per layer and
+the joint score does, so `run_gs` scores the α grid, fixed at
+ALPHA_GRID_DEFAULT = {k/20 : k = 0..20}, once per layer and
 `select_lambda_gs` re-picks the winner for each λ from the stored losses.
 A fixed λ is a one-entry grid; a λ sweep scores the grid once per layer
 and passes it to one `select_lambda_gs` call per row. Candidates are
 scored one at a time and dropped; `candidate` is deterministic, so each
 distinct winner is rebuilt with the same bytes. Peak memory is a few
-W-sized arrays, whatever the size of the α grid.
+W-sized arrays, not one per candidate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .calibration import CalibrationBatch
 from .linalg import as_matrix
-from .objective import check_lambda_grid, joint_score, minmax_normalize, recon_loss, sar_loss
+from .objective import joint_score, minmax_normalize, recon_loss, sar_loss
 from .quantizer import QuantizedLayer, QuantScheme, quantize_matrix
 from .saliency import (
     ChannelStats,
@@ -36,28 +37,8 @@ from .saliency import (
     scaling_vector_gs,
 )
 
-ALPHA_GRID_DEFAULT = tuple(k / 20 for k in range(21))
+ALPHA_GRID_DEFAULT = tuple(k / 20 for k in range(21))  # the α grid every run scores
 LAMBDA_GRID_GS_DEFAULT = tuple(k / 10 for k in range(1, 11))
-
-
-@dataclass(frozen=True)
-class GsConfig:
-    scheme: QuantScheme
-    alpha_grid: tuple[float, ...] = ALPHA_GRID_DEFAULT
-    lambda_grid: tuple[float, ...] = LAMBDA_GRID_GS_DEFAULT
-    saliency_kind: str = "gs"  # "identity" | "gs"
-
-    def __post_init__(self):
-        grid = tuple(float(a) for a in self.alpha_grid)
-        if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("alpha_grid needs >= 2 strictly increasing entries")
-        if any(not 0.0 <= a <= 1.0 for a in grid):
-            raise ValueError("alpha_grid entries must lie in [0, 1]")
-        lgrid = check_lambda_grid(self.lambda_grid)
-        if self.saliency_kind not in ("identity", "gs"):
-            raise ValueError(f"unknown saliency kind {self.saliency_kind!r}")
-        object.__setattr__(self, "alpha_grid", grid)
-        object.__setattr__(self, "lambda_grid", lgrid)
 
 
 @dataclass(frozen=True)
@@ -107,51 +88,53 @@ def select_joint(recon_raw, sar_raw, lam: float):
     return int(np.argmin(joint)), recon_n, sar_n, joint
 
 
-def run_gs(w, x, config: GsConfig) -> GsGrid:
-    """Build each α candidate in turn, score its recon and sar losses on the
-    training columns x, and drop it; none of this depends on λ."""
+def run_gs(w, x, scheme: QuantScheme, saliency_kind: str) -> GsGrid:
+    """Build each candidate of ALPHA_GRID_DEFAULT in turn, score its recon
+    loss on the training columns x and its sar loss under the profile of
+    `saliency_kind` ("gs" or "identity"), and drop it; none of this
+    depends on λ."""
     w = as_matrix(w, "W")
     x = as_matrix(x, "X")
     stats = channel_stats(w, x)
-    if config.saliency_kind == "identity":
+    if saliency_kind == "identity":
         profile = identity_profile(w.shape[1])
     else:
         profile = saliency_vector_gs(stats)
 
-    recon = np.empty(len(config.alpha_grid))
-    sar = np.empty(len(config.alpha_grid))
-    for k, alpha in enumerate(config.alpha_grid):
-        deq = candidate(w, stats, alpha, config.scheme).dequantized
+    recon = np.empty(len(ALPHA_GRID_DEFAULT))
+    sar = np.empty(len(ALPHA_GRID_DEFAULT))
+    for k, alpha in enumerate(ALPHA_GRID_DEFAULT):
+        deq = candidate(w, stats, alpha, scheme).dequantized
         recon[k] = recon_loss(w, deq, x)
         sar[k] = sar_loss(w, deq, profile)
         del deq  # before the next candidate is built
     return GsGrid(stats=stats, profile=profile, recon=recon, sar=sar)
 
 
-def select_lambda_gs(w, batch: CalibrationBatch, config: GsConfig, grid: GsGrid) -> GsResult:
-    """Pick λ from `config.lambda_grid` by reconstruction error on the
-    validation split; ties go to the smallest λ. A fixed λ is a one-entry
-    grid.
+def select_lambda_gs(
+    w, batch: CalibrationBatch, scheme: QuantScheme, lambda_grid: tuple[float, ...], grid: GsGrid
+) -> GsResult:
+    """Pick λ from `lambda_grid` by reconstruction error on the validation
+    split; ties go to the smallest λ. A fixed λ is a one-entry grid. The
+    grid is used as given: `harness.solutions` checks it.
 
-    `grid` is the `run_gs` pass of W on the training split under `config`;
+    `grid` is the `run_gs` pass of W on the training split under `scheme`;
     each λ only re-picks the joint-score winner from its losses, so one
     pass serves any number of calls. Each distinct winner is rebuilt once,
     in the order the λ grid first picks it, to score its validation loss;
     only the best so far is kept.
     """
     w = as_matrix(w, "W")
-    if len(grid.recon) != len(config.alpha_grid):
-        raise ValueError("the scored grid does not match config.alpha_grid")
-    winners = [select_joint(grid.recon, grid.sar, lam)[0] for lam in config.lambda_grid]
+    winners = [select_joint(grid.recon, grid.sar, lam)[0] for lam in lambda_grid]
     val_of = {}
     best = None
     for i in dict.fromkeys(winners):
-        layer = candidate(w, grid.stats, config.alpha_grid[i], config.scheme)
+        layer = candidate(w, grid.stats, ALPHA_GRID_DEFAULT[i], scheme)
         val_of[i] = recon_loss(w, layer.dequantized, batch.val)
         if best is None or val_of[i] < val_of[best[0]]:  # strictly: the first minimum stays
             best = (i, layer)
         del layer  # before the next winner is built
-    table = [(lam, val_of[i]) for lam, i in zip(config.lambda_grid, winners)]
+    table = [(lam, val_of[i]) for lam, i in zip(lambda_grid, winners)]
     i, layer = best
-    lam = config.lambda_grid[winners.index(i)]  # the table's first minimum, so ties go to the smallest λ
-    return GsResult(config.alpha_grid[i], lam, layer, grid.profile, table)
+    lam = lambda_grid[winners.index(i)]  # the table's first minimum, so ties go to the smallest λ
+    return GsResult(ALPHA_GRID_DEFAULT[i], lam, layer, grid.profile, table)

@@ -2,11 +2,12 @@
 experiments.
 
 `solutions` wires each method name to its solver and yields one solved layer
-per λ entry; `solve` is its one-entry case. The command line, the sweeps and
-the studies all go through it. A GS sweep scores the layer's α grid once
-for all its rows; a GBS sweep takes the channel statistics once and builds
-and factors each row's Gram in place, so one d_in×d_in array is live at a
-time. `layer_losses` scores a solved layer. `sweep_lambda` traces the
+per λ entry; `solve` is its one-entry case. It is the one place where the
+hyperparameters are defaulted and checked, and the solvers take plain
+values. The command line, the sweeps and the studies all go through it. A
+GS sweep scores the layer's α grid once for all its rows; a GBS sweep
+takes the channel statistics once and builds and factors each row's Gram
+in place, so one d_in×d_in array is live at a time. `layer_losses` scores a solved layer. `sweep_lambda` traces the
 drift/reconstruction trade-off of a solver over a regularization grid with
 held-out risk per point; `calib_size_study` compares the λ = 0 baseline
 against hyperparameter-selected runs as the calibration set shrinks under a
@@ -22,19 +23,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibration import CalibrationBatch, split_batch
+from .calibration import CalibrationBatch, clip_columns, split_batch
 from .gbs import (
+    BLOCK_DEFAULT,
     GAMMA_GRID_DEFAULT,
     LAMBDA_GRID_GBS_DEFAULT,
-    GbsConfig,
     build_curvature,
     profile_for,
     run_gbs,
     select_hparams_gbs,
 )
-from .gs import LAMBDA_GRID_GS_DEFAULT, GsConfig, run_gs, select_lambda_gs
+from .gs import LAMBDA_GRID_GS_DEFAULT, run_gs, select_lambda_gs
 from .linalg import gram
-from .objective import LossBreakdown, recon_loss, sar_loss, weight_drift
+from .objective import LossBreakdown, check_grid, recon_loss, sar_loss, weight_drift
 from .quantizer import QuantizedLayer, QuantScheme, rtn
 from .saliency import SaliencyProfile, channel_stats, identity_profile
 from .seeds import substream
@@ -82,7 +83,7 @@ def solutions(
     gamma: float | None = None,
     lambda_grid=None,
     gamma_grid=None,
-    block: int = 128,
+    block: int = BLOCK_DEFAULT,
     saliency: str = "saliency",
 ) -> Iterator[Solution]:
     """Quantize one layer with one of METHODS, once per entry of `lams`,
@@ -95,12 +96,31 @@ def solutions(
     from `lambda_grid` / `gamma_grid`, the paper's grids when None.
     `saliency="identity"` replaces the saliency profile with the identity.
 
+    Every hyperparameter is checked here, for every method, whether the
+    method reads it or not, so a bad value raises one ValueError that names
+    it: λ entries finite and ≥ 0 (in any order, as a sweep's are), γ in
+    [0, 1], both grids strictly increasing within those bounds, `block` ≥ 1
+    and `saliency` "saliency" or "identity".
+
     The α grid of sarqc-gs does not depend on λ, so it is scored once for
     all entries, and so are the channel statistics of sarqc-gbs. Each
     sarqc-gbs entry builds and factors its own Gram in place, so one
     d_in×d_in array is live at a time.
     """
-    lams = tuple(lams)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    lams = tuple(None if lam is None else check_grid("lambda", (lam,), 0.0)[0] for lam in lams)
+    if gamma is not None:
+        check_grid("gamma", (gamma,), 0.0, 1.0)
+    if lambda_grid is None:
+        lambda_grid = LAMBDA_GRID_GS_DEFAULT if method in ("awq", "sarqc-gs") else LAMBDA_GRID_GBS_DEFAULT
+    lambda_grid = check_grid("lambda_grid", lambda_grid, 0.0)
+    gamma_grid = check_grid("gamma_grid", GAMMA_GRID_DEFAULT if gamma_grid is None else gamma_grid, 0.0, 1.0)
+    if block < 1:
+        raise ValueError(f"block must be at least 1, got {block}")
+    if saliency not in ("saliency", "identity"):
+        raise ValueError(f"saliency must be 'saliency' or 'identity', got {saliency!r}")
+
     if method == "rtn":
         for _ in lams:
             yield Solution(rtn(w, scheme), identity_profile(w.shape[1]))
@@ -108,18 +128,12 @@ def solutions(
     if method in ("awq", "gptq"):
         lams, saliency = (0.0,) * len(lams), "identity"
     if method in ("awq", "sarqc-gs"):
-        kind = "identity" if saliency == "identity" else "gs"
-        select_grid = lambda_grid or LAMBDA_GRID_GS_DEFAULT
-        cfgs = [
-            GsConfig(scheme=scheme, lambda_grid=select_grid if lam is None else (lam,), saliency_kind=kind)
-            for lam in lams
-        ]
-        if not cfgs:
+        if not lams:
             return
         # the α candidates and their losses are shared by every entry
-        grid = run_gs(w, batch.train, cfgs[0])
-        for cfg in cfgs:
-            res = select_lambda_gs(w, batch, cfg, grid)
+        grid = run_gs(w, batch.train, scheme, "identity" if saliency == "identity" else "gs")
+        for lam in lams:
+            res = select_lambda_gs(w, batch, scheme, lambda_grid if lam is None else (lam,), grid)
             yield Solution(res.layer, res.profile, lam=res.chosen_lambda, alpha=res.chosen_alpha)
         return
     if method in ("gptq", "sarqc-gbs"):
@@ -129,14 +143,7 @@ def solutions(
             # one Gram per entry; selection reads its leading block
             g0 = gram(batch.train)
             if lam is None:
-                cfg = GbsConfig(
-                    scheme=scheme,
-                    lambda_grid=lambda_grid or LAMBDA_GRID_GBS_DEFAULT,
-                    gamma_grid=gamma_grid or GAMMA_GRID_DEFAULT,
-                    block_size=block,
-                    saliency_kind=kind,
-                )
-                sel = select_hparams_gbs(w, batch, cfg, g0, stats)
+                sel = select_hparams_gbs(w, batch, scheme, g0, stats, lambda_grid, gamma_grid, kind, block)
                 lam, gam = sel.lam, sel.gamma
             else:
                 gam = (gamma if gamma is not None else GAMMA_FIXED_DEFAULT) if kind == "gbs" else None
@@ -150,8 +157,6 @@ def solutions(
             report = FactorReport(holder[0].jitter, holder[0].retries, holder[0].min_pivot)
             layer = run_gbs(w, holder.pop(), scheme, block)
             yield Solution(layer, prof, lam=float(lam), gamma=gam, factor=report)
-        return
-    raise ValueError(f"unknown method {method!r}")
 
 
 def solve(
@@ -164,7 +169,7 @@ def solve(
     gamma: float | None = None,
     lambda_grid=None,
     gamma_grid=None,
-    block: int = 128,
+    block: int = BLOCK_DEFAULT,
     saliency: str = "saliency",
 ) -> Solution:
     """Quantize one layer with one of METHODS: the one-entry case of
@@ -266,9 +271,7 @@ def gen_calibration(
         if cd.shape != (d_in,) or np.any(cd <= 0.0):
             raise ValueError("cov_diag must be a positive vector of length d_in")
         x *= np.sqrt(cd)[:, None]
-    norms = np.linalg.norm(x, axis=0)
-    x *= np.minimum(1.0, m_x / np.maximum(norms, 1e-300))[None, :]
-    return split_batch(x, val_fraction)
+    return split_batch(clip_columns(x, m_x), val_fraction)
 
 
 @dataclass(frozen=True)
@@ -311,7 +314,7 @@ def sweep_layer(
     lambda_grid,
     *,
     gamma: float | None = None,
-    block_size: int = 128,
+    block_size: int = BLOCK_DEFAULT,
     seed: int = 0,
 ) -> list[SweepRecord]:
     """One record per λ: a fixed-λ solve of one layer by `method` ("gs" or
@@ -371,7 +374,7 @@ def sweep_lambda(
     n_heldout: int = 512,
     m_x: float = UNCLIPPED,
     gamma: float | None = None,
-    block_size: int = 128,
+    block_size: int = BLOCK_DEFAULT,
     val_fraction: float = 0.25,
     corr_rank: int = CORR_RANK,
     corr_strength: float = CORR_STRENGTH,

@@ -73,12 +73,16 @@ def joint_score(recon_n, sar_n, lam: float) -> np.ndarray:
     return a + lam * b
 
 
-def check_lambda_grid(values) -> tuple[float, ...]:
-    """The λ grid as a tuple of floats, which must be nonempty, finite,
-    non-negative and strictly increasing."""
+def check_grid(name: str, values, lo: float, hi: float = np.inf) -> tuple[float, ...]:
+    """`values` as a tuple of floats, which must be nonempty, strictly
+    increasing and finite, each in [lo, hi]; a ValueError names `name`
+    otherwise. A fixed value is checked as a one-entry grid."""
     grid = tuple(float(v) for v in values)
-    if not grid or not (np.isfinite(grid).all() and min(grid) >= 0.0):
-        raise ValueError("lambda_grid must be nonempty with finite non-negative entries")
+    if not grid:
+        raise ValueError(f"{name} must be nonempty")
+    for v in grid:
+        if not (np.isfinite(v) and lo <= v <= hi):
+            raise ValueError(f"{name} must be finite and in [{lo:g}, {hi:g}], got {v!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda_grid must be strictly increasing")
+        raise ValueError(f"{name} must be strictly increasing, got {grid}")
     return grid

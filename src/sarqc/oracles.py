@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .calibration import clip_columns
 from .linalg import TriangularFactor, _lapack, as_matrix, chol_upper_of_inverse, gram
 from .quantizer import (
     QuantizedLayer,
@@ -290,12 +291,6 @@ def hoeffding_bound(r: float, m_x: float, class_size: int, n: int, delta: float)
     return r * r * m_x * m_x * math.sqrt(math.log(2.0 * class_size / delta) / (2.0 * n))
 
 
-def _clip_columns(x: np.ndarray, m_x: float) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=0)
-    factor = np.minimum(1.0, m_x / np.maximum(norms, 1e-300))
-    return x * factor[None, :]
-
-
 def _clipped_second_moment(d: int, m_x: float) -> float:
     """c with E[x̃x̃ᵀ] = c·I for x ~ N(0, I_d) clipped to ‖x̃‖ ≤ m_x.
 
@@ -370,7 +365,7 @@ def hoeffding_check(
         deltas *= np.minimum(1.0, r / np.maximum(norms, 1e-300))[:, None]
         stacked = deltas.reshape(class_size * HOEFFDING_D_OUT, d_in)
 
-        x_cal = _clip_columns(rng.standard_normal((d_in, n)), m_x)
+        x_cal = clip_columns(rng.standard_normal((d_in, n)), m_x)
 
         y_cal = stacked @ x_cal
         risk_cal = (y_cal * y_cal).reshape(class_size, HOEFFDING_D_OUT, n).sum(axis=1).mean(axis=1)

@@ -586,6 +586,43 @@ class TestExitCodes:
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "q" / "report.json").exists()
 
+    # a negative grid entry is written with "=", or argparse reads it as a flag
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--lambda", "-0.5"], "lambda"),
+            (["--lambda-grid", "0.5,0.2"], "lambda_grid"),
+            (["--lambda-grid=-1,0.5"], "lambda_grid"),
+            (["--gamma-grid", "0.5,1.5"], "gamma_grid"),
+            (["--gamma", "1.5", "--lambda", "0.5"], "gamma"),
+            (["--block", "0"], "block"),
+        ],
+        ids=["negative-lambda", "unsorted-lambda-grid", "negative-lambda-grid", "gamma-grid-above-1",
+             "gamma-above-1", "block-0"],
+    )
+    @pytest.mark.parametrize("method", ["rtn", "awq", "gptq", "sarqc-gs", "sarqc-gbs"])
+    def test_invalid_hyperparameter_exits_2_for_every_method(self, tmp_path, capsys, method, flags, name):
+        # every method checks every hyperparameter, whether it reads it or not
+        from sarqc import cli
+
+        lossless_manifest(tmp_path)
+        rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", method, *flags,
+                       "--out", str(tmp_path / "q")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must ")
+        assert not (tmp_path / "q" / "report.json").exists()
+
+    @pytest.mark.parametrize("method", ["sarqc-gs", "sarqc-gbs"])
+    def test_sweep_block_below_one_exits_2(self, tmp_path, capsys, method):
+        from sarqc import cli
+
+        lossless_manifest(tmp_path)
+        rc = cli.main(["sweep", "--manifest", str(tmp_path / "m.json"), "--method", method, "--block", "0",
+                       "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: block must ")
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("zeroed, code", [("all", 2), ("train", 2), ("channel", 0)])
     @pytest.mark.parametrize("method", ["rtn", "awq", "gptq", "sarqc-gs", "sarqc-gbs"])
     def test_all_zero_training_split_exits_2(self, tmp_path, capsys, method, zeroed, code):

@@ -10,9 +10,11 @@ import sarqc.gbs
 import sarqc.harness
 from sarqc.calibration import split_batch
 from sarqc.gbs import (
+    BLOCK_DEFAULT,
+    GAMMA_GRID_DEFAULT,
+    LAMBDA_GRID_GBS_DEFAULT,
     SUBSET_FRACTION,
     SUBSET_MIN,
-    GbsConfig,
     build_curvature,
     h_bar_of_gram,
     profile_for,
@@ -395,6 +397,14 @@ class TestCompensationOptimality:
             u[:, j:] -= np.outer(e, m[j, j:])
 
 
+def select_default_hparams(w, batch, scheme, stats, kind="gbs"):
+    """`select_hparams_gbs` over the default grids, as `harness.solutions` calls it."""
+    g0 = gram(batch.train)
+    return select_hparams_gbs(
+        w, batch, scheme, g0, stats, LAMBDA_GRID_GBS_DEFAULT, GAMMA_GRID_DEFAULT, kind, BLOCK_DEFAULT
+    )
+
+
 class TestSelectHparams:
     def test_singleton_grids_equal_direct_run(self):
         rng = np.random.default_rng(8)
@@ -411,10 +421,10 @@ class TestSelectHparams:
     def test_lossless_ties_pick_smallest_pair(self):
         w = np.array([[-7.0, 7.0, 7.0, -7.0]])
         batch = split_batch(np.sign(np.random.default_rng(9).standard_normal((4, 12))), 0.25)
-        cfg = GbsConfig(scheme=SYM4)  # d_in = 4 < SUBSET_MIN: the subset is the layer
-        sel = select_hparams_gbs(w, batch, cfg, gram(batch.train), channel_stats(w, batch.train))
-        assert sel.lam == min(cfg.lambda_grid)
-        assert sel.gamma == min(cfg.gamma_grid)
+        # d_in = 4 < SUBSET_MIN: the subset is the layer
+        sel = select_default_hparams(w, batch, SYM4, channel_stats(w, batch.train))
+        assert sel.lam == min(LAMBDA_GRID_GBS_DEFAULT)
+        assert sel.gamma == min(GAMMA_GRID_DEFAULT)
 
     def test_selection_matches_val_table_argmin(self):
         from sarqc.harness import SynthLayerSpec, gen_calibration, gen_layer
@@ -422,8 +432,8 @@ class TestSelectHparams:
         spec = SynthLayerSpec(d_out=16, d_in=48, outlier_channels=4, outlier_scale=10.0, seed=7)
         w = gen_layer(spec)
         batch = gen_calibration(48, 64, 1e18, 7)
-        cfg = GbsConfig(scheme=QuantScheme(bits=3, mode="asymmetric", group_size=16))
-        sel = select_hparams_gbs(w, batch, cfg, gram(batch.train), channel_stats(w, batch.train))
+        scheme = QuantScheme(bits=3, mode="asymmetric", group_size=16)
+        sel = select_default_hparams(w, batch, scheme, channel_stats(w, batch.train))
         # rebuild the subset table from the subset's own Gram and statistics
         # and check the tie-break order
         k = max(SUBSET_MIN, int(np.ceil(SUBSET_FRACTION * 48)))
@@ -431,10 +441,10 @@ class TestSelectHparams:
         g0 = gram(x_tr)
         stats = channel_stats(w_sub, x_tr)
         table = []
-        for lam in cfg.lambda_grid:
-            for gamma in cfg.gamma_grid:
+        for lam in LAMBDA_GRID_GBS_DEFAULT:
+            for gamma in GAMMA_GRID_DEFAULT:
                 prof = profile_for(stats, "gbs", gamma, g0)
-                layer = run_gbs(w_sub, build_curvature(g0, prof, lam), cfg.scheme, cfg.block_size)
+                layer = run_gbs(w_sub, build_curvature(g0, prof, lam), scheme, BLOCK_DEFAULT)
                 table.append((lam, gamma, recon_loss(w_sub, layer.dequantized, x_val)))
         best = min(table, key=lambda t: (t[2], t[0], t[1]))
         assert (sel.lam, sel.gamma) == (best[0], best[1])
@@ -444,8 +454,7 @@ class TestSelectHparams:
         rng = np.random.default_rng(10)
         w = rng.standard_normal((3, 8))
         batch = split_batch(rng.standard_normal((8, 16)), 0.25)
-        cfg = GbsConfig(scheme=SYM4, saliency_kind="identity")
-        sel = select_hparams_gbs(w, batch, cfg, gram(batch.train), None)
+        sel = select_default_hparams(w, batch, SYM4, None, kind="identity")
         assert sel.gamma is None
 
     def test_deterministic(self):

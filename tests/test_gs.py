@@ -2,13 +2,20 @@ import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sarqc import gs
 from sarqc.calibration import split_batch
-from sarqc.gs import GsConfig, GsResult, candidate, run_gs, select_joint, select_lambda_gs
+from sarqc.gs import (
+    ALPHA_GRID_DEFAULT,
+    LAMBDA_GRID_GS_DEFAULT,
+    GsResult,
+    candidate,
+    run_gs,
+    select_joint,
+    select_lambda_gs,
+)
 from sarqc.harness import solve
 from sarqc.objective import joint_score, minmax_normalize, recon_loss, sar_loss
 from sarqc.quantizer import QuantizedLayer, QuantScheme, rtn
@@ -85,50 +92,43 @@ def lossless_instance():
     return w, x
 
 
-def fixed(cfg, lam):
-    return replace(cfg, lambda_grid=(lam,))
-
-
-def select_lambda(w, batch, cfg):
+def select_lambda(w, batch, scheme, lambda_grid=LAMBDA_GRID_GS_DEFAULT, kind="gs"):
     """`select_lambda_gs` on a grid scored here, so the grid pass falls
     inside whatever the caller counts or traces."""
-    return select_lambda_gs(w, batch, cfg, run_gs(w, batch.train, cfg))
+    return select_lambda_gs(w, batch, scheme, lambda_grid, run_gs(w, batch.train, scheme, kind))
 
 
 class TestRunGs:
     def test_lossless_ties_break_to_first_alpha(self):
         w, x = lossless_instance()
-        cfg = GsConfig(scheme=SYM4, alpha_grid=(0.0, 0.5, 1.0), lambda_grid=(0.3,))
-        grid = run_gs(w, x, cfg)
+        grid = run_gs(w, x, SYM4, "gs")
         assert np.all(grid.recon == 0.0) and np.all(grid.sar == 0.0)
-        res = select_lambda(w, split_batch(x, 0.25), cfg)
+        res = select_lambda(w, split_batch(x, 0.25), SYM4, (0.3,))
         assert (res.chosen_alpha, res.chosen_lambda) == (0.0, 0.3)
         assert np.array_equal(res.layer.dequantized, w)
 
     def test_lambda_zero_matches_raw_recon_argmin(self):
         rng = np.random.default_rng(2)
-        cfg = GsConfig(scheme=SYM4, alpha_grid=tuple(k / 8 for k in range(9)), lambda_grid=(0.0,))
         for trial in range(20):
             w = rng.standard_normal((4, 6)) * rng.uniform(0.5, 3)
             batch = split_batch(rng.standard_normal((6, 12)), 0.25)
-            grid = run_gs(w, batch.train, cfg)
+            grid = run_gs(w, batch.train, SYM4, "gs")
             i = int(np.argmin(grid.recon))
-            res = select_lambda(w, batch, cfg)
-            assert res.chosen_alpha == cfg.alpha_grid[i]
-            want = candidate(w, grid.stats, cfg.alpha_grid[i], cfg.scheme)
+            res = select_lambda(w, batch, SYM4, (0.0,))
+            assert res.chosen_alpha == ALPHA_GRID_DEFAULT[i]
+            want = candidate(w, grid.stats, ALPHA_GRID_DEFAULT[i], SYM4)
             assert np.array_equal(res.layer.dequantized, want.dequantized)
 
     def test_losses_score_each_candidate(self):
         rng = np.random.default_rng(2)
         w = rng.standard_normal((4, 6)) * rng.uniform(0.5, 3)
         x = rng.standard_normal((6, 10))
-        cfg = GsConfig(scheme=SYM4, alpha_grid=tuple(k / 8 for k in range(9)))
-        grid = run_gs(w, x, cfg)
+        grid = run_gs(w, x, SYM4, "gs")
         stats = channel_stats(w, x)
         assert np.array_equal(grid.profile.values, saliency_vector_gs(stats).values)
         assert_bit_equal(grid.stats, stats)
-        assert len(grid.recon) == len(grid.sar) == len(cfg.alpha_grid)
-        for alpha, r, s in zip(cfg.alpha_grid, grid.recon, grid.sar):
+        assert len(grid.recon) == len(grid.sar) == len(ALPHA_GRID_DEFAULT)
+        for alpha, r, s in zip(ALPHA_GRID_DEFAULT, grid.recon, grid.sar):
             want = candidate(w, stats, alpha, SYM4)
             assert r == recon_loss(w, want.dequantized, x)
             assert s == sar_loss(w, want.dequantized, grid.profile)
@@ -137,13 +137,12 @@ class TestRunGs:
         rng = np.random.default_rng(3)
         w = rng.standard_normal((3, 5))
         x = rng.standard_normal((5, 8))
-        cfg = GsConfig(scheme=SYM4)
-        a = run_gs(w, x, cfg)
-        b = run_gs(w, x, cfg)
+        a = run_gs(w, x, SYM4, "gs")
+        b = run_gs(w, x, SYM4, "gs")
         assert a.recon.tobytes() == b.recon.tobytes() and a.sar.tobytes() == b.sar.tobytes()
-        for alpha in cfg.alpha_grid:
-            qa = candidate(w, a.stats, alpha, cfg.scheme)
-            qb = candidate(w, b.stats, alpha, cfg.scheme)
+        for alpha in ALPHA_GRID_DEFAULT:
+            qa = candidate(w, a.stats, alpha, SYM4)
+            qb = candidate(w, b.stats, alpha, SYM4)
             assert np.array_equal(qa.codes, qb.codes)
             assert np.array_equal(qa.dequantized, qb.dequantized)
 
@@ -151,27 +150,25 @@ class TestRunGs:
         rng = np.random.default_rng(4)
         w = rng.standard_normal((4, 6))
         batch = split_batch(rng.standard_normal((6, 16)), 0.25)
-        cfg = GsConfig(scheme=SYM4, lambda_grid=(0.7,))
-        grid = run_gs(w, batch.train, cfg)
+        grid = run_gs(w, batch.train, SYM4, "gs")
         joint = joint_score(minmax_normalize(grid.recon), minmax_normalize(grid.sar), 0.7)
-        assert select_lambda(w, batch, cfg).chosen_alpha == cfg.alpha_grid[int(np.argmin(joint))]
+        assert select_lambda(w, batch, SYM4, (0.7,)).chosen_alpha == ALPHA_GRID_DEFAULT[int(np.argmin(joint))]
 
 
 class TestScalarizationMonotonicity:
     def test_exact_over_lambda_grid(self):
         rng = np.random.default_rng(5)
         lambdas = [k / 10 for k in range(11)]
-        cfg = GsConfig(scheme=SYM4)
         for trial in range(50):
             w = rng.standard_normal((3, 6)) * rng.uniform(0.5, 4)
             batch = split_batch(rng.standard_normal((6, 12)), 0.25)
             prev_sar = None
             prev_recon = None
-            base = run_gs(w, batch.train, cfg)
+            base = run_gs(w, batch.train, SYM4, "gs")
             for lam in lambdas:
                 idx, recon_n, sar_n, _ = select_joint(base.recon, base.sar, lam)
-                res = select_lambda_gs(w, batch, fixed(cfg, lam), base)
-                assert res.chosen_alpha == cfg.alpha_grid[idx]
+                res = select_lambda_gs(w, batch, SYM4, (lam,), base)
+                assert res.chosen_alpha == ALPHA_GRID_DEFAULT[idx]
                 if prev_sar is not None:
                     assert sar_n[idx] <= prev_sar
                     assert recon_n[idx] >= prev_recon
@@ -183,9 +180,8 @@ class TestSelectLambdaGs:
         rng = np.random.default_rng(6)
         w = rng.standard_normal((3, 4))
         batch = split_batch(rng.standard_normal((4, 8)), 0.25)
-        cfg = GsConfig(scheme=SYM4, lambda_grid=(0.0,))
-        res = select_lambda(w, batch, cfg)
-        direct = per_lambda_reference(w, batch, cfg)
+        res = select_lambda(w, batch, SYM4, (0.0,))
+        direct = per_lambda_reference(w, batch, SYM4, (0.0,))
         assert res.chosen_lambda == 0.0
         for f in fields(GsResult):
             assert_bit_equal(getattr(res, f.name), getattr(direct, f.name))
@@ -193,19 +189,9 @@ class TestSelectLambdaGs:
     def test_lossless_ties_pick_smallest_lambda(self):
         w, x = lossless_instance()
         batch = split_batch(x, 0.25)
-        cfg = GsConfig(scheme=SYM4, alpha_grid=(0.0, 1.0), lambda_grid=(0.1, 0.5, 1.0))
-        res = select_lambda(w, batch, cfg)
+        res = select_lambda(w, batch, SYM4, (0.1, 0.5, 1.0))
         assert res.chosen_lambda == 0.1
         assert all(v == 0.0 for _, v in res.val_losses)
-
-    def test_rejects_a_grid_scored_on_another_alpha_grid(self):
-        rng = np.random.default_rng(6)
-        w = rng.standard_normal((3, 4))
-        batch = split_batch(rng.standard_normal((4, 8)), 0.25)
-        cfg = GsConfig(scheme=SYM4)
-        grid = run_gs(w, batch.train, replace(cfg, alpha_grid=(0.0, 0.5, 1.0)))
-        with pytest.raises(ValueError, match="alpha_grid"):
-            select_lambda_gs(w, batch, cfg, grid)
 
     def test_chosen_lambda_is_val_table_argmin(self):
         from sarqc.harness import SynthLayerSpec, gen_calibration, gen_layer
@@ -213,10 +199,10 @@ class TestSelectLambdaGs:
         spec = SynthLayerSpec(d_out=6, d_in=8, outlier_channels=2, outlier_scale=10.0, seed=7)
         w = gen_layer(spec)
         batch = gen_calibration(8, 16, 1e18, 7)
-        cfg = GsConfig(scheme=QuantScheme(bits=3, mode="symmetric", group_size=4))
-        res = select_lambda(w, batch, cfg)
+        scheme = QuantScheme(bits=3, mode="symmetric", group_size=4)
+        res = select_lambda(w, batch, scheme)
         # rebuild the validation table independently, then check the argmin
-        table = per_lambda_reference(w, batch, cfg).val_losses
+        table = per_lambda_reference(w, batch, scheme).val_losses
         assert res.val_losses == table
         best = min(table, key=lambda t: (t[1], t[0]))
         assert res.chosen_lambda == best[0]
@@ -238,22 +224,22 @@ def production_shape_layer():
     return w, split_batch(x, n_val / n), QuantScheme(bits=4, mode="asymmetric", group_size=128)
 
 
-def per_lambda_reference(w, batch, cfg):
+def per_lambda_reference(w, batch, scheme, lambda_grid=LAMBDA_GRID_GS_DEFAULT, kind="gs"):
     """λ selection without the one-pass reuse: for each λ, build fresh
     candidates, score them, pick the joint-score winner and compute its
     validation recon; ties go to the smallest λ."""
     stats = channel_stats(w, batch.train)
-    profile = identity_profile(w.shape[1]) if cfg.saliency_kind == "identity" else saliency_vector_gs(stats)
+    profile = identity_profile(w.shape[1]) if kind == "identity" else saliency_vector_gs(stats)
     best, best_v, table = None, np.inf, []
-    for lam in cfg.lambda_grid:
-        layers = [candidate(w, stats, alpha, cfg.scheme) for alpha in cfg.alpha_grid]
+    for lam in lambda_grid:
+        layers = [candidate(w, stats, alpha, scheme) for alpha in ALPHA_GRID_DEFAULT]
         recon = [recon_loss(w, ql.dequantized, batch.train) for ql in layers]
         sar = [sar_loss(w, ql.dequantized, profile) for ql in layers]
         i = select_joint(np.array(recon), np.array(sar), lam)[0]
         v = recon_loss(w, layers[i].dequantized, batch.val)
         table.append((lam, v))
         if v < best_v:
-            best, best_v = GsResult(cfg.alpha_grid[i], lam, layers[i], profile, []), v
+            best, best_v = GsResult(ALPHA_GRID_DEFAULT[i], lam, layers[i], profile, []), v
     return replace(best, val_losses=table)
 
 
@@ -276,9 +262,9 @@ def assert_bit_equal(a, b):
 class TestOnePassSelection:
     SCHEMES = (SYM4, QuantScheme(bits=3, mode="asymmetric", group_size=2))
 
-    def assert_same_result(self, w, batch, cfg):
-        got = select_lambda(w, batch, cfg)
-        want = per_lambda_reference(w, batch, cfg)
+    def assert_same_result(self, w, batch, scheme, lambda_grid=LAMBDA_GRID_GS_DEFAULT, kind="gs"):
+        got = select_lambda(w, batch, scheme, lambda_grid, kind)
+        want = per_lambda_reference(w, batch, scheme, lambda_grid, kind)
         for f in fields(GsResult):
             assert_bit_equal(getattr(got, f.name), getattr(want, f.name))
 
@@ -296,13 +282,11 @@ class TestOnePassSelection:
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((d_out, d_in)) * rng.uniform(0.5, 4.0, d_in)
         x = rng.standard_normal((d_in, n)) * rng.uniform(0.2, 5.0, (d_in, 1))
-        cfg = GsConfig(scheme=scheme, saliency_kind=saliency_kind)
-        self.assert_same_result(w, split_batch(x, 0.25), cfg)
+        self.assert_same_result(w, split_batch(x, 0.25), scheme, kind=saliency_kind)
 
     def test_lossless_ties_equal_per_lambda_loop(self):
         w, x = lossless_instance()
-        cfg = GsConfig(scheme=SYM4, alpha_grid=(0.0, 0.5, 1.0), lambda_grid=(0.1, 0.5, 1.0))
-        self.assert_same_result(w, split_batch(x, 0.25), cfg)
+        self.assert_same_result(w, split_batch(x, 0.25), SYM4, (0.1, 0.5, 1.0))
 
     def test_candidates_built_once(self, monkeypatch):
         # the grid pass builds each α once; selection rebuilds each distinct
@@ -316,20 +300,18 @@ class TestOnePassSelection:
         rng = np.random.default_rng(8)
         w = rng.standard_normal((3, 6))
         batch = split_batch(rng.standard_normal((6, 12)), 0.25)
-        cfg = GsConfig(scheme=SYM4)
-        grid = run_gs(w, batch.train, cfg)
-        winners = [cfg.alpha_grid[select_joint(grid.recon, grid.sar, lam)[0]] for lam in cfg.lambda_grid]
+        grid = run_gs(w, batch.train, SYM4, "gs")
+        winners = [ALPHA_GRID_DEFAULT[select_joint(grid.recon, grid.sar, lam)[0]] for lam in LAMBDA_GRID_GS_DEFAULT]
         monkeypatch.setattr(gs, "candidate", counting_candidate)
-        select_lambda(w, batch, cfg)
-        assert calls == list(cfg.alpha_grid) + list(dict.fromkeys(winners))
+        select_lambda(w, batch, SYM4)
+        assert calls == list(ALPHA_GRID_DEFAULT) + list(dict.fromkeys(winners))
 
     def test_equals_per_lambda_reference_at_production_shape(self):
         w, batch, scheme = production_shape_layer()
-        cfg = GsConfig(scheme=scheme)
-        self.assert_same_result(w, batch, cfg)
-        per_lambda = [per_lambda_reference(w, batch, fixed(cfg, lam)) for lam in cfg.lambda_grid]
+        self.assert_same_result(w, batch, scheme)
+        per_lambda = [per_lambda_reference(w, batch, scheme, (lam,)) for lam in LAMBDA_GRID_GS_DEFAULT]
         assert len({ref.chosen_alpha for ref in per_lambda}) > 1
-        for lam, ref in zip(cfg.lambda_grid, per_lambda):
+        for lam, ref in zip(LAMBDA_GRID_GS_DEFAULT, per_lambda):
             sol = solve("sarqc-gs", w, batch, scheme, lam=lam)
             assert (sol.alpha, sol.lam) == (ref.chosen_alpha, ref.chosen_lambda)
             assert_bit_equal(sol.layer, ref.layer)
@@ -345,7 +327,7 @@ class TestPeakMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            res = select_lambda(w, batch, GsConfig(scheme=scheme))
+            res = select_lambda(w, batch, scheme)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarqc.gbs import GbsConfig
-from sarqc.gs import GsConfig
+from sarqc.calibration import split_batch
+from sarqc.harness import solve
 from sarqc.linalg import gram
-from sarqc.objective import check_lambda_grid, joint_score, minmax_normalize, recon_loss, sar_loss, weight_drift
+from sarqc.objective import check_grid, joint_score, minmax_normalize, recon_loss, sar_loss, weight_drift
 from sarqc.quantizer import QuantScheme
 from sarqc.saliency import SaliencyProfile, identity_profile
 
@@ -139,14 +139,19 @@ class TestJointScore:
 
 class TestCheckLambdaGrid:
     def test_returns_floats(self):
-        assert check_lambda_grid([0, 0.5, 2]) == (0.0, 0.5, 2.0)
+        assert check_grid("lambda_grid", [0, 0.5, 2], 0.0) == (0.0, 0.5, 2.0)
 
     @pytest.mark.parametrize(
         "grid",
         [(), (-0.1,), (float("nan"),), (float("inf"),), (0.1, float("nan")), (0.5, 0.5), (0.5, 0.25)],
         ids=["empty", "negative", "nan", "inf", "trailing-nan", "repeated", "decreasing"],
     )
-    @pytest.mark.parametrize("config", [GsConfig, GbsConfig])
-    def test_configs_reject_bad_grids(self, config, grid):
+    # the ids keep the names they had when each solver's config class ran this check
+    @pytest.mark.parametrize(
+        "method", [pytest.param("sarqc-gs", id="GsConfig"), pytest.param("sarqc-gbs", id="GbsConfig")]
+    )
+    def test_configs_reject_bad_grids(self, method, grid):
+        rng = np.random.default_rng(0)
+        w, batch = rng.standard_normal((2, 4)), split_batch(rng.standard_normal((4, 8)))
         with pytest.raises(ValueError, match="lambda_grid"):
-            config(scheme=QuantScheme(bits=4, mode="symmetric", group_size="per_channel"), lambda_grid=grid)
+            solve(method, w, batch, QuantScheme(bits=4, mode="symmetric", group_size="per_channel"), lambda_grid=grid)
