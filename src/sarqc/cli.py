@@ -29,6 +29,7 @@ from .harness import (
     SWEEP_METHODS,
     UNCLIPPED,
     SynthLayerSpec,
+    check_hparams,
     gen_calibration,
     gen_layer,
     layer_losses,
@@ -190,9 +191,9 @@ def cmd_quantize(args) -> int:
     manifest = load_manifest(args.manifest)
     defaults = manifest.get("defaults", {})
     method = args.method if args.method is not None else defaults.get("method", "sarqc-gbs")
-    if method not in METHODS:
-        raise UsageError(f"unknown method {method!r}")
     scheme = _scheme_from(args, defaults)
+    # each layer checks these again; checked here, a bad value leaves --out untouched
+    check_hparams(method, (args.lam,), args.gamma, args.lambda_grid, args.gamma_grid, args.block, args.saliency)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

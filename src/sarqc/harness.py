@@ -2,10 +2,10 @@
 experiments.
 
 `solutions` wires each method name to its solver and yields one solved layer
-per λ entry; `solve` is its one-entry case. It is the one place where the
-hyperparameters are defaulted and checked, and the solvers take plain
-values. The command line, the sweeps and the studies all go through it. A
-GS sweep scores the layer's α grid once for all its rows; a GBS sweep
+per λ entry; `solve` is its one-entry case. `check_hparams`, which it calls,
+is the one place where the hyperparameters are defaulted and checked, and
+the solvers take plain values. The command line, the sweeps and the
+studies all go through it. A GS sweep scores the layer's α grid once for all its rows; a GBS sweep
 takes the channel statistics once and builds and factors each row's Gram
 in place, so one d_in×d_in array is live at a time. `layer_losses` scores a solved layer. `sweep_lambda` traces the
 drift/reconstruction trade-off of a solver over a regularization grid with
@@ -73,6 +73,36 @@ class Solution:
     factor: FactorReport | None = None
 
 
+def check_hparams(
+    method: str, lams, gamma, lambda_grid, gamma_grid, block: int, saliency: str
+) -> tuple[tuple[float | None, ...], tuple[float, ...], tuple[float, ...]]:
+    """The λ entries, λ grid and γ grid of a `solutions` call, checked and
+    defaulted: `lambda_grid` and `gamma_grid` when None become the paper's
+    grids for `method`. γ, `block` and `saliency` are checked too. Needs no
+    data, so the command line calls it before it writes anything.
+
+    Every value is checked for every method, whether the method reads it or
+    not, so a bad value raises one ValueError that names it: `method` one of
+    METHODS, λ entries finite and ≥ 0 (in any order, as a sweep's are; None
+    selects λ), γ in [0, 1], both grids strictly increasing within those
+    bounds, `block` ≥ 1 and `saliency` "saliency" or "identity".
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    lams = tuple(None if lam is None else check_grid("lambda", (lam,), 0.0)[0] for lam in lams)
+    if gamma is not None:
+        check_grid("gamma", (gamma,), 0.0, 1.0)
+    if lambda_grid is None:
+        lambda_grid = LAMBDA_GRID_GS_DEFAULT if method in ("awq", "sarqc-gs") else LAMBDA_GRID_GBS_DEFAULT
+    lambda_grid = check_grid("lambda_grid", lambda_grid, 0.0)
+    gamma_grid = check_grid("gamma_grid", GAMMA_GRID_DEFAULT if gamma_grid is None else gamma_grid, 0.0, 1.0)
+    if block < 1:
+        raise ValueError(f"block must be at least 1, got {block}")
+    if saliency not in ("saliency", "identity"):
+        raise ValueError(f"saliency must be 'saliency' or 'identity', got {saliency!r}")
+    return lams, lambda_grid, gamma_grid
+
+
 def solutions(
     method: str,
     w,
@@ -96,31 +126,15 @@ def solutions(
     from `lambda_grid` / `gamma_grid`, the paper's grids when None.
     `saliency="identity"` replaces the saliency profile with the identity.
 
-    Every hyperparameter is checked here, for every method, whether the
-    method reads it or not, so a bad value raises one ValueError that names
-    it: λ entries finite and ≥ 0 (in any order, as a sweep's are), γ in
-    [0, 1], both grids strictly increasing within those bounds, `block` ≥ 1
-    and `saliency` "saliency" or "identity".
+    Every hyperparameter is checked by `check_hparams`, for every method,
+    whether the method reads it or not.
 
     The α grid of sarqc-gs does not depend on λ, so it is scored once for
     all entries, and so are the channel statistics of sarqc-gbs. Each
     sarqc-gbs entry builds and factors its own Gram in place, so one
     d_in×d_in array is live at a time.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    lams = tuple(None if lam is None else check_grid("lambda", (lam,), 0.0)[0] for lam in lams)
-    if gamma is not None:
-        check_grid("gamma", (gamma,), 0.0, 1.0)
-    if lambda_grid is None:
-        lambda_grid = LAMBDA_GRID_GS_DEFAULT if method in ("awq", "sarqc-gs") else LAMBDA_GRID_GBS_DEFAULT
-    lambda_grid = check_grid("lambda_grid", lambda_grid, 0.0)
-    gamma_grid = check_grid("gamma_grid", GAMMA_GRID_DEFAULT if gamma_grid is None else gamma_grid, 0.0, 1.0)
-    if block < 1:
-        raise ValueError(f"block must be at least 1, got {block}")
-    if saliency not in ("saliency", "identity"):
-        raise ValueError(f"saliency must be 'saliency' or 'identity', got {saliency!r}")
-
+    lams, lambda_grid, gamma_grid = check_hparams(method, lams, gamma, lambda_grid, gamma_grid, block, saliency)
     if method == "rtn":
         for _ in lams:
             yield Solution(rtn(w, scheme), identity_profile(w.shape[1]))

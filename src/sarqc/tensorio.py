@@ -62,11 +62,23 @@ def _parse_header(buf: bytes, path) -> tuple[np.dtype, tuple[int, ...], int]:
     return _DTYPES[code], tuple(int(d) for d in dims), dims_off + 8 * rank
 
 
+def _read_header(f, path) -> tuple[np.dtype, tuple[int, ...], int, int]:
+    """dtype, dims, payload offset and payload bytes of the open tensor file
+    f, after checking the file's size against the header, from one stat and
+    without reading the payload."""
+    dtype, dims, offset = _parse_header(f.read(len(MAGIC) + 2 + 8 * MAX_RANK), path)
+    nbytes = math.prod(dims) * dtype.itemsize
+    size = os.fstat(f.fileno()).st_size
+    if size != offset + nbytes:
+        raise TensorFormatError(f"{path}: payload length {size - offset}, expected {nbytes}")
+    return dtype, dims, offset, nbytes
+
+
 def read_tensor_header(path) -> tuple[np.dtype, tuple[int, ...]]:
-    """Parse dtype and shape without loading the payload."""
+    """Parse dtype and shape without loading the payload. A file whose size
+    does not match its header, truncated or padded, raises TensorFormatError."""
     with open(path, "rb") as f:
-        buf = f.read(len(MAGIC) + 2 + 8 * MAX_RANK)
-    dtype, dims, _ = _parse_header(buf, path)
+        dtype, dims, _, _ = _read_header(f, path)
     return dtype, dims
 
 
@@ -74,11 +86,7 @@ def read_tensor(path) -> np.ndarray:
     """Read a tensor file into a fresh array; the payload is read straight
     into the array's buffer, so no second copy of it is held."""
     with open(path, "rb") as f:
-        dtype, dims, offset = _parse_header(f.read(len(MAGIC) + 2 + 8 * MAX_RANK), path)
-        nbytes = math.prod(dims) * dtype.itemsize
-        size = os.fstat(f.fileno()).st_size
-        if size != offset + nbytes:
-            raise TensorFormatError(f"{path}: payload length {size - offset}, expected {nbytes}")
+        dtype, dims, offset, nbytes = _read_header(f, path)
         arr = np.empty(dims, dtype=dtype)
         f.seek(offset)
         got = f.readinto(arr.reshape(-1).view(np.uint8))
@@ -96,8 +104,9 @@ def load_manifest(path) -> dict:
     """Parse and fully validate a manifest before any computation starts.
 
     Checks that the document, each layer entry, `defaults` and
-    `defaults.scheme` are objects, id uniqueness, file existence, and that
-    the recorded dimensions match the tensor headers on disk. Returns the
+    `defaults.scheme` are objects, id uniqueness, file existence, that the
+    recorded dimensions match the tensor headers on disk and that each
+    file's size matches its header; no payload is read. Returns the
     manifest document with layer paths resolved against the manifest
     directory.
     """

@@ -234,6 +234,46 @@ class TestQuantize:
         for f in sorted((tmp_path / "q1").glob("*.sqt")):
             assert f.read_bytes() == (tmp_path / "q2" / f.name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "sarqc-gs", "--lambda-grid", "0.2,0.6", "--bits", 3, "--group-size", 8, "--mode", "sym"],
+            ["--method", "sarqc-gbs", "--lambda", "0.3", "--gamma", "0.25", "--gamma-grid", "0.1,0.9",
+             "--block", 4, "--saliency", "identity", "--val-fraction", "0.375", "--jobs", 2, "--seed", 9],
+        ],
+        ids=["sarqc-gs-lambda-grid", "sarqc-gbs-fixed-lambda"],
+    )
+    def test_replay_from_every_key_of_config_echo(self, tmp_path, flags):
+        # every key of the config echo maps to the flag that set it, or is
+        # a constant of this version; the rebuilt argv writes the same bytes
+        from sarqc import cli
+
+        spec = gen_spec(tmp_path, layers=2)
+        assert cli.main(["gen", "--spec", str(spec), "--out", str(tmp_path / "d"), "--seed", "2"]) == 0
+        manifest = tmp_path / "d" / "manifest.json"
+        assert cli.main(["quantize", "--manifest", str(manifest), *map(str, flags), "--out", str(tmp_path / "q1")]) == 0
+        cfg = json.loads((tmp_path / "q1" / "report.json").read_text())["config"]
+
+        flag_of = {"manifest": "--manifest", "method": "--method", "bits": "--bits", "group_size": "--group-size",
+                   "mode": "--mode", "lambda": "--lambda", "lambda_grid": "--lambda-grid", "gamma": "--gamma",
+                   "gamma_grid": "--gamma-grid", "block": "--block", "saliency": "--saliency",
+                   "val_fraction": "--val-fraction", "seed": "--seed", "jobs": "--jobs"}
+        assert set(cfg) == {"command", "out", "alpha_grid", "default_grids", *flag_of}
+        assert cfg["command"] == "quantize" and cfg["out"] == str(tmp_path / "q1")
+        assert cfg["default_grids"] == cli._default_grids() and cfg["alpha_grid"] == cfg["default_grids"]["alpha"]
+        replay = ["quantize", "--out", str(tmp_path / "q2")]
+        for key, flag in flag_of.items():
+            value = cfg[key]
+            if isinstance(value, list):
+                replay.append(f"{flag}={','.join(map(repr, value))}")
+            elif value is not None:
+                replay += [flag, repr(value) if isinstance(value, float) else str(value)]
+        assert cli.main(replay) == 0
+        files = sorted(p.name for p in (tmp_path / "q1").glob("*.sqt"))
+        assert len(files) >= 2 * 4 and files == sorted(p.name for p in (tmp_path / "q2").glob("*.sqt"))
+        for name in files:
+            assert (tmp_path / "q1" / name).read_bytes() == (tmp_path / "q2" / name).read_bytes()
+
     def test_manifest_validation_fails_before_compute(self, tmp_path):
         write_tensor(tmp_path / "w.sqt", np.zeros((2, 3)))
         write_tensor(tmp_path / "x.sqt", np.zeros((3, 4)))
@@ -242,6 +282,17 @@ class TestQuantize:
         r = run_cli("quantize", "--manifest", tmp_path / "m.json", "--method", "rtn", "--out", tmp_path / "q")
         assert r.returncode == 3
         assert not (tmp_path / "q" / "report.json").exists()
+
+    def test_short_payload_exits_3_before_any_tensor_is_written(self, tmp_path):
+        # the last layer's calib header is intact and its payload 8 bytes
+        # short; load_manifest sees the file size, so no layer runs
+        m = random_manifest(tmp_path, 3, d_out=16, d_in=64, n=48)
+        x = tmp_path / "l2.x.sqt"
+        x.write_bytes(x.read_bytes()[:-8])
+        r = run_cli("quantize", "--manifest", m, "--method", "rtn", "--jobs", 1, "--out", tmp_path / "q")
+        assert r.returncode == 3
+        assert "payload length" in r.stderr
+        assert not (tmp_path / "q").exists()
 
     @pytest.mark.parametrize("jobs, env", [("0", {}), ("-1", {}), (None, {"SARQC_JOBS": "0"})])
     def test_jobs_below_one_exits_2_before_out_is_touched(self, tmp_path, jobs, env):
@@ -602,15 +653,19 @@ class TestExitCodes:
     )
     @pytest.mark.parametrize("method", ["rtn", "awq", "gptq", "sarqc-gs", "sarqc-gbs"])
     def test_invalid_hyperparameter_exits_2_for_every_method(self, tmp_path, capsys, method, flags, name):
-        # every method checks every hyperparameter, whether it reads it or not
+        # every method checks every hyperparameter, whether it reads it or
+        # not, before --out is touched: a complete earlier run there survives
         from sarqc import cli
 
         lossless_manifest(tmp_path)
-        rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", method, *flags,
-                       "--out", str(tmp_path / "q")])
-        assert rc == 2
+        args = ["quantize", "--manifest", str(tmp_path / "m.json"), "--method", method, "--out", str(tmp_path / "q")]
+        assert cli.main(args) == 0
+        before = {p.name: p.read_bytes() for p in (tmp_path / "q").iterdir()}
+        assert "report.json" in before
+        capsys.readouterr()
+        assert cli.main([*args, *flags]) == 2
         assert capsys.readouterr().err.startswith(f"error: {name} must ")
-        assert not (tmp_path / "q" / "report.json").exists()
+        assert {p.name: p.read_bytes() for p in (tmp_path / "q").iterdir()} == before
 
     @pytest.mark.parametrize("method", ["sarqc-gs", "sarqc-gbs"])
     def test_sweep_block_below_one_exits_2(self, tmp_path, capsys, method):

@@ -154,6 +154,17 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(tmp_path / "m.json")
 
+    @pytest.mark.parametrize("key", ["weights", "calib"])
+    @pytest.mark.parametrize("edit", [lambda b: b[:-8], lambda b: b + b"\x00"], ids=["truncated", "padded"])
+    def test_payload_length_mismatch_rejected(self, tmp_path, key, edit):
+        # the header matches the manifest; only the file's size gives it away
+        entry = make_layer_files(tmp_path)
+        p = tmp_path / entry[key]
+        p.write_bytes(edit(p.read_bytes()))
+        write_manifest(tmp_path / "m.json", [entry], {})
+        with pytest.raises(TensorFormatError, match="payload length"):
+            load_manifest(tmp_path / "m.json")
+
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text("{not json")
