@@ -2,16 +2,21 @@
 
 The curvature G = XXᵀ + λ·diag(s²) replaces the plain Gram matrix; columns
 are quantized left to right and the committed error of each column is
-compensated into the later ones through rows of M = chol(G⁻¹)ᵀ. Updates
-inside a block are applied immediately, trailing columns get one batched
-update per block. λ = 0 recovers the undamped Gram-only pass.
+compensated into the later ones through rows of M = chol(G⁻¹)ᵀ. A column
+inside a block takes the updates of the block's earlier columns when the
+pass reaches it; trailing columns get one batched update per block. λ = 0
+recovers the undamped Gram-only pass.
 
-The pass works on a transposed (d_in, d_out) copy of W, so each column it
-quantizes and each in-block update is a contiguous row; each quantized row
-is overwritten with its dequantized values, and the outputs are transposed
-back to the (d_out, ·) layout one at a time. The arithmetic, including the
-orientation of the per-block products, is that of a (d_out, d_in) pass, so
-the bytes do not depend on the layout.
+The pass works on a copy of W in W's own (d_out, d_in) layout, which
+becomes the dequantized output. Each block's columns are copied into a
+tile where each of them is a contiguous row, quantized there, and written
+back with their codes; the fold into the later columns is one GEMM with a
+contiguous subtract. A column's pending in-block updates are subtracted as
+one in-order chain (`_subtract_in_order`), so each entry gets the same
+rounded products subtracted in the same order as when every rank-1 update
+is applied at once: the bytes are those of the eager pass, which
+tests/test_gbs.py keeps as `run_gbs_column_layout`. A GEMV over the
+block's errors would sum in another order and move them.
 
 Group quantization parameters are frozen from the working matrix at the
 moment a group's first column is reached and are held fixed for the rest of
@@ -24,7 +29,7 @@ leading block of the layer's G0 and the leading entries of its statistics;
 `harness.solutions` runs the full layer with the same G0 and statistics,
 builds the full-layer factor in G0's buffer once nothing reads G0 again,
 and hands `run_gbs` its only reference to that factor, so the pass frees
-M before it builds its outputs.
+M before it returns.
 """
 
 from __future__ import annotations
@@ -86,15 +91,43 @@ def build_curvature(
     return chol_upper_of_inverse(g0, shift=lam * profile.values**2, context=context, overwrite_g=overwrite_g)
 
 
+def _subtract_in_order(row, m_col, errs, stack) -> None:
+    """row ← row − fl(errs[0]·m_col[0]) − fl(errs[1]·m_col[1]) − …, one
+    subtraction at a time from left to right, so each entry gets the bytes
+    of the rank-1 updates it stands for applied one by one; a GEMV would sum
+    in another order. `stack` is scratch of at least len(m_col) + 1 rows."""
+    k = len(m_col)
+    stack[0] = row
+    prods = stack[1 : k + 1]
+    # filling the column and scaling it in place is cheaper than the
+    # broadcast product, and the products commute: same bytes
+    prods[...] = m_col[:, None]
+    prods *= errs
+    np.subtract.reduce(stack[: k + 1], axis=0, out=row)
+
+
 def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = BLOCK_DEFAULT) -> QuantizedLayer:
     """Blockwise sequential quantization with closed-form compensation,
     given the upper factor M of the inverse curvature.
 
+    The pass works on a copy of W in W's own (d_out, d_in) layout, which
+    becomes the dequantized output, and fills the codes in place. Each
+    block's columns are copied into a (block, d_out) tile whose contiguous
+    rows the column loop quantizes; the dequantized tile and its codes are
+    written back and the later columns get one GEMM fold per block.
+
+    Inside a block, column r takes the pending updates of columns [c, r)
+    when the loop reaches it, as one left-to-right subtraction chain, so
+    each entry gets the same rounded products subtracted in the same order
+    as when every update is applied eagerly: the bytes do not depend on
+    when an update is applied. A group's first column first brings the
+    group's rows in the block up to date, so its parameters see the same
+    values.
+
     M is read only in the column loop, and the pass drops its own
-    references to it before it builds the outputs. A caller that hands
-    over its only reference (for example `run_gbs(w, holder.pop(), …)`)
-    lets the pass free M at that point, so M does not sit beside the
-    outputs."""
+    references to it before it returns; no W-sized array is built after the
+    last fold. A caller that hands over its only reference (for example
+    `run_gbs(w, holder.pop(), …)`) lets the pass free M there."""
     w = as_matrix(w, "W")
     d_out, d_in = w.shape
     m = factor.data
@@ -107,76 +140,89 @@ def run_gbs(w, factor: TriangularFactor, scheme: QuantScheme, block_size: int = 
 
     slices = scheme.group_slices(d_in)
     groups = scheme.group_index(d_in).tolist()
-    qmin, qmax = scheme.qmin, scheme.qmax
-    # transposed working copy: column j of W is the contiguous row u[j],
-    # which holds column j of the dequantized layer once j is quantized
-    codes = np.empty((d_in, d_out), dtype=np.int32)
-    scales = np.empty((len(slices), d_out))
-    zps = np.empty((len(slices), d_out), dtype=np.int32)
-    # per-column buffers: the quantizer's float codes, then the dequantized
-    # column, and the error row; the rank-1 update of the rest of the block
-    # goes through `scratch`
+    qmin, qmax = float(scheme.qmin), float(scheme.qmax)
+    mdiag = m.diagonal().tolist()
+    # the working copy: columns left of the current block hold the
+    # dequantized layer, columns right of it W with every fold so far
+    a = np.array(w, order="C")
+    codes = np.empty((d_out, d_in), dtype=np.int32)
+    scales = np.empty((d_out, len(slices)))
+    zps = np.empty((d_out, len(slices)), dtype=np.int32)
+    # per-block buffers: the block's columns as rows, their codes, their
+    # errors, the subtraction chain's scratch, and the quantizer's float
+    # codes, then the dequantized column. The errors are copied into the
+    # chain's scratch, idle by then, as the C-ordered (d_out, b) operand of
+    # a fold; an F-ordered one moves bytes
+    b = min(block_size, d_in)
+    tile = np.empty((b, d_out))
+    ctile = np.empty((b, d_out), dtype=np.int32)
+    errs = np.empty((b, d_out))
+    stack = np.empty((b, d_out))
+    e_blk = stack.reshape(d_out, b)
     q = np.empty(d_out)
-    e = np.empty(d_out)
-    scratch = np.empty((min(block_size, d_in), d_out))
     gi_cur = -1
 
-    u = w.T.copy()
     for i in range(0, d_in, block_size):
         i_end = min(i + block_size, d_in)
-        e_blk = np.empty((d_out, i_end - i))
-        for j in range(i, i_end):
-            gi = groups[j]
-            if gi != gi_cur:  # groups are visited in order; j is the first column of group gi
+        n = i_end - i
+        tile[:n] = a[:, i:i_end].T
+        # the tile rows of the current group hold the updates of columns [i, c)
+        c = i
+        for r in range(i, i_end):
+            t = r - i
+            gi = groups[r]
+            if gi != gi_cur:  # groups are visited in order; r is the first column of group gi
                 sl = slices[gi]
-                g_slice = u[sl]
-                if sl.stop > i_end and j > i:
-                    # group columns past the block boundary are missing the
-                    # pending updates from columns [i, j); fold them in so
-                    # group parameters are block-size independent
-                    g_slice = g_slice.copy()
-                    g_slice[i_end - sl.start :] -= (e_blk[:, : j - i] @ m[i:j, i_end : sl.stop]).T
-                scales[gi], zps[gi] = group_params(g_slice.T, scheme)
+                if r == i:
+                    # nothing in this block is updated yet: the tile is a's copy
+                    g = a[:, sl]
+                else:
+                    # the group's rows in this block take the updates of
+                    # columns [i, r) now, so its parameters see their values
+                    for rr in range(r, min(sl.stop, i_end)):
+                        _subtract_in_order(tile[rr - i], m[i:r, rr], errs[:t], stack)
+                    c = r
+                    if sl.stop > i_end:
+                        # group columns past the block boundary are missing
+                        # the pending updates from columns [i, r); fold them
+                        # in so group parameters are block-size independent
+                        e_blk[:, :t] = errs[:t].T
+                        g = np.empty((d_out, sl.stop - r))
+                        g[:, : n - t] = tile[t:n].T
+                        np.subtract(a[:, i_end : sl.stop], e_blk[:, :t] @ m[i:r, i_end : sl.stop], out=g[:, n - t :])
+                    else:
+                        g = tile[t : sl.stop - i].T
+                s, z = group_params(g, scheme)
+                scales[:, gi], zps[:, gi] = s, z
+                zf = z.astype(np.float64)
                 gi_cur = gi
-                s = scales[gi]
-                zf = zps[gi].astype(np.float64)
+            row = tile[t]
+            if r > c:
+                _subtract_in_order(row, m[c:r, r], errs[c - i : t], stack)
             # quantize_with_params and dequantize_with_params, written out on
             # the buffers: clip(rint(u / s + z)), then s · (codes − z) read
             # from the int codes, which hold +0 where rint gave −0.0
-            np.divide(u[j], s, out=q)
+            np.divide(row, s, out=q)
             q += zf
             np.rint(q, out=q)
-            np.maximum(q, qmin, out=q)
-            np.minimum(q, qmax, out=q)
-            codes[j] = q
-            np.subtract(codes[j], zf, out=q)
+            q.clip(qmin, qmax, out=q)
+            ct = ctile[t]
+            ct[...] = q
+            np.subtract(ct, zf, out=q)
             q *= s
-            np.subtract(u[j], q, out=e)
-            u[j] = q
-            e /= m[j, j]
-            e_blk[:, j - i] = e
-            # row j itself is not read again, so the update starts below it
-            n = i_end - j - 1
-            if n:
-                # copying e and scaling it in place is cheaper than the
-                # broadcast product, and the products commute: same bytes
-                upd = scratch[:n]
-                upd[...] = e
-                upd *= m[j, j + 1 : i_end, None]
-                u[j + 1 : i_end] -= upd
+            e = errs[t]
+            np.subtract(row, q, out=e)
+            row[...] = q
+            e /= mdiag[r]
+        a[:, i:i_end] = tile[:n].T
+        codes[:, i:i_end] = ctile[:n].T
         if i_end < d_in:
-            # the fold is the (d_out, ·) GEMM, transposed; m[…].T @ e_blk.T
-            # sums in another order and moves bytes
-            u[i_end:] -= (e_blk @ m[i:i_end, i_end:]).T
+            e_blk[...] = errs.T
+            a[:, i_end:] -= e_blk @ m[i:i_end, i_end:]
     # M is not read again: with the caller's reference handed over, it is
-    # freed here, before the outputs are built
-    del factor, m, q, e, scratch
-    # each transposed output replaces its source before the next is built
-    codes = np.ascontiguousarray(codes.T)
-    qhat = np.ascontiguousarray(u.T)
-    del u
-    scales, zps = np.ascontiguousarray(scales.T), np.ascontiguousarray(zps.T)
-    return QuantizedLayer(codes=codes, scales=scales, zero_points=zps, dequantized=qhat, scheme=scheme)
+    # freed here
+    del factor, m
+    return QuantizedLayer(codes=codes, scales=scales, zero_points=zps, dequantized=a, scheme=scheme)
 
 
 def profile_for(stats: ChannelStats | None, kind: str, gamma: float | None, g0: np.ndarray) -> SaliencyProfile:

@@ -322,6 +322,11 @@ class CoverageReport:
     violation_rate: float
     bound: float
     threshold: float
+    c: float
+    # mean of risk_cal/‖Δ‖²_F over every member of every trial and its z
+    # score against c; None when R = 0 leaves every Δ zero
+    ratio_mean: float | None
+    z: float | None
     passed: bool
 
 
@@ -348,6 +353,11 @@ def hoeffding_check(
     pass threshold allows δ plus three binomial standard deviations of the
     violation rate.
 
+    The check also tests c itself: risk_cal/‖Δ‖²_F has mean c, so the mean
+    over every member of every trial is compared with c. The K members of a
+    trial share one calibration draw, so the standard error is taken over
+    the per-trial means, and the check fails when |z| > HOEFFDING_BIAS_Z_MAX.
+
     `zero_bound` is a test-only fault hook that checks against a bound of
     0 in place of the Hoeffding bound, which every trial violates.
     """
@@ -358,6 +368,7 @@ def hoeffding_check(
     bound = 0.0 if zero_bound else hoeffding_bound(r, m_x, class_size, n, delta)
     c = _clipped_second_moment(d_in, m_x)
     violations = 0
+    trial_ratios = np.empty(trials)
     for t in range(trials):
         rng = substream(seed, "hoeffding", t)
         deltas = rng.standard_normal((class_size, HOEFFDING_D_OUT * d_in))
@@ -369,18 +380,28 @@ def hoeffding_check(
 
         y_cal = stacked @ x_cal
         risk_cal = (y_cal * y_cal).reshape(class_size, HOEFFDING_D_OUT, n).sum(axis=1).mean(axis=1)
-        risk_true = c * (deltas * deltas).sum(axis=1)
+        norm_sq = (deltas * deltas).sum(axis=1)
+        risk_true = c * norm_sq
         if np.max(np.abs(risk_cal - risk_true)) > bound:
             violations += 1
+        if r > 0.0:
+            trial_ratios[t] = np.mean(risk_cal / norm_sq)
     rate = violations / trials
     threshold = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
+    ratio_mean = z = None
+    if r > 0.0:
+        ratio_mean = float(np.mean(trial_ratios))
+        z = float((ratio_mean - c) / (np.std(trial_ratios, ddof=1) / math.sqrt(trials)))
     return CoverageReport(
         trials=trials,
         violations=violations,
         violation_rate=rate,
         bound=bound,
         threshold=threshold,
-        passed=rate <= threshold,
+        c=c,
+        ratio_mean=ratio_mean,
+        z=z,
+        passed=rate <= threshold and (z is None or abs(z) <= HOEFFDING_BIAS_Z_MAX),
     )
 
 
@@ -455,6 +476,8 @@ HOEFFDING_N = 200
 HOEFFDING_DELTA = 0.05
 HOEFFDING_CLASS_SIZE = 16
 HOEFFDING_MIN_TRIALS = 1000
+# the largest |z| of the mean risk_cal/‖Δ‖²_F against c that the check accepts
+HOEFFDING_BIAS_Z_MAX = 6.0
 
 
 def run_compensation_suite(trials: int, seed: int, *, inject_fault: bool = False) -> SuiteResult:
@@ -565,9 +588,12 @@ def run_supportedness_suite(trials: int, seed: int, *, inject_fault: bool = Fals
 def run_hoeffding_suite(trials: int, seed: int, *, inject_fault: bool = False) -> SuiteResult:
     """`hoeffding_check` on the suite's fixed instance, at least
     HOEFFDING_MIN_TRIALS trials. Its worst calibration gap, about 0.03–0.04,
-    sits so far inside the bound of 0.127 that an error in the true risk
-    c·‖Δ‖²_F below about 0.09·‖Δ‖²_F goes unseen; the tests of
-    `_clipped_second_moment` and `test_tight_bound_coverage` pin c.
+    sits so far inside the bound of 0.127 that the coverage check alone
+    cannot see an error in the true risk c·‖Δ‖²_F below about 0.09·‖Δ‖²_F.
+    The bias check can: at 1000 trials the standard error of the mean
+    ratio is about 4.7e-5 (0.04% of c ≈ 0.125), so |z| > 6 fails the suite
+    once c is off by more than about 3e-4, 0.2% of c; χ²_d in place of
+    χ²_{d+2} moves c by 1.3% and reads z ≈ 34.
 
     `inject_fault` is a test-only hook that checks against a zero bound."""
     trials = max(trials, HOEFFDING_MIN_TRIALS)
@@ -590,8 +616,11 @@ def run_hoeffding_suite(trials: int, seed: int, *, inject_fault: bool = False) -
             "bound": report.bound,
             "violation_rate": report.violation_rate,
             "threshold": report.threshold,
+            "c": report.c,
+            "ratio_mean": report.ratio_mean,
+            "z": report.z,
         },
-        counterexample=None if report.passed else {"violations": report.violations},
+        counterexample=None if report.passed else {"violations": report.violations, "z": report.z},
     )
 
 

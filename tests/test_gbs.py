@@ -1,4 +1,6 @@
+import itertools
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,6 +17,7 @@ from sarqc.gbs import (
     LAMBDA_GRID_GBS_DEFAULT,
     SUBSET_FRACTION,
     SUBSET_MIN,
+    _subtract_in_order,
     build_curvature,
     h_bar_of_gram,
     profile_for,
@@ -226,12 +229,14 @@ class TestRunGbs:
         assert_same_bytes(out, run_gbs_column_layout(w, factor.data, SYM2_G32, block))
         assert not np.signbit(out.dequantized[out.codes == 0]).any()
 
-    @pytest.mark.parametrize("group", [128, 96])
-    @pytest.mark.parametrize("block", [128, 48])
+    @pytest.mark.parametrize(
+        "block, group", [(128, 128), (128, 96), (48, 128), (48, 96), (128, 32), (128, "per_tensor")]
+    )
     def test_bytes_match_column_layout_loop_at_production_width(self, production_layer, block, group):
         # the one-GEMM fold at trailing widths up to 1024 columns, where the
         # BLAS picks other kernels than at the widths above; group 96
-        # straddles the block edges
+        # straddles the block edges; with group 32 three groups start inside
+        # each block, and their rows are brought up to date at those starts
         w, factor = production_layer
         scheme = QuantScheme(bits=3, mode="asymmetric", group_size=group)
         out = run_gbs(w, factor, scheme, block_size=block)
@@ -254,22 +259,40 @@ def memory_of(a):
     return a
 
 
-class OutputStageSpy:
-    """Stands in for numpy in sarqc.gbs and records, at each
-    ascontiguousarray call (the output stage of run_gbs), whether every
-    watched array has been freed."""
+class FreeWatch:
+    """Watches the buffers of arrays while tracemalloc runs. When one is
+    freed it records whether a run_gbs frame was on the stack, and resets
+    the traced peak there. The reset comes just before the buffer is
+    released, so `peak_over_freed` (the traced peak since then over the
+    traced memory without the buffer) is at least the buffer's size, and
+    more when something larger is allocated after the free."""
 
     def __init__(self):
-        self.watched = []
-        self.freed = []
+        self.freed_in_pass = []
+        self.traced_without = None
 
-    def __getattr__(self, name):
-        return getattr(np, name)
+    def watch(self, a):
+        owner = memory_of(a)
+        weakref.finalize(owner, self._freed, owner.nbytes)
 
-    def ascontiguousarray(self, a, *args, **kwargs):
-        if self.watched:
-            self.freed.append(all(ref() is None for ref in self.watched))
-        return np.ascontiguousarray(a, *args, **kwargs)
+    def _freed(self, nbytes):
+        frame, in_pass = sys._getframe(), False
+        while frame is not None:
+            in_pass = in_pass or frame.f_code is run_gbs.__code__
+            frame = frame.f_back
+        self.freed_in_pass.append(in_pass)
+        self.traced_without = tracemalloc.get_traced_memory()[0] - nbytes
+        tracemalloc.reset_peak()
+
+    def peak_over_freed(self):
+        return tracemalloc.get_traced_memory()[1] - self.traced_without
+
+
+@pytest.fixture
+def traced():
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
 
 
 @pytest.mark.skipif(
@@ -277,38 +300,97 @@ class OutputStageSpy:
     reason="CPython 3.10 keeps call arguments on the caller's stack until the call returns",
 )
 class TestFactorFreedBeforeOutputs:
-    """M is read only in the column loop; a pass handed the only reference
-    to its factor frees M before it builds the outputs."""
+    """M is read only in the column loop, and the outputs are the loop's own
+    buffers: a pass handed the only reference to its factor frees M before
+    it returns, and builds no W-sized array after its last fold."""
 
     SCHEME = QuantScheme(bits=3, mode="asymmetric", group_size=32)
 
-    def test_run_gbs_frees_a_handed_over_factor(self, monkeypatch):
+    def test_run_gbs_frees_a_handed_over_factor(self, traced):
+        # a tall layer, so M (2 KiB) is small beside the smallest W-sized
+        # output, the int32 codes (32 KiB); two blocks, so the pass folds
         rng = np.random.default_rng(23)
-        w = rng.standard_normal((16, 96))
-        holder = [build_curvature(gram(rng.standard_normal((96, 160))), identity_profile(96), 0.25)]
-        spy = OutputStageSpy()
-        spy.watched.append(weakref.ref(memory_of(holder[0].data)))
-        monkeypatch.setattr(sarqc.gbs, "np", spy)
-        run_gbs(w, holder.pop(), self.SCHEME, block_size=32)
-        assert spy.freed and all(spy.freed)
+        w = rng.standard_normal((512, 16))
+        holder = [build_curvature(gram(rng.standard_normal((16, 40))), identity_profile(16), 0.25)]
+        watch = FreeWatch()
+        watch.watch(holder[0].data)
+        layer = run_gbs(w, holder.pop(), self.SCHEME, block_size=8)
+        assert watch.freed_in_pass == [True]
+        # half, as small objects freed with M blur the reading
+        assert watch.peak_over_freed() < layer.codes.nbytes // 2
 
     @pytest.mark.parametrize("method", ["gptq", "sarqc-gbs"])
     def test_solve_frees_the_full_layer_factor(self, monkeypatch, method):
         rng = np.random.default_rng(29)
         w = rng.standard_normal((16, 128))
         batch = split_batch(rng.standard_normal((128, 96)))
-        spy = OutputStageSpy()
+        watch = FreeWatch()
 
         def watched_build_curvature(*args, **kwargs):
             factor = build_curvature(*args, **kwargs)
-            spy.watched.append(weakref.ref(memory_of(factor.data)))
+            watch.watch(factor.data)
             return factor
 
         monkeypatch.setattr(sarqc.harness, "build_curvature", watched_build_curvature)
-        monkeypatch.setattr(sarqc.gbs, "np", spy)
         solve(method, w, batch, self.SCHEME, lambda_grid=(0.25,), gamma_grid=(0.5,))
-        assert len(spy.watched) == 1
-        assert spy.freed and all(spy.freed)
+        assert watch.freed_in_pass == [True]
+
+
+class TestSubtractionChain:
+    """run_gbs applies a column's pending in-block updates as one
+    np.subtract.reduce over the stacked products. That must equal
+    subtracting them one at a time from left to right, byte for byte."""
+
+    @staticmethod
+    def left_to_right(stack):
+        row = stack[0].copy()
+        for term in stack[1:]:
+            row -= term
+        return row
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 64, 127])
+    @pytest.mark.parametrize("width", [1, 3, 16, 513])
+    def test_reduce_is_the_left_to_right_loop(self, k, width):
+        rng = np.random.default_rng(1000 * k + width)
+        # the chain runs on the leading rows of a larger buffer, into a row
+        # of another, as in the pass
+        stack = np.empty((k + 9, width))[: k + 1]
+        stack[...] = rng.standard_normal(stack.shape) * 10.0 ** rng.integers(-12, 13, size=stack.shape)
+        row = np.empty((3, width))[1]
+        np.subtract.reduce(stack, axis=0, out=row)
+        assert row.tobytes() == self.left_to_right(stack).tobytes()
+
+    def test_signed_zeros(self):
+        # every sign pattern of four zeros, one pattern per entry
+        stack = np.array(list(itertools.product([0.0, -0.0], repeat=4))).T.copy()
+        row = np.empty(stack.shape[1])
+        np.subtract.reduce(stack, axis=0, out=row)
+        want = self.left_to_right(stack)
+        assert row.tobytes() == want.tobytes()
+        assert np.signbit(want).any() and not np.signbit(want).all()
+
+    def test_an_order_that_matters(self):
+        # 1 + 2⁵³ rounds to 2⁵³, so left to right gives −1; subtracting the
+        # terms in reverse, or their sum, gives 0
+        terms = np.array([-(2.0**53), 2.0**53, 1.0])
+        stack = np.repeat(np.concatenate(([1.0], terms))[:, None], 40, axis=1)
+        row = np.empty(40)
+        np.subtract.reduce(stack, axis=0, out=row)
+        assert np.all(row == -1.0)
+        assert self.left_to_right(stack[[0, 3, 2, 1]])[0] == 0.0
+        assert 1.0 - np.sum(terms) == 0.0
+
+    @pytest.mark.parametrize("k", [1, 5, 127])
+    def test_chain_is_the_eager_rank_one_updates(self, k):
+        rng = np.random.default_rng(k)
+        errs = rng.standard_normal((k, 300))
+        m_col = rng.standard_normal(k)
+        row = rng.standard_normal(300)
+        want = row.copy()
+        for j in range(k):
+            want -= errs[j] * m_col[j]
+        _subtract_in_order(row, m_col, errs, np.empty((k + 1, 300)))
+        assert row.tobytes() == want.tobytes()
 
 
 class TestGptqEquivalence:

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import sarqc.oracles as oracles
 from sarqc.gbs import build_curvature, h_bar_of_gram, run_gbs
 from sarqc.linalg import chol_upper_of_inverse, gram
 from sarqc.oracles import (
     FiniteCandidate,
+    HOEFFDING_BIAS_Z_MAX,
+    HOEFFDING_D_IN,
+    HOEFFDING_M_X,
     PreconditionError,
     WORKED_FRONTIER,
     _clipped_second_moment,
@@ -226,8 +230,6 @@ class TestVerifySupportedness:
         assert report.probes == sorted({0.0, 0.5 * lo, lo, 0.5 * (lo + hi), hi, 1.5 * hi + 0.1, 2.0 * hi + 1.0})
 
     def test_suite_computes_each_interval_once(self, monkeypatch):
-        from sarqc import oracles
-
         calls = []
 
         def counting(*args, **kwargs):
@@ -252,6 +254,8 @@ class TestHoeffding:
         rep = hoeffding_check(4, 0.0, 1.0, 20, 0.05, 4, 1000, seed=1)
         assert rep.violations == 0
         assert rep.passed
+        # every Δ is zero, so there is no ratio to test c with
+        assert rep.ratio_mean is None and rep.z is None
 
     def test_smoke_coverage(self):
         rep = hoeffding_check(4, 1.0, 1.0, 50, 0.05, 8, 1000, seed=2)
@@ -271,6 +275,33 @@ class TestHoeffding:
         # risk: χ²_d in place of χ²_{d+2} moves c by 0.076 at d = 4, m_x = 1
         rep = hoeffding_check(4, 1.0, 1.0, 2000, 0.05, 8, 1000, seed=3)
         assert rep.passed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bias_check_accepts_the_true_c(self, seed):
+        res = run_hoeffding_suite(1000, seed=seed)
+        assert res.passed
+        d = res.details
+        assert d["c"] == _clipped_second_moment(HOEFFDING_D_IN, HOEFFDING_M_X)
+        assert abs(d["ratio_mean"] - d["c"]) <= 1e-3 * d["c"]
+        assert abs(d["z"]) <= 3.0
+
+    def test_chi2_d_mutant_fails_the_bias_check(self, monkeypatch):
+        # χ²_d in place of χ²_{d+2} moves c by 1.3%, far inside the
+        # coverage bound, so only the bias check sees it
+        from scipy.stats import chi2
+
+        def chi2_d_mutant(d, m_x):
+            p = chi2.cdf(m_x * m_x, d)
+            return float(p + (m_x * m_x / d) * (1.0 - p))
+
+        want = _clipped_second_moment(HOEFFDING_D_IN, HOEFFDING_M_X)
+        assert chi2_d_mutant(HOEFFDING_D_IN, HOEFFDING_M_X) == pytest.approx(1.0126 * want, rel=1e-4)
+        monkeypatch.setattr(oracles, "_clipped_second_moment", chi2_d_mutant)
+        res = run_hoeffding_suite(1000, seed=0)
+        assert not res.passed
+        assert res.details["violation_rate"] <= res.details["threshold"]
+        assert abs(res.details["z"]) > HOEFFDING_BIAS_Z_MAX
+        assert res.counterexample == {"violations": 0, "z": res.details["z"]}
 
     def test_clipped_second_moment_matches_gammainc(self):
         # c = P(χ²_{d+2} ≤ m²) + (m²/d)(1 − P(χ²_d ≤ m²)), with scipy's
