@@ -52,11 +52,18 @@ def clip_columns(x: np.ndarray, m_x: float) -> np.ndarray:
     return x
 
 
+def check_val_fraction(val_fraction: float) -> None:
+    """Raise unless val_fraction lies in the open interval (0, 1); NaN does
+    not. Needs no data, so the command line calls it before it writes
+    anything."""
+    if not 0.0 < val_fraction < 1.0:
+        raise ValueError(f"val_fraction must lie in (0, 1), got {val_fraction}")
+
+
 def split_batch(x, val_fraction: float = 0.25) -> CalibrationBatch:
     """Split off the last ceil(val_fraction · n) columns as validation."""
     x = as_matrix(x, "calibration")
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError(f"val_fraction must lie in (0, 1), got {val_fraction}")
+    check_val_fraction(val_fraction)
     n = x.shape[1]
     if n < 2:
         raise ValueError("calibration batch needs at least 2 columns")

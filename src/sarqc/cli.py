@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import split_batch
+from .calibration import check_val_fraction, split_batch
 from .gbs import BLOCK_DEFAULT, GAMMA_GRID_DEFAULT, LAMBDA_GRID_GBS_DEFAULT
 from .gs import ALPHA_GRID_DEFAULT, LAMBDA_GRID_GS_DEFAULT
 from .harness import (
@@ -86,7 +86,8 @@ def _scheme_from(args, defaults: dict) -> QuantScheme:
     bits = args.bits if args.bits is not None else dscheme.get("bits", 4)
     mode = args.mode if args.mode is not None else dscheme.get("mode", "asym")
     group = args.group_size if args.group_size is not None else dscheme.get("group_size", 128)
-    mode_full = {"sym": "symmetric", "asym": "asymmetric"}.get(mode, mode)
+    # a manifest's mode may be any JSON value; only a string can name one
+    mode_full = {"sym": "symmetric", "asym": "asymmetric"}.get(mode, mode) if isinstance(mode, str) else mode
     return QuantScheme(bits=bits, mode=mode_full, group_size=group)
 
 
@@ -194,6 +195,7 @@ def cmd_quantize(args) -> int:
     scheme = _scheme_from(args, defaults)
     # each layer checks these again; checked here, a bad value leaves --out untouched
     check_hparams(method, (args.lam,), args.gamma, args.lambda_grid, args.gamma_grid, args.block, args.saliency)
+    check_val_fraction(args.val_fraction)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -268,6 +270,11 @@ def cmd_gen(args) -> int:
     d_out = int(spec.get("d_out", 64))
     d_in = int(spec.get("d_in", 128))
     n = int(spec.get("n", 128))
+    # the manifest's defaults are checked as quantize reads them, before --out is touched
+    scheme = QuantScheme(bits=4, mode="asymmetric", group_size=spec.get("group_size", 128))
+    method = spec.get("method", "sarqc-gbs")
+    if method not in METHODS:
+        raise UsageError(f"spec \"method\" must be one of {', '.join(METHODS)}, got {method!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -304,10 +311,7 @@ def cmd_gen(args) -> int:
                 "n": n,
             }
         )
-    defaults = {
-        "scheme": {"bits": 4, "mode": "asym", "group_size": spec.get("group_size", 128)},
-        "method": spec.get("method", "sarqc-gbs"),
-    }
+    defaults = {"scheme": {"bits": scheme.bits, "mode": "asym", "group_size": scheme.group_size}, "method": method}
     write_manifest(out / "manifest.json", entries, defaults)
     return 0
 

@@ -9,6 +9,7 @@ integer zero point. Rounding ties go half-to-even.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,18 @@ PER_TENSOR = "per_tensor"
 INT32_MAX = 2**31 - 1  # codes and zero points are stored as int32
 
 
+def _integer(name: str, value) -> int:
+    """value as an int through operator.index, which takes Python and numpy
+    integers and refuses floats and strings; bool is refused too, although
+    it is an int to Python."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuantScheme:
     """Bit width, symmetric/asymmetric mode, and grouping granularity."""
@@ -29,6 +42,8 @@ class QuantScheme:
     group_size: int | str = 128
 
     def __post_init__(self):
+        # stored as int, so a numpy integer from a caller behaves like a Python one
+        object.__setattr__(self, "bits", _integer("bits", self.bits))
         if self.bits < 2:
             raise ValueError(f"bits must be >= 2, got {self.bits}")
         if self.mode not in ("symmetric", "asymmetric"):
@@ -37,9 +52,13 @@ class QuantScheme:
             raise ValueError(f"{self.mode} {self.bits}-bit codes do not fit in int32")
         if isinstance(self.group_size, str):
             if self.group_size not in (PER_CHANNEL, PER_TENSOR):
-                raise ValueError(f"unknown granularity {self.group_size!r}")
-        elif self.group_size < 1:
-            raise ValueError("group_size must be >= 1")
+                raise ValueError(
+                    f"group_size must be an integer, {PER_CHANNEL} or {PER_TENSOR}, got {self.group_size!r}"
+                )
+            return
+        object.__setattr__(self, "group_size", _integer("group_size", self.group_size))
+        if self.group_size < 1:
+            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
 
     @property
     def qmax(self) -> int:
@@ -65,7 +84,7 @@ class QuantScheme:
         """Column index -> group index."""
         if isinstance(self.group_size, str):
             return np.zeros(d_in, dtype=np.int64)
-        return np.arange(d_in) // int(self.group_size)
+        return np.arange(d_in) // self.group_size
 
 
 @dataclass(frozen=True)

@@ -492,19 +492,25 @@ class TestSweep:
     SPEC = {"d_out": 8, "d_in": 12, "outlier_channels": 2, "outlier_scale": 6.0,
             "n_calib": 16, "n_heldout": 32, "corr_strength": 2.0}
 
-    def test_single_record(self, tmp_path):
+    @pytest.mark.parametrize(
+        "grid_flags, seeds, lams",
+        [(["--lambda-grid", "0.5"], 1, ["0.5"]), ([], 2, [repr(k / 10) for k in range(11)])],
+        ids=["one-lambda", "default-grid"],
+    )
+    def test_spec_mode_rows(self, tmp_path, grid_flags, seeds, lams):
         p = tmp_path / "s.json"
         p.write_text(json.dumps(self.SPEC))
         r = run_cli(
-            "sweep", "--spec", p, "--method", "sarqc-gbs", "--lambda-grid", "0.5",
-            "--seeds", 1, "--bits", 4, "--group-size", 4, "--mode", "asym",
+            "sweep", "--spec", p, "--method", "sarqc-gbs", *grid_flags,
+            "--seeds", seeds, "--bits", 4, "--group-size", 4, "--mode", "asym",
             "--out", tmp_path / "out.csv",
         )
         assert r.returncode == 0, r.stderr
-        lines = (tmp_path / "out.csv").read_text().strip().splitlines()
-        assert lines[0] == "lambda,gamma,recon,sar,drift,heldout_risk,method,seed,layer"
-        assert len(lines) == 2
-        assert lines[1].endswith(",0,")  # seed 0, no layer in --spec mode
+        header, *rows = (tmp_path / "out.csv").read_text().strip().splitlines()
+        assert header == "lambda,gamma,recon,sar,drift,heldout_risk,method,seed,layer"
+        # seed order, then grid order; no layer in --spec mode
+        cells = [row.split(",") for row in rows]
+        assert [(c[0], c[-2], c[-1]) for c in cells] == [(lam, str(seed), "") for seed in range(seeds) for lam in lams]
 
     def test_rerun_byte_identical(self, tmp_path):
         p = tmp_path / "s.json"
@@ -647,9 +653,12 @@ class TestExitCodes:
             (["--gamma-grid", "0.5,1.5"], "gamma_grid"),
             (["--gamma", "1.5", "--lambda", "0.5"], "gamma"),
             (["--block", "0"], "block"),
+            (["--val-fraction", "1.5"], "val_fraction"),
+            (["--val-fraction", "0"], "val_fraction"),
+            (["--val-fraction", "nan"], "val_fraction"),
         ],
         ids=["negative-lambda", "unsorted-lambda-grid", "negative-lambda-grid", "gamma-grid-above-1",
-             "gamma-above-1", "block-0"],
+             "gamma-above-1", "block-0", "val-fraction-1.5", "val-fraction-0", "val-fraction-nan"],
     )
     @pytest.mark.parametrize("method", ["rtn", "awq", "gptq", "sarqc-gs", "sarqc-gbs"])
     def test_invalid_hyperparameter_exits_2_for_every_method(self, tmp_path, capsys, method, flags, name):
@@ -666,6 +675,42 @@ class TestExitCodes:
         assert cli.main([*args, *flags]) == 2
         assert capsys.readouterr().err.startswith(f"error: {name} must ")
         assert {p.name: p.read_bytes() for p in (tmp_path / "q").iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("group_size", 4.5), ("group_size", [1]), ("group_size", True), ("group_size", "per_row"),
+         ("bits", 4.5), ("bits", "4"), ("mode", [1])],
+    )
+    def test_bad_manifest_scheme_exits_2_before_out_is_touched(self, tmp_path, capsys, key, value):
+        # the scheme is built before --out is touched: a complete earlier run there survives
+        from sarqc import cli
+
+        lossless_manifest(tmp_path)
+        args = ["quantize", "--manifest", str(tmp_path / "m.json"), "--method", "rtn", "--out", str(tmp_path / "q")]
+        assert cli.main(args) == 0
+        before = {p.name: p.read_bytes() for p in (tmp_path / "q").iterdir()}
+        doc = json.loads((tmp_path / "m.json").read_text())
+        doc["defaults"]["scheme"] = {key: value}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert {p.name: p.read_bytes() for p in (tmp_path / "q").iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("group_size", 4.5, "group_size must be an integer"), ("group_size", 0, "group_size must be >= 1"),
+         ("group_size", "per_row", "group_size must be an integer"), ("method", "foo", 'spec "method" must be')],
+    )
+    def test_bad_gen_defaults_exit_2_before_out_is_touched(self, tmp_path, capsys, key, value, message):
+        # gen writes no manifest that quantize would refuse
+        from sarqc import cli
+
+        spec = gen_spec(tmp_path, layers=1, **{key: value})
+        assert cli.main(["gen", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("method", ["sarqc-gs", "sarqc-gbs"])
     def test_sweep_block_below_one_exits_2(self, tmp_path, capsys, method):

@@ -11,6 +11,7 @@ from sarqc.oracles import (
     HOEFFDING_BIAS_Z_MAX,
     HOEFFDING_D_IN,
     HOEFFDING_M_X,
+    HOEFFDING_MIN_TRIALS,
     PreconditionError,
     WORKED_FRONTIER,
     _clipped_second_moment,
@@ -285,24 +286,6 @@ class TestHoeffding:
         assert abs(d["ratio_mean"] - d["c"]) <= 1e-3 * d["c"]
         assert abs(d["z"]) <= 3.0
 
-    def test_chi2_d_mutant_fails_the_bias_check(self, monkeypatch):
-        # χ²_d in place of χ²_{d+2} moves c by 1.3%, far inside the
-        # coverage bound, so only the bias check sees it
-        from scipy.stats import chi2
-
-        def chi2_d_mutant(d, m_x):
-            p = chi2.cdf(m_x * m_x, d)
-            return float(p + (m_x * m_x / d) * (1.0 - p))
-
-        want = _clipped_second_moment(HOEFFDING_D_IN, HOEFFDING_M_X)
-        assert chi2_d_mutant(HOEFFDING_D_IN, HOEFFDING_M_X) == pytest.approx(1.0126 * want, rel=1e-4)
-        monkeypatch.setattr(oracles, "_clipped_second_moment", chi2_d_mutant)
-        res = run_hoeffding_suite(1000, seed=0)
-        assert not res.passed
-        assert res.details["violation_rate"] <= res.details["threshold"]
-        assert abs(res.details["z"]) > HOEFFDING_BIAS_Z_MAX
-        assert res.counterexample == {"violations": 0, "z": res.details["z"]}
-
     def test_clipped_second_moment_matches_gammainc(self):
         # c = P(χ²_{d+2} ≤ m²) + (m²/d)(1 − P(χ²_d ≤ m²)), with scipy's
         # regularized lower incomplete gamma as the reference
@@ -382,6 +365,81 @@ class TestSuites:
         assert np.array_equal(solver.zero_points, ref.zero_points)
         ulps = np.abs(solver.scales.view(np.int64) - ref.scales.view(np.int64))
         assert ulps.max() <= CROSS_BLOCK_SCALE_ULP
+
+
+def closed_form_off_by_1e_6(monkeypatch):
+    closed_form = oracles.closed_form_row_update
+
+    def mutant(*args, **kwargs):
+        delta, obj = closed_form(*args, **kwargs)
+        return delta * (1.0 + 1e-6), obj * (1.0 + 1e-6)
+
+    monkeypatch.setattr(oracles, "closed_form_row_update", mutant)
+
+
+def first_scale_up_one_ulp(monkeypatch):
+    import sarqc.gbs
+
+    run = sarqc.gbs.run_gbs
+
+    def mutant(*args, **kwargs):
+        layer = run(*args, **kwargs)
+        layer.scales[0, 0] = np.nextafter(layer.scales[0, 0], np.inf)
+        return layer
+
+    monkeypatch.setattr(sarqc.gbs, "run_gbs", mutant)
+
+
+def chi2_d_for_chi2_d_plus_2(monkeypatch):
+    # moves c by 1.3%, far inside the coverage bound: only the bias check sees it
+    from scipy.stats import chi2
+
+    def mutant(d, m_x):
+        p = chi2.cdf(m_x * m_x, d)
+        return float(p + (m_x * m_x / d) * (1.0 - p))
+
+    want = _clipped_second_moment(HOEFFDING_D_IN, HOEFFDING_M_X)
+    assert mutant(HOEFFDING_D_IN, HOEFFDING_M_X) == pytest.approx(1.0126 * want, rel=1e-4)
+    monkeypatch.setattr(oracles, "_clipped_second_moment", mutant)
+
+
+def hoeffding_fails_only_the_bias_check(res):
+    d = res.details
+    return (
+        d["violation_rate"] <= d["threshold"]
+        and abs(d["z"]) > HOEFFDING_BIAS_Z_MAX
+        and res.counterexample == {"violations": 0, "z": d["z"]}
+    )
+
+
+class TestMutants:
+    """Each row plants a small error through a private helper and runs the
+    suite that should see it, at the trial count of the verify-tiny bench
+    workload (hoeffding, which that workload does not run, at its floor of
+    HOEFFDING_MIN_TRIALS). `check` pins how the suite fails."""
+
+    @pytest.mark.parametrize(
+        "suite, trials, mutate, check",
+        [
+            pytest.param(run_compensation_suite, 3000, closed_form_off_by_1e_6,
+                         lambda res: res.counterexample["trial"] == 0, id="compensation-closed-form-1e-6"),
+            # codes agree, so only the byte comparison of the scales sees it
+            pytest.param(run_gptq_equiv_suite, 1000, first_scale_up_one_ulp,
+                         lambda res: res.counterexample["code_mismatches"] == 0, id="gptq-equiv-scale-one-ulp"),
+            pytest.param(run_supportedness_suite, 4000, lambda mp: mp.setattr(oracles, "PENALIZED_TIE_TOL", 0.0),
+                         lambda res: res.details == {"trial": 15}, id="supportedness-tie-tol-0"),
+            pytest.param(run_supportedness_suite, 4000, lambda mp: mp.setattr(oracles, "PENALIZED_TIE_TOL", 1e-3),
+                         lambda res: res.details == {"trial": 741}, id="supportedness-tie-tol-1e-3"),
+            pytest.param(run_hoeffding_suite, HOEFFDING_MIN_TRIALS, chi2_d_for_chi2_d_plus_2,
+                         hoeffding_fails_only_the_bias_check, id="hoeffding-chi2-d"),
+        ],
+    )
+    def test_mutant_fails_its_suite(self, monkeypatch, suite, trials, mutate, check):
+        mutate(monkeypatch)
+        res = suite(trials, seed=0)
+        assert not res.passed
+        assert res.counterexample
+        assert check(res)
 
 
 class TestTradeoffSweepOracle:

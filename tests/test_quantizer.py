@@ -36,6 +36,21 @@ class TestScheme:
         assert QuantScheme(bits=31, mode="asymmetric").qmax == 2**31 - 1
         assert QuantScheme(bits=32, mode="symmetric").qmax == 2**31 - 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bits", 4.5), ("bits", "4"), ("bits", True), ("group_size", 4.5), ("group_size", 8.0),
+         ("group_size", [1]), ("group_size", True), ("group_size", np.True_), ("group_size", "per_row")],
+    )
+    def test_integer_fields_reject_other_types(self, field, value):
+        # a bool is an int to Python, but groups of `True` columns mean nothing
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            QuantScheme(**{field: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        s = QuantScheme(bits=np.int64(3), group_size=np.int32(8))
+        assert (type(s.bits), type(s.group_size)) == (int, int)
+        assert s == QuantScheme(bits=3, group_size=8)
+
     def test_ragged_groups(self):
         s = QuantScheme(group_size=2)
         assert s.group_slices(5) == [slice(0, 2), slice(2, 4), slice(4, 5)]
