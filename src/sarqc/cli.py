@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import platform
@@ -29,6 +30,7 @@ from .harness import (
     SWEEP_METHODS,
     UNCLIPPED,
     SynthLayerSpec,
+    check_calibration_args,
     check_hparams,
     gen_calibration,
     gen_layer,
@@ -44,7 +46,7 @@ from .oracles import (
     run_hoeffding_suite,
     run_supportedness_suite,
 )
-from .quantizer import PER_CHANNEL, PER_TENSOR, QuantScheme
+from .quantizer import PER_CHANNEL, PER_TENSOR, QuantScheme, _integer
 from .seeds import substream
 from .tensorio import ManifestError, TensorFormatError, load_manifest, read_tensor, write_manifest, write_tensor
 
@@ -262,15 +264,40 @@ def _load_spec(path) -> dict:
     return spec
 
 
+def _spec_int(spec: dict, key: str, default: int) -> int:
+    # a float is refused, not truncated: "d_out": 4.5 exits 2
+    return _integer(f'spec "{key}"', spec.get(key, default))
+
+
+def _spec_float(spec: dict, key: str, default: float) -> float:
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f'spec "{key}" must be a number, got {value!r}')
+    return float(value)
+
+
+def _synth_layer_spec(spec: dict, outlier_channels: int, outlier_scale: float) -> SynthLayerSpec:
+    return SynthLayerSpec(
+        d_out=_spec_int(spec, "d_out", 64),
+        d_in=_spec_int(spec, "d_in", 128),
+        outlier_channels=_spec_int(spec, "outlier_channels", outlier_channels),
+        outlier_scale=_spec_float(spec, "outlier_scale", outlier_scale),
+        weight_std=_spec_float(spec, "weight_std", 1.0),
+    )
+
+
 def cmd_gen(args) -> int:
+    # every spec key is checked before --out is touched
     spec = _load_spec(args.spec)
-    n_layers = int(spec.get("layers", 1))
-    if n_layers < 1:  # checked before --out is touched
+    n_layers = _spec_int(spec, "layers", 1)
+    if n_layers < 1:
         raise UsageError(f"spec \"layers\" must be at least 1, got {n_layers}")
-    d_out = int(spec.get("d_out", 64))
-    d_in = int(spec.get("d_in", 128))
-    n = int(spec.get("n", 128))
-    # the manifest's defaults are checked as quantize reads them, before --out is touched
+    layer_spec = _synth_layer_spec(spec, outlier_channels=0, outlier_scale=1.0)
+    n = _spec_int(spec, "n", 128)
+    m_x = _spec_float(spec, "m_x", UNCLIPPED)
+    val_fraction = _spec_float(spec, "val_fraction", 0.25)
+    check_calibration_args(n, m_x, val_fraction)
+    # the manifest's defaults are checked as quantize reads them
     scheme = QuantScheme(bits=4, mode="asymmetric", group_size=spec.get("group_size", 128))
     method = spec.get("method", "sarqc-gbs")
     if method not in METHODS:
@@ -283,22 +310,8 @@ def cmd_gen(args) -> int:
         lid = f"layer_{i:03d}"
         lseed = int(substream(args.seed, "gen-layer", i).integers(0, 2**31))
         cseed = int(substream(args.seed, "gen-calib", i).integers(0, 2**31))
-        layer_spec = SynthLayerSpec(
-            d_out=d_out,
-            d_in=d_in,
-            outlier_channels=int(spec.get("outlier_channels", 0)),
-            outlier_scale=float(spec.get("outlier_scale", 1.0)),
-            weight_std=float(spec.get("weight_std", 1.0)),
-            seed=lseed,
-        )
-        w = gen_layer(layer_spec)
-        batch = gen_calibration(
-            d_in,
-            n,
-            float(spec.get("m_x", UNCLIPPED)),
-            cseed,
-            val_fraction=float(spec.get("val_fraction", 0.25)),
-        )
+        w = gen_layer(dataclasses.replace(layer_spec, seed=lseed))
+        batch = gen_calibration(layer_spec.d_in, n, m_x, cseed, val_fraction=val_fraction)
         write_tensor(out / f"{lid}.w.sqt", w)
         write_tensor(out / f"{lid}.x.sqt", batch.x)
         entries.append(
@@ -306,8 +319,8 @@ def cmd_gen(args) -> int:
                 "layer_id": lid,
                 "weights": f"{lid}.w.sqt",
                 "calib": f"{lid}.x.sqt",
-                "d_out": d_out,
-                "d_in": d_in,
+                "d_out": layer_spec.d_out,
+                "d_in": layer_spec.d_in,
                 "n": n,
             }
         )
@@ -333,13 +346,7 @@ def cmd_sweep(args) -> int:
         if args.seeds < 1:
             raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
         spec = _load_spec(args.spec)
-        layer_spec = SynthLayerSpec(
-            d_out=int(spec.get("d_out", 64)),
-            d_in=int(spec.get("d_in", 128)),
-            outlier_channels=int(spec.get("outlier_channels", 8)),
-            outlier_scale=float(spec.get("outlier_scale", 8.0)),
-            weight_std=float(spec.get("weight_std", 1.0)),
-        )
+        layer_spec = _synth_layer_spec(spec, outlier_channels=8, outlier_scale=8.0)
         seeds = [args.seed + i for i in range(args.seeds)]
         records = sweep_lambda(
             layer_spec,
@@ -347,12 +354,12 @@ def cmd_sweep(args) -> int:
             method,
             lambda_grid,
             seeds,
-            n_calib=int(spec.get("n_calib", 192)),
-            n_heldout=int(spec.get("n_heldout", 512)),
-            m_x=float(spec.get("m_x", UNCLIPPED)),
+            n_calib=_spec_int(spec, "n_calib", 192),
+            n_heldout=_spec_int(spec, "n_heldout", 512),
+            m_x=_spec_float(spec, "m_x", UNCLIPPED),
             val_fraction=args.val_fraction,
-            corr_rank=int(spec.get("corr_rank", CORR_RANK)),
-            corr_strength=float(spec.get("corr_strength", CORR_STRENGTH)),
+            corr_rank=_spec_int(spec, "corr_rank", CORR_RANK),
+            corr_strength=_spec_float(spec, "corr_strength", CORR_STRENGTH),
             gamma=args.gamma,
             block_size=args.block,
         )

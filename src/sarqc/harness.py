@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibration import CalibrationBatch, clip_columns, split_batch
+from .calibration import CalibrationBatch, check_val_fraction, clip_columns, split_batch
 from .gbs import (
     BLOCK_DEFAULT,
     GAMMA_GRID_DEFAULT,
@@ -252,6 +252,16 @@ def activation_factor(d_in: int, rank: int, strength: float, seed: int) -> np.nd
     return strength * rng.standard_normal((d_in, rank)) / math.sqrt(rank)
 
 
+def check_calibration_args(n: int, m_x: float, val_fraction: float) -> None:
+    """Raise unless `gen_calibration` takes n, m_x and val_fraction. Needs no
+    data, so `gen` calls it before it writes anything."""
+    if n < 2:
+        raise ValueError(f"calibration batch needs at least 2 columns, got n = {n}")
+    if not m_x > 0.0:  # NaN too
+        raise ValueError(f"m_x must be positive, got {m_x}")
+    check_val_fraction(val_fraction)
+
+
 def gen_calibration(
     d_in: int,
     n: int,
@@ -269,10 +279,7 @@ def gen_calibration(
     N(0, I + FFᵀ)); `cov_diag` then scales the per-channel standard
     deviations, which is how the scarcity study models calibration shift.
     """
-    if n < 2:
-        raise ValueError("calibration batch needs at least 2 columns")
-    if m_x <= 0.0:
-        raise ValueError("m_x must be positive")
+    check_calibration_args(n, m_x, val_fraction)
     rng = substream(seed, stream)
     x = rng.standard_normal((d_in, n))
     if cov_factor is not None:

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -281,6 +284,124 @@ def verify_supportedness(
 
 
 # ---------------------------------------------------------------------------
+# Trials spread over forked workers
+
+
+def _cpus() -> int:
+    """How many processes a suite's trials are spread over: the CPUs in this
+    process's affinity set, or 1 where the platform cannot say or where
+    another thread runs (fork copies only the calling thread, so a lock that
+    another thread holds would stay held in the child)."""
+    if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _never(record) -> bool:
+    return False
+
+
+def _map_trials(trial, trials: int, stop):
+    """Yield trial(t) for t = 0, 1, … in order, up to and including the
+    first record for which stop(record) holds.
+
+    range(trials) is cut into min(_cpus(), trials) contiguous spans. The
+    first runs in this process; each other one runs in a forked worker,
+    which stops after its own first stop record and sends its records, or
+    the records before the exception that ended it and that exception, back
+    through a pipe. Records come out in trial order and a worker's exception
+    is raised where the serial loop would have raised it, so the caller sees
+    the same for any worker count. This holds because each trial draws only
+    from its own substream; a worker sees the module state of the moment it
+    was forked, test patches included.
+
+    Once a stop record or an exception ends the run, the workers still
+    running are killed. Every worker is reaped before the generator
+    finishes, whether the caller reads to the end, closes it early or
+    raises. A worker that ends without sending a result raises
+    ChildProcessError (exit 3); it never counts as a pass.
+    """
+    n = max(1, min(_cpus(), trials))
+    ends = [trials * k // n for k in range(n + 1)]
+    workers = {}  # pid -> (read end of its pipe, first trial, end), for every worker not yet reaped
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the read ends it inherits are closed, so a closed pipe ends a writing worker
+                _worker(trial, ends[k], ends[k + 1], stop, w, [r, *(v[0] for v in workers.values())])
+            os.close(w)
+            workers[pid] = (r, ends[k], ends[k + 1])
+        for t in range(ends[1]):
+            record = trial(t)
+            yield record
+            if stop(record):
+                return
+        for pid in list(workers):
+            records, error = _collect(pid, *workers.pop(pid))
+            for record in records:
+                yield record
+                if stop(record):
+                    return
+            if error is not None:
+                raise error
+    finally:
+        if workers:
+            import signal  # loaded only here, so importing sarqc loads no new module
+
+            for pid, (r, _, _) in workers.items():
+                os.close(r)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _worker(trial, start: int, end: int, stop, w: int, inherited: list[int]):
+    """A forked worker's whole life: close the inherited read ends, run
+    trials start…end−1, write (records, the exception that ended them or
+    None) to w and exit. Its body sits inside try/finally os._exit, so
+    nothing it raises unwinds into the caller's stack, and it exits 0 only
+    once its result is written."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        records, error = [], None
+        try:
+            for t in range(start, end):
+                records.append(trial(t))
+                if stop(records[-1]):
+                    break
+        except Exception as exc:  # raised again by the parent, at trial start + len(records)
+            error = exc
+        payload = pickle.dumps((records, error), pickle.HIGHEST_PROTOCOL)
+        with open(w, "wb") as fh:
+            fh.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(pid: int, r: int, start: int, end: int):
+    """Read a worker's (records, exception or None) from its pipe and reap
+    it, also when the read fails: closing the pipe ends a worker that is
+    still writing."""
+    chunks = []
+    try:
+        while chunk := os.read(r, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(r)
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        try:
+            return pickle.loads(b"".join(chunks))
+        except Exception as exc:
+            code = f"0 and an unreadable result ({exc})"
+    raise ChildProcessError(f"the worker for trials {start}..{end - 1} ended without a result: exit code {code}")
+
+
+# ---------------------------------------------------------------------------
 # Finite-class concentration coverage
 
 
@@ -367,9 +488,9 @@ def hoeffding_check(
         raise ValueError(f"coverage estimate needs at least {HOEFFDING_MIN_TRIALS} trials")
     bound = 0.0 if zero_bound else hoeffding_bound(r, m_x, class_size, n, delta)
     c = _clipped_second_moment(d_in, m_x)
-    violations = 0
-    trial_ratios = np.empty(trials)
-    for t in range(trials):
+
+    def trial(t: int):
+        """(whether trial t violates the bound, its mean risk_cal/‖Δ‖²_F or None when R = 0)"""
         rng = substream(seed, "hoeffding", t)
         deltas = rng.standard_normal((class_size, HOEFFDING_D_OUT * d_in))
         norms = np.linalg.norm(deltas, axis=1)
@@ -382,10 +503,15 @@ def hoeffding_check(
         risk_cal = (y_cal * y_cal).reshape(class_size, HOEFFDING_D_OUT, n).sum(axis=1).mean(axis=1)
         norm_sq = (deltas * deltas).sum(axis=1)
         risk_true = c * norm_sq
-        if np.max(np.abs(risk_cal - risk_true)) > bound:
-            violations += 1
+        violated = bool(np.max(np.abs(risk_cal - risk_true)) > bound)
+        return violated, np.mean(risk_cal / norm_sq) if r > 0.0 else None
+
+    violations = 0
+    trial_ratios = np.empty(trials)
+    for t, (violated, ratio) in enumerate(_map_trials(trial, trials, _never)):
+        violations += violated
         if r > 0.0:
-            trial_ratios[t] = np.mean(risk_cal / norm_sq)
+            trial_ratios[t] = ratio
     rate = violations / trials
     threshold = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
     ratio_mean = z = None
@@ -480,47 +606,50 @@ HOEFFDING_MIN_TRIALS = 1000
 HOEFFDING_BIAS_Z_MAX = 6.0
 
 
+def _compensation_trial(seed: int, t: int, inject_fault: bool):
+    """One random SPD instance: (delta error, objective error, a
+    counterexample when either passes 1e-9, else None)."""
+    rng = substream(seed, "compensation", t)
+    d = int(rng.integers(2, COMPENSATION_D_MAX + 1))
+    a = rng.standard_normal((d, d))
+    g = a @ a.T + (0.5 + rng.uniform()) * np.eye(d)
+    w = rng.standard_normal(d)
+    j = int(rng.integers(d))
+    qhat = w[j] + rng.uniform(-0.5, 0.5)
+    delta_o, obj_o = oracle_row_update(w, g, j, qhat)
+    delta_c, obj_c = closed_form_row_update(w, g, j, qhat, flip_sign=inject_fault)
+    err_d = float(np.max(np.abs(delta_o - delta_c)))
+    err_o = abs(obj_o - obj_c) / (1.0 + abs(obj_o))
+    if err_d > 1e-9 or err_o > 1e-9:
+        return err_d, err_o, {
+            "trial": t,
+            "G": g.tolist(),
+            "w": w.tolist(),
+            "j": j,
+            "qhat": float(qhat),
+            "delta_err": err_d,
+            "obj_rel_err": err_o,
+        }
+    return err_d, err_o, None
+
+
 def run_compensation_suite(trials: int, seed: int, *, inject_fault: bool = False) -> SuiteResult:
     """Closed-form update vs reduced-system oracle on random SPD instances.
 
     `inject_fault` is a test-only hook that negates the closed-form update."""
     worst_delta = 0.0
     worst_obj = 0.0
-    for t in range(trials):
-        rng = substream(seed, "compensation", t)
-        d = int(rng.integers(2, COMPENSATION_D_MAX + 1))
-        a = rng.standard_normal((d, d))
-        g = a @ a.T + (0.5 + rng.uniform()) * np.eye(d)
-        w = rng.standard_normal(d)
-        j = int(rng.integers(d))
-        qhat = w[j] + rng.uniform(-0.5, 0.5)
-        delta_o, obj_o = oracle_row_update(w, g, j, qhat)
-        delta_c, obj_c = closed_form_row_update(w, g, j, qhat, flip_sign=inject_fault)
-        err_d = float(np.max(np.abs(delta_o - delta_c)))
-        err_o = abs(obj_o - obj_c) / (1.0 + abs(obj_o))
+    counterexample = None
+    records = _map_trials(lambda t: _compensation_trial(seed, t, inject_fault), trials, lambda rec: rec[2] is not None)
+    for err_d, err_o, counterexample in records:
         worst_delta = max(worst_delta, err_d)
         worst_obj = max(worst_obj, err_o)
-        if err_d > 1e-9 or err_o > 1e-9:
-            return SuiteResult(
-                name="compensation",
-                passed=False,
-                trials=trials,
-                details={"max_delta_err": worst_delta, "max_obj_rel_err": worst_obj},
-                counterexample={
-                    "trial": t,
-                    "G": g.tolist(),
-                    "w": w.tolist(),
-                    "j": j,
-                    "qhat": float(qhat),
-                    "delta_err": err_d,
-                    "obj_rel_err": err_o,
-                },
-            )
     return SuiteResult(
         name="compensation",
-        passed=True,
+        passed=counterexample is None,
         trials=trials,
         details={"max_delta_err": worst_delta, "max_obj_rel_err": worst_obj},
+        counterexample=counterexample,
     )
 
 
@@ -529,6 +658,25 @@ WORKED_FRONTIER = (
     FiniteCandidate("B", 0.5, 9.0),
     FiniteCandidate("C", 2.0, 1.0),
 )
+
+
+def _supportedness_trial(seed: int, t: int):
+    """One random frontier: (whether the chosen candidate's λ interval is
+    non-empty, the counterexample of a failed probe or None)."""
+    rng = substream(seed, "supportedness", t)
+    q = int(rng.integers(1, SUPPORTEDNESS_MAX_CANDIDATES + 1))
+    if t % 2 == 0:
+        risks = rng.integers(0, 21, q).astype(float)
+        dists = rng.integers(0, 21, q).astype(float)
+    else:
+        risks = rng.uniform(0.0, 10.0, q)
+        dists = rng.uniform(0.0, 10.0, q)
+    cands = [FiniteCandidate(f"c{i}", float(risks[i]), float(dists[i])) for i in range(q)]
+    r_sq = float(dists[int(rng.integers(q))])
+    feasible = [c for c in cands if c.dist <= r_sq]
+    chosen = min(feasible, key=lambda c: (c.risk, c.id))
+    report = verify_supportedness(cands, chosen.id, r_sq)
+    return report.interval.supported, report.counterexample
 
 
 def run_supportedness_suite(trials: int, seed: int, *, inject_fault: bool = False) -> SuiteResult:
@@ -554,29 +702,12 @@ def run_supportedness_suite(trials: int, seed: int, *, inject_fault: bool = Fals
         )
 
     supported_seen = 0
-    for t in range(trials):
-        rng = substream(seed, "supportedness", t)
-        q = int(rng.integers(1, SUPPORTEDNESS_MAX_CANDIDATES + 1))
-        if t % 2 == 0:
-            risks = rng.integers(0, 21, q).astype(float)
-            dists = rng.integers(0, 21, q).astype(float)
-        else:
-            risks = rng.uniform(0.0, 10.0, q)
-            dists = rng.uniform(0.0, 10.0, q)
-        cands = [FiniteCandidate(f"c{i}", float(risks[i]), float(dists[i])) for i in range(q)]
-        r_sq = float(dists[int(rng.integers(q))])
-        feasible = [c for c in cands if c.dist <= r_sq]
-        chosen = min(feasible, key=lambda c: (c.risk, c.id))
-        report = verify_supportedness(cands, chosen.id, r_sq)
-        supported_seen += int(report.interval.supported)
-        if not report.passed:
-            return SuiteResult(
-                "supportedness",
-                False,
-                trials,
-                details={"trial": t},
-                counterexample=report.counterexample,
-            )
+    counterexample = None
+    records = _map_trials(lambda t: _supportedness_trial(seed, t), trials, lambda rec: rec[1] is not None)
+    for t, (supported, counterexample) in enumerate(records):
+        supported_seen += supported
+    if counterexample is not None:  # the last record stopped the run
+        return SuiteResult("supportedness", False, trials, details={"trial": t}, counterexample=counterexample)
     return SuiteResult(
         "supportedness",
         True,
@@ -624,6 +755,41 @@ def run_hoeffding_suite(trials: int, seed: int, *, inject_fault: bool = False) -
     )
 
 
+def _gptq_equiv_trial(seed: int, t: int, inject_fault: bool):
+    """One random layer: a counterexample when the blocked solver's bytes
+    differ from the reference's, else None."""
+    from .gbs import build_curvature, run_gbs
+    from .saliency import identity_profile
+
+    rng = substream(seed, "gptq-equiv", t)
+    d_in = int(rng.integers(8, GPTQ_EQUIV_D_IN_MAX + 1))
+    d_out = int(rng.integers(4, 33))
+    w = rng.standard_normal((d_out, d_in))
+    x = rng.standard_normal((d_in, GPTQ_EQUIV_N))
+    mode = "symmetric" if rng.integers(2) else "asymmetric"
+    group: int | str = [16, 32, "per_channel"][int(rng.integers(3))]
+    scheme = QuantScheme(bits=int(rng.integers(3, 5)), mode=mode, group_size=group)
+
+    factor = build_curvature(gram(x), identity_profile(d_in), 0.0)
+    solver = run_gbs(w, factor, scheme, block_size=128)
+    ref = greedy_sequential_reference(w, factor, scheme)
+    if inject_fault:
+        solver.codes[0, 0] ^= 1
+    # bytes, not values: a −0.0 in place of +0.0 is a difference
+    if all(
+        getattr(solver, f).tobytes() == getattr(ref, f).tobytes()
+        for f in ("codes", "scales", "zero_points", "dequantized")
+    ):
+        return None
+    return {
+        "trial": t,
+        "d_in": d_in,
+        "d_out": d_out,
+        "scheme": {"bits": scheme.bits, "mode": mode, "group_size": group},
+        "code_mismatches": int(np.sum(solver.codes != ref.codes)),
+    }
+
+
 def run_gptq_equiv_suite(trials: int, seed: int, *, inject_fault: bool = False) -> SuiteResult:
     """Blocked solver at λ = 0 vs the unblocked reference, bit for bit:
     codes, scales, zero points and dequantized weights. Both passes read the
@@ -631,39 +797,8 @@ def run_gptq_equiv_suite(trials: int, seed: int, *, inject_fault: bool = False) 
 
     `inject_fault` is a test-only hook that changes one solver code before
     the comparison."""
-    from .gbs import build_curvature, run_gbs
-    from .saliency import identity_profile
-
-    for t in range(trials):
-        rng = substream(seed, "gptq-equiv", t)
-        d_in = int(rng.integers(8, GPTQ_EQUIV_D_IN_MAX + 1))
-        d_out = int(rng.integers(4, 33))
-        w = rng.standard_normal((d_out, d_in))
-        x = rng.standard_normal((d_in, GPTQ_EQUIV_N))
-        mode = "symmetric" if rng.integers(2) else "asymmetric"
-        group: int | str = [16, 32, "per_channel"][int(rng.integers(3))]
-        scheme = QuantScheme(bits=int(rng.integers(3, 5)), mode=mode, group_size=group)
-
-        factor = build_curvature(gram(x), identity_profile(d_in), 0.0)
-        solver = run_gbs(w, factor, scheme, block_size=128)
-        ref = greedy_sequential_reference(w, factor, scheme)
-        if inject_fault:
-            solver.codes[0, 0] ^= 1
-        # bytes, not values: a −0.0 in place of +0.0 is a difference
-        if not all(
-            getattr(solver, f).tobytes() == getattr(ref, f).tobytes()
-            for f in ("codes", "scales", "zero_points", "dequantized")
-        ):
-            return SuiteResult(
-                name="gptq-equiv",
-                passed=False,
-                trials=trials,
-                counterexample={
-                    "trial": t,
-                    "d_in": d_in,
-                    "d_out": d_out,
-                    "scheme": {"bits": scheme.bits, "mode": mode, "group_size": group},
-                    "code_mismatches": int(np.sum(solver.codes != ref.codes)),
-                },
-            )
-    return SuiteResult(name="gptq-equiv", passed=True, trials=trials)
+    counterexample = None
+    records = _map_trials(lambda t: _gptq_equiv_trial(seed, t, inject_fault), trials, lambda rec: rec is not None)
+    for counterexample in records:  # only the last record, which stops the run, can be one
+        pass
+    return SuiteResult(name="gptq-equiv", passed=counterexample is None, trials=trials, counterexample=counterexample)

@@ -418,8 +418,10 @@ class TestPeakMemory:
 # modules whose loading tells what a command paid for: a factor loads only
 # scipy's _flapack extension, never the scipy package or scipy.linalg, whose
 # import also pulls in scipy._lib._array_api; _hashlib, which maps OpenSSL,
-# loads only where seeded streams are drawn; statistics loads nowhere
-_WATCHED = ("scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy._lib._array_api", "_hashlib", "statistics")
+# loads only where seeded streams are drawn; statistics loads nowhere, and
+# neither does a process pool: verify forks its workers with os.fork
+_WATCHED = ("scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy._lib._array_api", "_hashlib", "statistics",
+            "multiprocessing", "concurrent.futures.process")
 
 # runs sarqc's main in a fresh interpreter and reports which watched modules
 # it loaded; the test process itself has long since imported them
@@ -473,6 +475,12 @@ class TestImportHygiene:
     @pytest.mark.parametrize("suite", ["gptq-equiv", "compensation"])
     def test_suites_that_factor_load_only_the_lapack_extension(self, tmp_path, suite):
         loaded = loaded_watched_modules("verify", "--suite", suite, "--trials", 5, "--out", tmp_path / "v.json")
+        assert loaded == {"scipy.linalg._flapack", "_hashlib"}
+
+    def test_verify_loads_no_process_pool(self, tmp_path):
+        # its trials run in workers it forks itself, so neither
+        # multiprocessing nor concurrent.futures.process loads
+        loaded = loaded_watched_modules("verify", "--suite", "all", "--trials", 20, "--out", tmp_path / "v.json")
         assert loaded == {"scipy.linalg._flapack", "_hashlib"}
 
     def test_first_factor_on_two_workers_matches_one(self, tmp_path):
@@ -615,6 +623,79 @@ class TestVerify:
         assert doc["suites"][suite]["counterexample"]
 
 
+def verify_json(tmp_path, monkeypatch, workers: int, *args) -> tuple[int, bytes]:
+    """(exit code, JSON bytes) of an in-process verify run on `workers` processes."""
+    from sarqc import cli, oracles
+
+    monkeypatch.setattr(oracles, "_cpus", lambda: workers)
+    out = tmp_path / f"v{workers}.json"
+    rc = cli.main(["verify", *map(str, args), "--out", str(out)])
+    return rc, out.read_bytes() if out.exists() else b""
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestVerifyWorkers:
+    """The verify JSON and exit code do not depend on how many processes
+    the trials are spread over."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("suite, trials", [("gptq-equiv", 1000), ("compensation", 3000), ("supportedness", 4000)])
+    def test_worker_count_leaves_the_json_unchanged(self, tmp_path, monkeypatch, suite, trials, seed):
+        # the verify-tiny bench commands
+        runs = {n: verify_json(tmp_path, monkeypatch, n, "--suite", suite, "--trials", trials, "--seed", seed)
+                for n in (1, 2, 3)}
+        assert runs[1][0] == 0
+        assert runs[2] == runs[1] and runs[3] == runs[1]
+        assert_no_worker_left()
+
+    def test_worker_count_leaves_the_failing_json_unchanged(self, tmp_path, monkeypatch):
+        runs = {n: verify_json(tmp_path, monkeypatch, n, "--suite", "all", "--trials", 20, "--inject-fault")
+                for n in (1, 2, 3)}
+        assert runs[1][0] == 1
+        assert runs[2] == runs[1] and runs[3] == runs[1]
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_numerical_failure_in_a_later_span_exits_4(self, tmp_path, monkeypatch, capsys, workers):
+        from sarqc import oracles
+        from sarqc.linalg import NumericalFailure
+
+        trial = oracles._compensation_trial
+
+        def failing(seed, t, inject_fault):
+            if t == 2500:  # in the last span for every worker count here
+                raise NumericalFailure(f"planted at trial {t}")
+            return trial(seed, t, inject_fault)
+
+        monkeypatch.setattr(oracles, "_compensation_trial", failing)
+        assert verify_json(tmp_path, monkeypatch, workers, "--suite", "compensation", "--trials", 3000) == (4, b"")
+        assert capsys.readouterr().err == "numerical failure: planted at trial 2500\n"
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_an_earlier_spans_failure_wins_over_a_later_exception(self, tmp_path, monkeypatch, workers):
+        # trial 1500 fails; trial 2500, later in serial order, raises
+        from sarqc import oracles
+        from sarqc.linalg import NumericalFailure
+
+        trial = oracles._compensation_trial
+
+        def failing(seed, t, inject_fault):
+            if t == 2500:
+                raise NumericalFailure(f"planted at trial {t}")
+            return trial(seed, t, inject_fault or t == 1500)
+
+        monkeypatch.setattr(oracles, "_compensation_trial", failing)
+        rc, text = verify_json(tmp_path, monkeypatch, workers, "--suite", "compensation", "--trials", 3000)
+        assert rc == 1
+        assert json.loads(text)["suites"]["compensation"]["counterexample"]["trial"] == 1500
+        assert_no_worker_left()
+
+
 class TestExitCodes:
     def test_malformed_sarqc_jobs_leaves_verify_working(self, tmp_path):
         r = run_cli("verify", "--suite", "compensation", "--trials", 5, "--out", tmp_path / "v.json",
@@ -701,16 +782,41 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "key, value, message",
         [("group_size", 4.5, "group_size must be an integer"), ("group_size", 0, "group_size must be >= 1"),
-         ("group_size", "per_row", "group_size must be an integer"), ("method", "foo", 'spec "method" must be')],
+         ("group_size", "per_row", "group_size must be an integer"), ("method", "foo", 'spec "method" must be'),
+         ("n", 1, "calibration batch needs at least 2 columns"), ("m_x", -1, "m_x must be positive"),
+         ("m_x", "1", 'spec "m_x" must be a number'), ("val_fraction", 1.5, "val_fraction must lie in (0, 1)"),
+         ("d_out", 0, "layer dimensions must be positive")],
     )
     def test_bad_gen_defaults_exit_2_before_out_is_touched(self, tmp_path, capsys, key, value, message):
-        # gen writes no manifest that quantize would refuse
+        # gen writes no manifest that quantize would refuse, and makes no
+        # --out for a spec whose layers or calibration it cannot draw
         from sarqc import cli
 
         spec = gen_spec(tmp_path, layers=1, **{key: value})
         assert cli.main(["gen", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("value", [4.5, True, "8"])
+    @pytest.mark.parametrize("key", ["layers", "d_out", "d_in", "n", "outlier_channels"])
+    def test_non_integer_gen_shape_exits_2_before_out_is_touched(self, tmp_path, capsys, key, value):
+        # refused, not truncated: "d_out": 4.5 once wrote 4-row layers
+        from sarqc import cli
+
+        spec = gen_spec(tmp_path, **{key: value})
+        assert cli.main(["gen", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == f'error: spec "{key}" must be an integer, got {value!r}\n'
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("key", ["d_out", "d_in", "n_calib", "n_heldout", "outlier_channels", "corr_rank"])
+    def test_non_integer_sweep_spec_shape_exits_2(self, tmp_path, capsys, key):
+        from sarqc import cli
+
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({**TestSweep.SPEC, key: 8.7}))
+        assert cli.main(["sweep", "--spec", str(p), "--seeds", "1", "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == f'error: spec "{key}" must be an integer, got 8.7\n'
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("method", ["sarqc-gs", "sarqc-gbs"])
     def test_sweep_block_below_one_exits_2(self, tmp_path, capsys, method):

@@ -1,11 +1,14 @@
+import dataclasses
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 
 import sarqc.oracles as oracles
 from sarqc.gbs import build_curvature, h_bar_of_gram, run_gbs
-from sarqc.linalg import chol_upper_of_inverse, gram
+from sarqc.linalg import NumericalFailure, chol_upper_of_inverse, gram
 from sarqc.oracles import (
     FiniteCandidate,
     HOEFFDING_BIAS_Z_MAX,
@@ -238,6 +241,7 @@ class TestVerifySupportedness:
             return lambda_interval(*args, **kwargs)
 
         monkeypatch.setattr(oracles, "lambda_interval", counting)
+        monkeypatch.setattr(oracles, "_cpus", lambda: 1)  # a worker's calls are not counted here
         assert run_supportedness_suite(300, seed=7).passed
         assert len(calls) == 1 + 300  # the worked instance, then one per trial
 
@@ -412,34 +416,122 @@ def hoeffding_fails_only_the_bias_check(res):
     )
 
 
-class TestMutants:
-    """Each row plants a small error through a private helper and runs the
-    suite that should see it, at the trial count of the verify-tiny bench
-    workload (hoeffding, which that workload does not run, at its floor of
-    HOEFFDING_MIN_TRIALS). `check` pins how the suite fails."""
+# Each row plants a small error through a private helper and runs the suite
+# that should see it, at the trial count of the verify-tiny bench workload
+# (hoeffding, which that workload does not run, at its floor of
+# HOEFFDING_MIN_TRIALS). `check` pins how the suite fails.
+MUTANTS = [
+    pytest.param(run_compensation_suite, 3000, closed_form_off_by_1e_6,
+                 lambda res: res.counterexample["trial"] == 0, id="compensation-closed-form-1e-6"),
+    # codes agree, so only the byte comparison of the scales sees it
+    pytest.param(run_gptq_equiv_suite, 1000, first_scale_up_one_ulp,
+                 lambda res: res.counterexample["code_mismatches"] == 0, id="gptq-equiv-scale-one-ulp"),
+    pytest.param(run_supportedness_suite, 4000, lambda mp: mp.setattr(oracles, "PENALIZED_TIE_TOL", 0.0),
+                 lambda res: res.details == {"trial": 15}, id="supportedness-tie-tol-0"),
+    pytest.param(run_supportedness_suite, 4000, lambda mp: mp.setattr(oracles, "PENALIZED_TIE_TOL", 1e-3),
+                 lambda res: res.details == {"trial": 741}, id="supportedness-tie-tol-1e-3"),
+    pytest.param(run_hoeffding_suite, HOEFFDING_MIN_TRIALS, chi2_d_for_chi2_d_plus_2,
+                 hoeffding_fails_only_the_bias_check, id="hoeffding-chi2-d"),
+]
 
-    @pytest.mark.parametrize(
-        "suite, trials, mutate, check",
-        [
-            pytest.param(run_compensation_suite, 3000, closed_form_off_by_1e_6,
-                         lambda res: res.counterexample["trial"] == 0, id="compensation-closed-form-1e-6"),
-            # codes agree, so only the byte comparison of the scales sees it
-            pytest.param(run_gptq_equiv_suite, 1000, first_scale_up_one_ulp,
-                         lambda res: res.counterexample["code_mismatches"] == 0, id="gptq-equiv-scale-one-ulp"),
-            pytest.param(run_supportedness_suite, 4000, lambda mp: mp.setattr(oracles, "PENALIZED_TIE_TOL", 0.0),
-                         lambda res: res.details == {"trial": 15}, id="supportedness-tie-tol-0"),
-            pytest.param(run_supportedness_suite, 4000, lambda mp: mp.setattr(oracles, "PENALIZED_TIE_TOL", 1e-3),
-                         lambda res: res.details == {"trial": 741}, id="supportedness-tie-tol-1e-3"),
-            pytest.param(run_hoeffding_suite, HOEFFDING_MIN_TRIALS, chi2_d_for_chi2_d_plus_2,
-                         hoeffding_fails_only_the_bias_check, id="hoeffding-chi2-d"),
-        ],
-    )
+
+def set_workers(monkeypatch, n: int):
+    monkeypatch.setattr(oracles, "_cpus", lambda: n)
+
+
+class TestMutants:
+    @pytest.mark.parametrize("suite, trials, mutate, check", MUTANTS)
     def test_mutant_fails_its_suite(self, monkeypatch, suite, trials, mutate, check):
         mutate(monkeypatch)
         res = suite(trials, seed=0)
         assert not res.passed
         assert res.counterexample
         assert check(res)
+
+    @pytest.mark.parametrize("suite, trials, mutate, check", MUTANTS)
+    def test_worker_count_leaves_the_result_unchanged(self, monkeypatch, suite, trials, mutate, check):
+        # the patches reach the forked workers; at 6 workers trial 741 of
+        # 4000 falls in the second span, so a worker finds that counterexample
+        mutate(monkeypatch)
+        set_workers(monkeypatch, 1)
+        want = dataclasses.asdict(suite(trials, seed=0))
+        for n in (2, 3, 6):
+            set_workers(monkeypatch, n)
+            res = suite(trials, seed=0)
+            assert dataclasses.asdict(res) == want
+            assert check(res)
+        assert_no_worker_left()
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def squares_raising_at(raise_at: int, exc=NumericalFailure):
+    def trial(t):
+        if t == raise_at:
+            raise exc(f"planted at trial {t}")
+        return t * t
+
+    return trial
+
+
+class TestMapTrials:
+    """`_map_trials` with the worker count pinned through `_cpus`."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("trials", [1, 3, 10])
+    def test_records_come_in_trial_order(self, monkeypatch, workers, trials):
+        set_workers(monkeypatch, workers)
+        assert list(oracles._map_trials(lambda t: t * t, trials, oracles._never)) == [t * t for t in range(trials)]
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_stop_record_ends_the_run(self, monkeypatch, workers):
+        # with 3 workers trial 7 lies in the third span and trial 5 in the second
+        set_workers(monkeypatch, workers)
+        assert list(oracles._map_trials(lambda t: t, 10, lambda t: t in (5, 7))) == list(range(6))
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_later_spans_exception_keeps_its_type(self, monkeypatch, workers):
+        set_workers(monkeypatch, workers)
+        seen = []
+        with pytest.raises(ValueError, match="planted at trial 8"):
+            for record in oracles._map_trials(squares_raising_at(raise_at=8, exc=ValueError), 10, oracles._never):
+                seen.append(record)
+        assert seen == [t * t for t in range(8)]
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_an_earlier_stop_wins_over_a_later_exception(self, monkeypatch, workers):
+        set_workers(monkeypatch, workers)
+        records = list(oracles._map_trials(squares_raising_at(raise_at=9), 10, lambda r: r == 16))
+        assert records == [0, 1, 4, 9, 16]
+        assert_no_worker_left()
+
+    def test_closing_early_reaps_every_worker(self, monkeypatch):
+        set_workers(monkeypatch, 3)
+        records = oracles._map_trials(lambda t: t, 3000, oracles._never)
+        assert next(records) == 0
+        records.close()
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("end", ["exit-0", "sigkill"])
+    def test_a_worker_that_ends_without_a_result_fails_loudly(self, monkeypatch, end):
+        set_workers(monkeypatch, 2)
+
+        def trial(t):
+            if t == 7:  # in the second span, so only a worker gets here
+                if end == "exit-0":
+                    os._exit(0)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return t
+
+        with pytest.raises(ChildProcessError, match=r"trials 5\.\.9 ended without a result"):
+            list(oracles._map_trials(trial, 10, oracles._never))
+        assert_no_worker_left()
 
 
 class TestTradeoffSweepOracle:
