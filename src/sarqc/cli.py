@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 verification-suite failure, 2 invalid arguments,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import check_val_fraction, split_batch
+from .forks import BLAS_THREAD_VARS, map_trials, never
 from .gbs import BLOCK_DEFAULT, GAMMA_GRID_DEFAULT, LAMBDA_GRID_GBS_DEFAULT
 from .gs import ALPHA_GRID_DEFAULT, LAMBDA_GRID_GS_DEFAULT
 from .harness import (
@@ -111,9 +111,6 @@ def _json_text(doc: dict) -> str:
         raise NumericalFailure(f"non-finite value in the output JSON: {exc}") from exc
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def _versions() -> dict:
     # Gram bytes depend on numpy's BLAS and its thread count, factor bytes on
     # scipy's LAPACK, so all of them belong to the replay config. scipy's are
@@ -180,7 +177,7 @@ def _quantize_one(entry: dict, method: str, scheme: QuantScheme, args) -> tuple[
 
 
 def _quantize_and_write(entry: dict, method: str, scheme: QuantScheme, args, out: Path) -> dict:
-    """Quantize one layer and write its tensors in the same worker, so a
+    """Quantize one layer and write its tensors in the same process, so a
     finished layer holds no memory once it is written; returns its report."""
     layer_id, tensors, report = _quantize_one(entry, method, scheme, args)
     for name, arr in tensors.items():
@@ -204,23 +201,23 @@ def cmd_quantize(args) -> int:
     # report.json marks a complete run; a failed run must not leave an earlier one beside its tensors
     (out / "report.json").unlink(missing_ok=True)
 
+    # the layers run on min(--jobs, layers) processes, and a layer's exception
+    # is raised where the serial loop would raise it: layers[len(reports)]
+    # is the layer that failed
     layers = manifest["layers"]
-    reports = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {
-            pool.submit(_quantize_and_write, entry, method, scheme, args, out): entry["layer_id"] for entry in layers
-        }
-        try:
-            for fut in concurrent.futures.as_completed(futures):
-                try:
-                    reports[futures[fut]] = fut.result()
-                except NumericalFailure as exc:
-                    print(f"numerical failure in layer {futures[fut]}: {exc}", file=sys.stderr)
-                    return 4
-        finally:
-            # on a failure, drop the queued layers; only those already running are waited for
-            pool.shutdown(cancel_futures=True)
-    report_layers = [reports[layer_id] for layer_id in sorted(reports)]
+    reports = []
+    try:
+        for report in map_trials(
+            lambda t: _quantize_and_write(layers[t], method, scheme, args, out),
+            len(layers),
+            never,
+            processes=min(args.jobs, len(layers)),
+        ):
+            reports.append(report)
+    except NumericalFailure as exc:
+        print(f"numerical failure in layer {layers[len(reports)]['layer_id']}: {exc}", file=sys.stderr)
+        return 4
+    report_layers = sorted(reports, key=lambda r: r["layer_id"])
 
     group_size = scheme.group_size
     run_report = {
@@ -480,7 +477,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's malloc hands the top of its heap back to the kernel whenever more
+# than twice its mmap threshold is free there, and it raises that threshold
+# to the size of any mmap'd block that is freed, up to 32 MiB. Left at the
+# size of the largest array freed so far, a layer loop that frees a few
+# W-sized temporaries at a time has its heap trimmed and faulted in again
+# over and over: 22,000 minor page faults for one 256×512 sarqc-gs layer,
+# against 1,400 once one block just under 32 MiB has been freed.
+_THRESHOLD_BLOCK = (32 << 20) - (64 << 10)  # bytes
+
+
 def main(argv=None) -> int:
+    np.empty(_THRESHOLD_BLOCK, dtype=np.uint8)  # mmap'd and freed at once; see _THRESHOLD_BLOCK
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

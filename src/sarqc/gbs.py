@@ -41,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import CalibrationBatch
+from .forks import map_trials, never
 from .linalg import NumericalFailure, TriangularFactor, as_matrix, chol_upper_of_inverse, scaled_mean
 from .objective import recon_loss
 from .quantizer import QuantizedLayer, QuantScheme, group_params
@@ -267,8 +268,10 @@ def select_hparams_gbs(
     recomputed. One profile per γ is built and shared across the λ grid.
     Each pair is scored by reconstruction error on the validation split
     restricted to the subset channels; ties go to the smallest λ, then the
-    smallest γ. The full layer is not run here: the caller applies the
-    winning pair with the full training split.
+    smallest γ. The pairs are independent, so they are scored through
+    `forks.map_trials`, after the profiles are built. The full layer is not
+    run here: the caller applies the winning pair with the full training
+    split.
     """
     w = as_matrix(w, "W")
     d_in = w.shape[1]
@@ -285,16 +288,19 @@ def select_hparams_gbs(
     gammas = gamma_grid if saliency_kind == "gbs" else (None,)
 
     profiles = {gamma: profile_for(stats_sub, saliency_kind, gamma, g0_sub) for gamma in gammas}
+    pairs = [(lam, gamma) for lam in lambda_grid for gamma in gammas]
+
+    def score(t: int) -> float:
+        lam, gamma = pairs[t]
+        factor = build_curvature(g0_sub, profiles[gamma], lam, context="hparam subset")
+        ql = run_gbs(w_sub, factor, scheme, block_size)
+        return recon_loss(w_sub, ql.dequantized, x_val_sub)
+
+    table = [(lam, gamma, v) for (lam, gamma), v in zip(pairs, map_trials(score, len(pairs), never))]
     best: tuple[float, float | None] | None = None
     best_v = np.inf
-    table: list[tuple[float, float | None, float]] = []
-    for lam in lambda_grid:
-        for gamma in gammas:
-            factor = build_curvature(g0_sub, profiles[gamma], lam, context="hparam subset")
-            ql = run_gbs(w_sub, factor, scheme, block_size)
-            v = recon_loss(w_sub, ql.dequantized, x_val_sub)
-            table.append((lam, gamma, v))
-            if v < best_v:
-                best, best_v = (lam, gamma), v
+    for lam, gamma, v in table:
+        if v < best_v:
+            best, best_v = (lam, gamma), v
     assert best is not None
     return HparamSelection(lam=best[0], gamma=best[1], val_table=tuple(table))

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import CalibrationBatch, check_val_fraction, clip_columns, split_batch
+from .forks import map_trials, never
 from .gbs import (
     BLOCK_DEFAULT,
     GAMMA_GRID_DEFAULT,
@@ -407,18 +408,22 @@ def sweep_lambda(
     (held-out reconstruction is heldout_risk times the batch size, so
     recording it twice would be redundant); drift is data-free. Activations
     share seeded low-rank correlated directions between the calibration and
-    held-out batches.
+    held-out batches. The seeds are independent, so they run through
+    `forks.map_trials`.
     """
     if len(tuple(lambda_grid)) == 0:
         raise ValueError("lambda grid must be nonempty")
-    records = []
-    for seed in seeds:
+    seeds = [int(seed) for seed in seeds]
+
+    def one_seed(t: int) -> list[SweepRecord]:
         w, batch, heldout = _seeded_problem(
-            spec, int(seed), n_calib, n_heldout, m_x, corr_rank, corr_strength, val_fraction=val_fraction
+            spec, seeds[t], n_calib, n_heldout, m_x, corr_rank, corr_strength, val_fraction=val_fraction
         )
-        records += sweep_layer(
-            w, batch, heldout, scheme, method, lambda_grid, gamma=gamma, block_size=block_size, seed=int(seed)
+        return sweep_layer(
+            w, batch, heldout, scheme, method, lambda_grid, gamma=gamma, block_size=block_size, seed=seeds[t]
         )
+
+    records = [r for rows in map_trials(one_seed, len(seeds), never) for r in rows]
     records.sort(key=lambda r: (r.seed, r.lam))
     return records
 
@@ -436,7 +441,8 @@ def calib_size_study(
 
     Calibration columns are unclipped and drawn from a per-channel perturbed
     covariance (diagonal scaled by 1 + u, u uniform in [-0.3, 0.3]) while
-    the held-out batch uses the base covariance.
+    the held-out batch uses the base covariance. Each size's seeds run
+    through `forks.map_trials`.
     """
     sizes = list(sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -446,29 +452,32 @@ def calib_size_study(
         raise ValueError("seeds must not be empty")
     rows = []
     for size in sizes:
-        base_risks = []
-        sel_risks = []
-        for seed in seeds:
-            u = substream(int(seed), "covshift", size).uniform(-0.3, 0.3, spec.d_in)
-            w, batch, heldout = _seeded_problem(
-                spec,
-                int(seed),
-                int(size),
-                n_heldout,
-                UNCLIPPED,
-                CORR_RANK,
-                CORR_STRENGTH,
-                cov_diag=1.0 + u,
-                stream=f"calib-{size}",
-            )
-            # both methods solve on the same training columns
-            for method, risks in (("gptq", base_risks), ("sarqc-gbs", sel_risks)):
-                risks.append(heldout_risk(w, solve(method, w, batch, scheme).layer, heldout))
+        risks = list(map_trials(lambda t: _study_risks(spec, scheme, size, seeds[t], n_heldout), len(seeds), never))
         rows.append(
             {
                 "size": int(size),
-                "baseline_median": float(np.median(base_risks)),
-                "selected_median": float(np.median(sel_risks)),
+                "baseline_median": float(np.median([base for base, _ in risks])),
+                "selected_median": float(np.median([sel for _, sel in risks])),
             }
         )
     return rows
+
+
+def _study_risks(spec: SynthLayerSpec, scheme: QuantScheme, size, seed, n_heldout: int) -> tuple[float, float]:
+    """The held-out risks of gptq and of sarqc-gbs on one seed's layer and
+    calibration batch of `size` columns, for `calib_size_study`."""
+    u = substream(int(seed), "covshift", size).uniform(-0.3, 0.3, spec.d_in)
+    w, batch, heldout = _seeded_problem(
+        spec,
+        int(seed),
+        int(size),
+        n_heldout,
+        UNCLIPPED,
+        CORR_RANK,
+        CORR_STRENGTH,
+        cov_diag=1.0 + u,
+        stream=f"calib-{size}",
+    )
+    # both methods solve on the same training columns
+    base, sel = (heldout_risk(w, solve(method, w, batch, scheme).layer, heldout) for method in ("gptq", "sarqc-gbs"))
+    return base, sel

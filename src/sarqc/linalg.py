@@ -17,20 +17,14 @@ argument.
 
 The LAPACK routines come from scipy's `_flapack` extension, which `_lapack`
 loads from its file at the first factor without importing `scipy.linalg`.
-The factor calls its dpotrf and dtrtri through ctypes, at the addresses
-scipy's f2py wrappers call, because a ctypes call releases the GIL and the
-wrappers hold it: `--jobs` workers then factor at the same time, and one
-worker's Python runs while another is inside LAPACK.
 """
 
 from __future__ import annotations
 
-import ctypes
 import importlib.machinery
 import importlib.util
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,8 +40,6 @@ _HALF_MAX = sys.float_info.max / 2.0
 
 
 _FLAPACK = "scipy.linalg._flapack"
-_FLAPACK_LOCK = threading.Lock()  # --jobs workers reach the first factor together
-_FACTOR_ROUTINES = None  # dpotrf and dtrtri as ctypes functions; see _factor_routines
 
 
 def _scipy_file(*parts: str) -> Path:
@@ -92,45 +84,13 @@ def _lapack():
     module.
     """
     module = sys.modules.get(_FLAPACK)
-    if module is not None:
-        return module
-    with _FLAPACK_LOCK:
-        module = sys.modules.get(_FLAPACK)
-        if module is None:
-            path = _scipy_file("linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
-            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[_FLAPACK] = module
+    if module is None:
+        path = _scipy_file("linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
     return module
-
-
-def _factor_routines():
-    """(dpotrf, dtrtri) of scipy's `_flapack` as ctypes functions, resolved
-    once from the `_cpointer` capsules of its f2py wrappers, so they run the
-    Fortran code the wrappers run. They take the wrappers' arguments,
-    (uplo, n, a, lda, info) and (uplo, diag, n, a, lda, info), with every
-    argument after the flags passed by address.
-
-    A ctypes call releases the GIL for its duration, where the f2py
-    wrappers hold it for theirs.
-    """
-    global _FACTOR_ROUTINES
-    if _FACTOR_ROUTINES is None:
-        lapack = _lapack()
-        with _FLAPACK_LOCK:
-            if _FACTOR_ROUTINES is None:
-                address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-                    ("PyCapsule_GetPointer", ctypes.pythonapi)
-                )
-                flag, ptr = ctypes.c_char_p, ctypes.c_void_p
-                potrf = ctypes.CFUNCTYPE(None, flag, ptr, ptr, ptr, ptr)
-                trtri = ctypes.CFUNCTYPE(None, flag, flag, ptr, ptr, ptr, ptr)
-                _FACTOR_ROUTINES = (
-                    potrf(address(lapack.dpotrf._cpointer, None)),
-                    trtri(address(lapack.dtrtri._cpointer, None)),
-                )
-    return _FACTOR_ROUTINES
 
 
 class NumericalFailure(RuntimeError):
@@ -350,12 +310,8 @@ def chol_upper_of_inverse(
     that overflows still gives a finite jitter. The jitter actually used and
     the failed attempts are recorded on the returned factor.
 
-    potrf and trtri are scipy's own, called through ctypes
-    (`_factor_routines`), so the GIL is released while LAPACK runs: other
-    threads run Python, or factor, meanwhile. Each concurrent factor takes
-    its own OpenBLAS work buffer. scipy's LAPACK extension is loaded here,
-    not at module load, so processes that never factor do not pay for it;
-    see `_lapack`.
+    scipy's LAPACK extension is loaded here, not at module load, so
+    processes that never factor do not pay for it; see `_lapack`.
     """
     g = as_matrix(g, "G")
     if shift is not None:
@@ -363,7 +319,7 @@ def chol_upper_of_inverse(
         if shift.shape != g.shape[:1] or not np.isfinite(shift).all():
             raise ValueError(f"shift must be a finite vector of length {g.shape[0]}")
     _check_square_symmetric(g, "G")
-    potrf, trtri = _factor_routines()
+    lapack = _lapack()
 
     d = g.shape[0]
     diag = np.diag(g).copy()  # G + diag(shift) in index order, taken before G is overwritten
@@ -372,7 +328,8 @@ def chol_upper_of_inverse(
         if not np.isfinite(diag).all():
             raise ValueError("G contains non-finite entries")
     fill = diag[::-1]
-    if overwrite_g and g.flags.carray:  # C-contiguous, aligned and writeable
+    # C-contiguous, aligned and writeable: f2py would factor an unaligned G in a copy it then drops
+    if overwrite_g and g.flags.carray:
         work_c = g
         _reverse_in_place(work_c)
     else:
@@ -380,11 +337,6 @@ def chol_upper_of_inverse(
         np.copyto(work_c, g[::-1, ::-1])
     work = work_c.T  # Fortran-ordered, and equal to work_c while it holds the symmetric A
     work_diag = work_c.reshape(-1)[:: d + 1]  # a view
-    # LAPACK takes its arguments by address; its integers are C ints, as in
-    # scipy's wrappers, and n is also lda
-    ints = (ctypes.c_int * 2)(d, 0)  # n, then info
-    n, info = ctypes.addressof(ints), ctypes.addressof(ints) + ctypes.sizeof(ctypes.c_int)
-    a = work_c.ctypes.data
     eps = 0.0
     for retries in range(MAX_JITTER_RETRIES + 1):
         try:
@@ -395,14 +347,14 @@ def chol_upper_of_inverse(
                 work_diag[:] = fill + eps if eps != 0.0 else fill
                 if not np.isfinite(work_diag).all():
                     raise ValueError("jittered diagonal is not finite")
-            potrf(b"L", n, a, n, info)
-            if ints[1] > 0:
-                raise np.linalg.LinAlgError(f"{ints[1]}-th leading minor is not positive definite")
-            if ints[1] < 0:
-                raise ValueError(f"illegal argument {-ints[1]} to potrf")
-            trtri(b"L", b"N", n, a, n, info)
-            if ints[1] != 0:
-                raise np.linalg.LinAlgError(f"triangular inverse failed (info {ints[1]})")
+            _, info = lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+            if info < 0:
+                raise ValueError(f"illegal argument {-info} to potrf")
+            _, info = lapack.dtrtri(work, lower=1, overwrite_c=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"triangular inverse failed (info {info})")
             # work_c is C-ordered with work_c[j, k] = L⁻¹[k, j]; its
             # anti-transpose is M[j, k] = L⁻¹[d-1-j, d-1-k]. The strict lower
             # triangle of work_c still holds A for a retry, so L⁻¹ is checked

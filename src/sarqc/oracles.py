@@ -2,26 +2,23 @@
 
 Everything here takes the dumb-but-obviously-correct route: reduced linear
 systems solved by LAPACK's own Cholesky solve (dpotrf, then dpotrs), with
-no jitter, instead of factor tricks; exhaustive enumeration over product
-grids; a plain unblocked sequential reference pass; and Monte Carlo
-coverage of the finite-class concentration bound, against each class
-member's exact true risk. The production solvers are checked against these
-paths, never the other way around.
+no jitter, instead of factor tricks; a plain unblocked sequential reference
+pass; and Monte Carlo coverage of the finite-class concentration bound,
+against each class member's exact true risk. The production solvers are
+checked against these paths, never the other way around. Each named suite
+spreads its trials over forked workers (`forks.map_trials`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
-import pickle
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .calibration import clip_columns
+from .forks import map_trials, never
 from .linalg import TriangularFactor, _lapack, as_matrix, chol_upper_of_inverse, gram
 from .quantizer import (
     QuantizedLayer,
@@ -93,57 +90,6 @@ def closed_form_row_update(w_row, g, j: int, qhat_j: float, *, flip_sign: bool =
     delta = -sign * (e / ginv[j, j]) * ginv[:, j]
     obj = e * e / (2.0 * ginv[j, j])
     return delta, obj
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive discrete search
-
-
-def _product_grid(grids: Sequence[Sequence[float]]) -> np.ndarray:
-    total = 1
-    for grid in grids:
-        if len(grid) == 0:
-            raise ValueError("empty candidate grid")
-        total *= len(grid)
-    if total > 10**6:
-        raise ValueError(f"product grid too large: {total} > 1e6")
-    return np.array(list(itertools.product(*grids)), dtype=np.float64)
-
-
-def exhaustive_quant_min(w_row, g, grids: Sequence[Sequence[float]]):
-    """Global minimizer of ½ΔᵀGΔ over the per-coordinate product grid."""
-    w = np.asarray(w_row, dtype=np.float64)
-    if w.shape[0] > 4:
-        raise ValueError("exhaustive search is limited to rows of length <= 4")
-    g = as_matrix(g, "G")
-    if g.shape != (w.shape[0], w.shape[0]) or len(grids) != w.shape[0]:
-        raise ValueError("G / grids do not match the row length")
-    combos = _product_grid(grids)
-    deltas = combos - w[None, :]
-    objs = 0.5 * np.einsum("nd,de,ne->n", deltas, g, deltas)
-    k = int(np.argmin(objs))
-    return deltas[k], float(objs[k])
-
-
-def exhaustive_tradeoff_sweep(w_row, gram_mat, sal_sq, grids, lambdas):
-    """Exact scalarized minimizers over a product grid for each λ.
-
-    Returns one (recon, sar) pair per λ where recon = δᵀ(XXᵀ)δ and
-    sar = Σ s_j² δ_j². Ties resolve to the first grid point in enumeration
-    order.
-    """
-    w = np.asarray(w_row, dtype=np.float64)
-    gm = as_matrix(gram_mat, "gram")
-    s2 = np.asarray(sal_sq, dtype=np.float64)
-    combos = _product_grid(grids)
-    deltas = combos - w[None, :]
-    recon = np.einsum("nd,de,ne->n", deltas, gm, deltas)
-    sar = (deltas * deltas) @ s2
-    out = []
-    for lam in lambdas:
-        k = int(np.argmin(recon + lam * sar))
-        out.append((float(recon[k]), float(sar[k])))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -284,124 +230,6 @@ def verify_supportedness(
 
 
 # ---------------------------------------------------------------------------
-# Trials spread over forked workers
-
-
-def _cpus() -> int:
-    """How many processes a suite's trials are spread over: the CPUs in this
-    process's affinity set, or 1 where the platform cannot say or where
-    another thread runs (fork copies only the calling thread, so a lock that
-    another thread holds would stay held in the child)."""
-    if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-def _never(record) -> bool:
-    return False
-
-
-def _map_trials(trial, trials: int, stop):
-    """Yield trial(t) for t = 0, 1, … in order, up to and including the
-    first record for which stop(record) holds.
-
-    range(trials) is cut into min(_cpus(), trials) contiguous spans. The
-    first runs in this process; each other one runs in a forked worker,
-    which stops after its own first stop record and sends its records, or
-    the records before the exception that ended it and that exception, back
-    through a pipe. Records come out in trial order and a worker's exception
-    is raised where the serial loop would have raised it, so the caller sees
-    the same for any worker count. This holds because each trial draws only
-    from its own substream; a worker sees the module state of the moment it
-    was forked, test patches included.
-
-    Once a stop record or an exception ends the run, the workers still
-    running are killed. Every worker is reaped before the generator
-    finishes, whether the caller reads to the end, closes it early or
-    raises. A worker that ends without sending a result raises
-    ChildProcessError (exit 3); it never counts as a pass.
-    """
-    n = max(1, min(_cpus(), trials))
-    ends = [trials * k // n for k in range(n + 1)]
-    workers = {}  # pid -> (read end of its pipe, first trial, end), for every worker not yet reaped
-    try:
-        for k in range(1, n):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the read ends it inherits are closed, so a closed pipe ends a writing worker
-                _worker(trial, ends[k], ends[k + 1], stop, w, [r, *(v[0] for v in workers.values())])
-            os.close(w)
-            workers[pid] = (r, ends[k], ends[k + 1])
-        for t in range(ends[1]):
-            record = trial(t)
-            yield record
-            if stop(record):
-                return
-        for pid in list(workers):
-            records, error = _collect(pid, *workers.pop(pid))
-            for record in records:
-                yield record
-                if stop(record):
-                    return
-            if error is not None:
-                raise error
-    finally:
-        if workers:
-            import signal  # loaded only here, so importing sarqc loads no new module
-
-            for pid, (r, _, _) in workers.items():
-                os.close(r)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _worker(trial, start: int, end: int, stop, w: int, inherited: list[int]):
-    """A forked worker's whole life: close the inherited read ends, run
-    trials start…end−1, write (records, the exception that ended them or
-    None) to w and exit. Its body sits inside try/finally os._exit, so
-    nothing it raises unwinds into the caller's stack, and it exits 0 only
-    once its result is written."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        records, error = [], None
-        try:
-            for t in range(start, end):
-                records.append(trial(t))
-                if stop(records[-1]):
-                    break
-        except Exception as exc:  # raised again by the parent, at trial start + len(records)
-            error = exc
-        payload = pickle.dumps((records, error), pickle.HIGHEST_PROTOCOL)
-        with open(w, "wb") as fh:
-            fh.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _collect(pid: int, r: int, start: int, end: int):
-    """Read a worker's (records, exception or None) from its pipe and reap
-    it, also when the read fails: closing the pipe ends a worker that is
-    still writing."""
-    chunks = []
-    try:
-        while chunk := os.read(r, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(r)
-        _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0:
-        try:
-            return pickle.loads(b"".join(chunks))
-        except Exception as exc:
-            code = f"0 and an unreadable result ({exc})"
-    raise ChildProcessError(f"the worker for trials {start}..{end - 1} ended without a result: exit code {code}")
-
-
-# ---------------------------------------------------------------------------
 # Finite-class concentration coverage
 
 
@@ -508,7 +336,7 @@ def hoeffding_check(
 
     violations = 0
     trial_ratios = np.empty(trials)
-    for t, (violated, ratio) in enumerate(_map_trials(trial, trials, _never)):
+    for t, (violated, ratio) in enumerate(map_trials(trial, trials, never)):
         violations += violated
         if r > 0.0:
             trial_ratios[t] = ratio
@@ -640,7 +468,7 @@ def run_compensation_suite(trials: int, seed: int, *, inject_fault: bool = False
     worst_delta = 0.0
     worst_obj = 0.0
     counterexample = None
-    records = _map_trials(lambda t: _compensation_trial(seed, t, inject_fault), trials, lambda rec: rec[2] is not None)
+    records = map_trials(lambda t: _compensation_trial(seed, t, inject_fault), trials, lambda rec: rec[2] is not None)
     for err_d, err_o, counterexample in records:
         worst_delta = max(worst_delta, err_d)
         worst_obj = max(worst_obj, err_o)
@@ -703,7 +531,7 @@ def run_supportedness_suite(trials: int, seed: int, *, inject_fault: bool = Fals
 
     supported_seen = 0
     counterexample = None
-    records = _map_trials(lambda t: _supportedness_trial(seed, t), trials, lambda rec: rec[1] is not None)
+    records = map_trials(lambda t: _supportedness_trial(seed, t), trials, lambda rec: rec[1] is not None)
     for t, (supported, counterexample) in enumerate(records):
         supported_seen += supported
     if counterexample is not None:  # the last record stopped the run
@@ -798,7 +626,7 @@ def run_gptq_equiv_suite(trials: int, seed: int, *, inject_fault: bool = False) 
     `inject_fault` is a test-only hook that changes one solver code before
     the comparison."""
     counterexample = None
-    records = _map_trials(lambda t: _gptq_equiv_trial(seed, t, inject_fault), trials, lambda rec: rec is not None)
+    records = map_trials(lambda t: _gptq_equiv_trial(seed, t, inject_fault), trials, lambda rec: rec is not None)
     for counterexample in records:  # only the last record, which stops the run, can be one
         pass
     return SuiteResult(name="gptq-equiv", passed=counterexample is None, trials=trials, counterexample=counterexample)

@@ -17,7 +17,6 @@ from sarqc.gs import ALPHA_GRID_DEFAULT, LAMBDA_GRID_GS_DEFAULT, run_gs, select_
 from sarqc.harness import SynthLayerSpec, calib_size_study, sweep_lambda
 from sarqc.linalg import gram
 from sarqc.oracles import (
-    exhaustive_tradeoff_sweep,
     hoeffding_bound,
     hoeffding_check,
     run_compensation_suite,
@@ -26,6 +25,8 @@ from sarqc.oracles import (
 )
 from sarqc.quantizer import QuantScheme, quantize_matrix
 from sarqc.tensorio import read_tensor, write_tensor
+
+from _exhaustive import exhaustive_tradeoff_sweep
 
 
 def report(number, name, ok, elapsed, budget):

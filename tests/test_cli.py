@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -419,9 +420,10 @@ class TestPeakMemory:
 # scipy's _flapack extension, never the scipy package or scipy.linalg, whose
 # import also pulls in scipy._lib._array_api; _hashlib, which maps OpenSSL,
 # loads only where seeded streams are drawn; statistics loads nowhere, and
-# neither does a process pool: verify forks its workers with os.fork
+# neither does a thread or process pool: every command that runs work in
+# parallel forks its own workers with os.fork
 _WATCHED = ("scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy._lib._array_api", "_hashlib", "statistics",
-            "multiprocessing", "concurrent.futures.process")
+            "multiprocessing", "concurrent.futures")
 
 # runs sarqc's main in a fresh interpreter and reports which watched modules
 # it loaded; the test process itself has long since imported them
@@ -443,10 +445,10 @@ def loaded_watched_modules(*args) -> set:
 
 class TestImportHygiene:
     def test_importing_the_cli_loads_no_scipy(self):
-        # nor OpenSSL's _hashlib, nor statistics
+        # nor OpenSSL's _hashlib, nor statistics, nor a thread or process pool
         r = subprocess.run(
             [sys.executable, "-c", "import sys, sarqc.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', '_hashlib', 'statistics')))"],
+             "if m.split('.')[0] in ('scipy', '_hashlib', 'statistics', 'concurrent', 'multiprocessing')))"],
             capture_output=True, text=True,
         )
         assert r.returncode == 0, r.stderr
@@ -479,21 +481,71 @@ class TestImportHygiene:
 
     def test_verify_loads_no_process_pool(self, tmp_path):
         # its trials run in workers it forks itself, so neither
-        # multiprocessing nor concurrent.futures.process loads
+        # multiprocessing nor concurrent.futures loads
         loaded = loaded_watched_modules("verify", "--suite", "all", "--trials", 20, "--out", tmp_path / "v.json")
         assert loaded == {"scipy.linalg._flapack", "_hashlib"}
 
-    def test_first_factor_on_two_workers_matches_one(self, tmp_path):
-        # with --jobs 2 both workers reach the first factor, and so the
-        # locked load of scipy's _flapack extension, at once
-        m = random_manifest(tmp_path, 4, d_out=16, d_in=64, n=48)
+    def test_quantize_on_two_processes_loads_no_pool(self, tmp_path):
+        m = random_manifest(tmp_path, 2, d_in=64, n=48)
+        loaded = loaded_watched_modules("quantize", "--manifest", m, "--method", "sarqc-gbs", "--jobs", 2,
+                                        "--out", tmp_path / "q")
+        assert loaded == {"scipy.linalg._flapack"}
+
+
+class TestHeapReuse:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap trim rule is glibc's malloc's")
+    def test_a_gs_layer_in_the_main_thread_reuses_its_heap_pages(self, tmp_path):
+        # with glibc's mmap threshold left at the largest array freed so far,
+        # this layer faulted in about 24,000 pages; with it raised, about 1,700
+        m = random_manifest(tmp_path, 1, d_out=256, d_in=512, n=256)
+        code = ("import resource, sys\n"
+                "from sarqc.cli import main\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "rc = main(sys.argv[1:])\n"
+                "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        r = subprocess.run([sys.executable, "-c", code, "quantize", "--manifest", str(m), "--method", "sarqc-gs",
+                            "--out", str(tmp_path / "q")], capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        rc, faults = map(int, r.stdout.split())
+        assert rc == 0 and faults < 8000
+
+
+class TestForkSafety:
+    """Forked workers with BLAS left at its default thread count: nothing
+    pins OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS, so the
+    BLAS thread pool may be running when a command forks."""
+
+    @staticmethod
+    def run_unpinned(*args):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                                  "MKL_NUM_THREADS", "SARQC_JOBS")}
+        r = subprocess.run([sys.executable, "-m", "sarqc.cli", *map(str, args)], capture_output=True, text=True,
+                           env=env, timeout=300)
+        assert r.returncode == 0, r.stderr
+
+    def test_quantize_and_sweep_exit_0_and_jobs_keep_the_bytes(self, tmp_path):
+        m = random_manifest(tmp_path, 2, d_out=64, d_in=256, n=128)
         for jobs in ("1", "2"):
-            r = run_cli("quantize", "--manifest", m, "--method", "gptq", "--jobs", jobs, "--out", tmp_path / jobs)
-            assert r.returncode == 0, r.stderr
+            self.run_unpinned("quantize", "--manifest", m, "--method", "sarqc-gbs", "--jobs", jobs,
+                              "--out", tmp_path / jobs)
+        docs = []
+        for jobs in ("1", "2"):
+            doc = json.loads((tmp_path / jobs / "report.json").read_text())
+            for layer in doc["layers"]:
+                layer.pop("wall_time_ms")
+            for key in ("jobs", "out"):
+                doc["config"].pop(key)
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert all(v is None for v in docs[0]["versions"]["blas"]["threads"].values())
         files = sorted(p.name for p in (tmp_path / "1").glob("*.sqt"))
-        assert len(files) == 4 * 4
+        assert len(files) == 2 * 4
         for name in files:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"d_out": 16, "d_in": 64, "n_calib": 96, "n_heldout": 64}))
+        self.run_unpinned("sweep", "--spec", spec, "--seeds", 3, "--lambda-grid", "0,0.5", "--out", tmp_path / "s.csv")
+        assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 3 * 2
 
 
 class TestSweep:
@@ -625,9 +677,9 @@ class TestVerify:
 
 def verify_json(tmp_path, monkeypatch, workers: int, *args) -> tuple[int, bytes]:
     """(exit code, JSON bytes) of an in-process verify run on `workers` processes."""
-    from sarqc import cli, oracles
+    from sarqc import cli, forks
 
-    monkeypatch.setattr(oracles, "_cpus", lambda: workers)
+    monkeypatch.setattr(forks, "cpus", lambda: workers)
     out = tmp_path / f"v{workers}.json"
     rc = cli.main(["verify", *map(str, args), "--out", str(out)])
     return rc, out.read_bytes() if out.exists() else b""
@@ -917,9 +969,9 @@ class TestExitCodes:
         write_manifest(tmp_path / "m.json", entries, {})
 
         def quantize_one(entry, method, scheme, args):
-            if entry["layer_id"] == "l1":
+            if entry["layer_id"] == "l1":  # in the forked worker
                 raise NumericalFailure("synthetic failure")
-            time.sleep(0.5)  # l0 is still running when l1 fails
+            time.sleep(0.5)  # this process still runs l0 when l1 fails
             return entry["layer_id"], {}, {}
 
         monkeypatch.setattr(cli, "_quantize_one", quantize_one)
@@ -943,10 +995,11 @@ class TestExitCodes:
             entries.append({"layer_id": lid, "weights": f"{lid}.w.sqt", "calib": f"{lid}.x.sqt",
                             "d_out": 4, "d_in": 8, "n": 16})
         write_manifest(tmp_path / "m.json", entries, {})
-        started = []
+        marks = tmp_path / "started"
+        marks.mkdir()
 
         def quantize_one(entry, method, scheme, args):
-            started.append(entry["layer_id"])
+            (marks / entry["layer_id"]).touch()  # a forked worker's start shows here too
             if entry["layer_id"] == "l0":
                 raise NumericalFailure("synthetic failure") if error == "numerical" else ValueError("synthetic")
             time.sleep(0.2)
@@ -956,8 +1009,9 @@ class TestExitCodes:
         rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", "rtn",
                        "--jobs", "2", "--out", str(tmp_path / "q")])
         assert rc == code
-        # besides l0, only l1 (already running) and at most one layer the freed
-        # worker took before the queue was cancelled have started
+        # l0 fails first, in this process's span l0..l2; the worker that runs
+        # l3..l5 is killed then, so besides l0 at most l3 and l4 have started
+        started = {p.name for p in marks.iterdir()}
         assert "l0" in started and len(started) <= 1 + 2
 
     @staticmethod

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sarqc import forks
 from sarqc.gbs import GAMMA_GRID_DEFAULT, build_curvature, profile_for
 from sarqc.harness import (
     METHODS,
@@ -153,6 +154,7 @@ class TestEvaluate:
             if sol.profile.kind == "identity":
                 assert losses.sar == losses.drift
         calls.clear()
+        monkeypatch.setattr(forks, "cpus", lambda: 1)  # a worker's calls are not counted here
         spec = SynthLayerSpec(d_out=8, d_in=8, outlier_channels=1, outlier_scale=4.0)
         calib_size_study(spec, scheme, [8, 16], seeds=range(2), n_heldout=32)
         assert calls == []
@@ -251,6 +253,7 @@ class TestSweepLayer:
 
         monkeypatch.setattr(sarqc.harness, "run_gs", counting(sarqc.gs.run_gs, run_gs_calls))
         monkeypatch.setattr(sarqc.gs, "candidate", counting(sarqc.gs.candidate, candidate_calls))
+        monkeypatch.setattr(forks, "cpus", lambda: 1)  # a worker's calls are not counted here
         spec = SynthLayerSpec(d_out=8, d_in=12, outlier_channels=2, outlier_scale=5.0)
         grid = (0.5, 0.0, 1.0, 0.25)
         seeds = (0, 1)

@@ -1,10 +1,7 @@
-import ctypes
 import importlib.machinery
 import math
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 import warnings
 
@@ -23,7 +20,6 @@ from sarqc.linalg import (
     NumericalFailure,
     TriangularFactor,
     _anti_transpose,
-    _factor_routines,
     _lapack,
     _check_square_symmetric,
     as_matrix,
@@ -399,133 +395,6 @@ class TestInPlaceFactor:
             chol_upper_of_inverse(-np.eye(3), overwrite_g=True)
 
 
-def f2py_routines():
-    """dpotrf and dtrtri with the signature of `_factor_routines`' ctypes
-    functions, calling scipy's f2py wrappers on the matrix at the given
-    address, as chol_upper_of_inverse called them before it went through
-    ctypes."""
-    lapack = _lapack()
-
-    def fortran_view(n, a):
-        d = ctypes.c_int.from_address(n).value
-        return np.frombuffer((ctypes.c_double * (d * d)).from_address(a)).reshape(d, d).T
-
-    def set_info(info, value):
-        ctypes.c_int.from_address(info).value = value
-
-    def potrf(uplo, n, a, lda, info):
-        assert (uplo, lda) == (b"L", n)
-        work = fortran_view(n, a)
-        c, value = lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
-        assert np.shares_memory(c, work)
-        set_info(info, value)
-
-    def trtri(uplo, diag, n, a, lda, info):
-        assert (uplo, diag, lda) == (b"L", b"N", n)
-        work = fortran_view(n, a)
-        c, value = lapack.dtrtri(work, lower=1, overwrite_c=1)
-        assert np.shares_memory(c, work)
-        set_info(info, value)
-
-    return potrf, trtri
-
-
-def native_factor_cases():
-    """(G, shift) pairs: random Grams, rank-deficient ones that take one
-    retry and near-singular ones that take several."""
-    rng = np.random.default_rng(26)
-    cases = []
-    for i in range(36):
-        d = int(rng.integers(1, 300))
-        if i % 3 == 2:
-            g = indefinite_gram(d, i)
-        else:
-            g = gram(rng.standard_normal((d, d + 8 if i % 3 == 0 else max(1, d // 2))))
-        cases.append((g, rng.uniform(0.0, 1.0, d) if i % 2 else None))
-    return cases
-
-
-class TestNativeFactor:
-    """The factor calls dpotrf and dtrtri through ctypes, outside the GIL."""
-
-    @pytest.mark.parametrize("overwrite_g", [False, True])
-    def test_bytes_match_the_f2py_wrappers(self, monkeypatch, overwrite_g):
-        cases = native_factor_cases()
-        native = [chol_upper_of_inverse(g.copy(), shift=v, overwrite_g=overwrite_g) for g, v in cases]
-        monkeypatch.setattr(linalg, "_FACTOR_ROUTINES", f2py_routines())
-        for (g, v), f in zip(cases, native):
-            want = chol_upper_of_inverse(g.copy(), shift=v, overwrite_g=overwrite_g)
-            TestInPlaceFactor.assert_same_factor(f, want)
-        retries = [f.retries for f in native]
-        assert retries.count(0) > 0 and retries.count(1) > 0 and max(retries) >= 3
-
-    def test_concurrent_threads_match_a_serial_run(self):
-        # more threads than cores, switching often; each factors every case,
-        # from its own starting point, while the others do
-        cases = native_factor_cases()[:12]
-        serial = [chol_upper_of_inverse(g, shift=v) for g, v in cases]
-        workers = 4
-        start = threading.Barrier(workers)
-        got = {}
-
-        def worker(k):
-            start.wait(timeout=30)
-            for j in range(len(cases)):
-                i = (j + 3 * k) % len(cases)
-                g, v = cases[i]
-                got[k, i] = chol_upper_of_inverse(g, shift=v)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(workers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(got) == workers * len(cases)
-        for (_, i), f in got.items():
-            TestInPlaceFactor.assert_same_factor(f, serial[i])
-
-    def test_python_threads_run_while_lapack_does(self, monkeypatch):
-        # a thread that ticks every 0.1 ms keeps ticking inside each LAPACK
-        # call; while a call held the GIL, its longest gap was the whole call
-        g = gram(np.random.default_rng(5).standard_normal((1500, 1560)))
-        calls = []
-
-        def timed(routine):
-            def call(*args):
-                t0 = time.perf_counter()
-                routine(*args)
-                calls.append((t0, time.perf_counter()))
-
-            return call
-
-        monkeypatch.setattr(linalg, "_FACTOR_ROUTINES", tuple(map(timed, _factor_routines())))
-        ticks = []
-        done = threading.Event()
-
-        def tick():
-            while not done.is_set():
-                ticks.append(time.perf_counter())
-                time.sleep(1e-4)
-
-        ticker = threading.Thread(target=tick)
-        ticker.start()
-        try:
-            f = chol_upper_of_inverse(g, overwrite_g=True)
-        finally:
-            done.set()
-            ticker.join(timeout=30)
-        assert f.retries == 0 and len(calls) == 2
-        for t0, t1 in calls:
-            inside = [t0, *(t for t in ticks if t0 < t < t1), t1]
-            assert max(np.diff(inside)) < (t1 - t0) / 2, (t0, t1, len(inside))
-
-
 class TestPeakMemory:
     """At d = 1024 the d×d float64 output is 8 MiB; traced allocations may
     exceed it by tiles and vectors only, and a factor built in G's buffer
@@ -684,34 +553,6 @@ class TestLapackLoader:
             "import scipy.linalg\n"
             "from sarqc import linalg\n"
             "assert linalg._lapack() is scipy.linalg.lapack._flapack is sys.modules['scipy.linalg._flapack']\n"
-        )
-
-    def test_concurrent_first_loads_share_one_module(self):
-        # eight threads ask for the module at once; a slowed load widens the
-        # window in which a thread that found it missing would start a
-        # second load of the extension without the lock
-        run_python(
-            "import importlib.util, sys, threading, time\n"
-            "from sarqc import linalg\n"
-            "loads = []\n"
-            "spec_from_file_location = importlib.util.spec_from_file_location\n"
-            "def slow_spec(*args, **kwargs):\n"
-            "    loads.append(args[0])\n"
-            "    time.sleep(0.05)\n"
-            "    return spec_from_file_location(*args, **kwargs)\n"
-            "importlib.util.spec_from_file_location = slow_spec\n"
-            "sys.setswitchinterval(1e-6)\n"
-            "start = threading.Barrier(8)\n"
-            "got = []\n"
-            "def first_load():\n"
-            "    start.wait(timeout=30)\n"
-            "    got.append(linalg._lapack())\n"
-            "threads = [threading.Thread(target=first_load) for _ in range(8)]\n"
-            "for t in threads: t.start()\n"
-            "for t in threads: t.join(timeout=60)\n"
-            "assert not any(t.is_alive() for t in threads)\n"
-            "assert loads == ['scipy.linalg._flapack'], loads\n"
-            "assert len(got) == 8 and all(m is sys.modules['scipy.linalg._flapack'] for m in got)\n"
         )
 
     def test_missing_extension_names_its_path(self, monkeypatch):

@@ -1,12 +1,12 @@
 import dataclasses
 import math
 import os
-import signal
 
 import numpy as np
 import pytest
 
 import sarqc.oracles as oracles
+from sarqc import forks
 from sarqc.gbs import build_curvature, h_bar_of_gram, run_gbs
 from sarqc.linalg import NumericalFailure, chol_upper_of_inverse, gram
 from sarqc.oracles import (
@@ -19,8 +19,6 @@ from sarqc.oracles import (
     WORKED_FRONTIER,
     _clipped_second_moment,
     closed_form_row_update,
-    exhaustive_quant_min,
-    exhaustive_tradeoff_sweep,
     greedy_sequential_reference,
     hoeffding_bound,
     hoeffding_check,
@@ -36,6 +34,8 @@ from sarqc.oracles import (
 from sarqc.quantizer import QuantScheme
 from sarqc.saliency import identity_profile
 from sarqc.seeds import substream
+
+from _exhaustive import exhaustive_quant_min, exhaustive_tradeoff_sweep
 
 # Largest scale difference, in units in the last place, between the blocked
 # pass at λ = 0 and the unblocked reference when several blocks cover d_in.
@@ -241,7 +241,7 @@ class TestVerifySupportedness:
             return lambda_interval(*args, **kwargs)
 
         monkeypatch.setattr(oracles, "lambda_interval", counting)
-        monkeypatch.setattr(oracles, "_cpus", lambda: 1)  # a worker's calls are not counted here
+        monkeypatch.setattr(forks, "cpus", lambda: 1)  # a worker's calls are not counted here
         assert run_supportedness_suite(300, seed=7).passed
         assert len(calls) == 1 + 300  # the worked instance, then one per trial
 
@@ -436,7 +436,7 @@ MUTANTS = [
 
 
 def set_workers(monkeypatch, n: int):
-    monkeypatch.setattr(oracles, "_cpus", lambda: n)
+    monkeypatch.setattr(forks, "cpus", lambda: n)
 
 
 class TestMutants:
@@ -466,72 +466,6 @@ class TestMutants:
 def assert_no_worker_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def squares_raising_at(raise_at: int, exc=NumericalFailure):
-    def trial(t):
-        if t == raise_at:
-            raise exc(f"planted at trial {t}")
-        return t * t
-
-    return trial
-
-
-class TestMapTrials:
-    """`_map_trials` with the worker count pinned through `_cpus`."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    @pytest.mark.parametrize("trials", [1, 3, 10])
-    def test_records_come_in_trial_order(self, monkeypatch, workers, trials):
-        set_workers(monkeypatch, workers)
-        assert list(oracles._map_trials(lambda t: t * t, trials, oracles._never)) == [t * t for t in range(trials)]
-        assert_no_worker_left()
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_first_stop_record_ends_the_run(self, monkeypatch, workers):
-        # with 3 workers trial 7 lies in the third span and trial 5 in the second
-        set_workers(monkeypatch, workers)
-        assert list(oracles._map_trials(lambda t: t, 10, lambda t: t in (5, 7))) == list(range(6))
-        assert_no_worker_left()
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_a_later_spans_exception_keeps_its_type(self, monkeypatch, workers):
-        set_workers(monkeypatch, workers)
-        seen = []
-        with pytest.raises(ValueError, match="planted at trial 8"):
-            for record in oracles._map_trials(squares_raising_at(raise_at=8, exc=ValueError), 10, oracles._never):
-                seen.append(record)
-        assert seen == [t * t for t in range(8)]
-        assert_no_worker_left()
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_an_earlier_stop_wins_over_a_later_exception(self, monkeypatch, workers):
-        set_workers(monkeypatch, workers)
-        records = list(oracles._map_trials(squares_raising_at(raise_at=9), 10, lambda r: r == 16))
-        assert records == [0, 1, 4, 9, 16]
-        assert_no_worker_left()
-
-    def test_closing_early_reaps_every_worker(self, monkeypatch):
-        set_workers(monkeypatch, 3)
-        records = oracles._map_trials(lambda t: t, 3000, oracles._never)
-        assert next(records) == 0
-        records.close()
-        assert_no_worker_left()
-
-    @pytest.mark.parametrize("end", ["exit-0", "sigkill"])
-    def test_a_worker_that_ends_without_a_result_fails_loudly(self, monkeypatch, end):
-        set_workers(monkeypatch, 2)
-
-        def trial(t):
-            if t == 7:  # in the second span, so only a worker gets here
-                if end == "exit-0":
-                    os._exit(0)
-                os.kill(os.getpid(), signal.SIGKILL)
-            return t
-
-        with pytest.raises(ChildProcessError, match=r"trials 5\.\.9 ended without a result"):
-            list(oracles._map_trials(trial, 10, oracles._never))
-        assert_no_worker_left()
 
 
 class TestTradeoffSweepOracle:
