@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import check_val_fraction, split_batch
-from .forks import BLAS_THREAD_VARS, map_trials, never
+from .forks import map_trials, never
 from .gbs import BLOCK_DEFAULT, GAMMA_GRID_DEFAULT, LAMBDA_GRID_GBS_DEFAULT
 from .gs import ALPHA_GRID_DEFAULT, LAMBDA_GRID_GS_DEFAULT
 from .harness import (
@@ -109,6 +109,9 @@ def _json_text(doc: dict) -> str:
         return json.dumps(doc, indent=2, default=float, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericalFailure(f"non-finite value in the output JSON: {exc}") from exc
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _versions() -> dict:
@@ -201,21 +204,21 @@ def cmd_quantize(args) -> int:
     # report.json marks a complete run; a failed run must not leave an earlier one beside its tensors
     (out / "report.json").unlink(missing_ok=True)
 
-    # the layers run on min(--jobs, layers) processes, and a layer's exception
-    # is raised where the serial loop would raise it: layers[len(reports)]
-    # is the layer that failed
+    # the layers run on min(--jobs, layers) processes; a failure in any of
+    # them ends the run as soon as this process sees it
     layers = manifest["layers"]
-    reports = []
+
+    def quantize_layer(t: int) -> dict:
+        try:
+            return _quantize_and_write(layers[t], method, scheme, args, out)
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"numerical failure in layer {layers[t]['layer_id']}: {exc}") from None
+
+    jobs = min(args.jobs, len(layers))
     try:
-        for report in map_trials(
-            lambda t: _quantize_and_write(layers[t], method, scheme, args, out),
-            len(layers),
-            never,
-            processes=min(args.jobs, len(layers)),
-        ):
-            reports.append(report)
+        reports = list(map_trials(quantize_layer, len(layers), never, processes=jobs, fail_fast=True))
     except NumericalFailure as exc:
-        print(f"numerical failure in layer {layers[len(reports)]['layer_id']}: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 4
     report_layers = sorted(reports, key=lambda r: r["layer_id"])
 

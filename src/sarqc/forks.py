@@ -16,7 +16,6 @@ import os
 import pickle
 import threading
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 _spread = False  # set while this process runs a span of a map spread over more than one process
 
 
@@ -30,30 +29,18 @@ def _forkable() -> bool:
 
 def cpus() -> int:
     """How many processes a map's trials are spread over: the CPUs in this
-    process's affinity set divided by the threads each process's BLAS runs,
-    or 1 where the platform cannot say or where this process may not fork.
-
-    The BLAS threads are the value of the first of BLAS_THREAD_VARS set to a
-    positive integer. With none set, OpenBLAS and MKL run one thread per
-    CPU, so the map stays in this process: workers that each ran that many
-    BLAS threads would compete for the CPUs and run slower than one process.
-    """
-    if not (_forkable() and hasattr(os, "sched_getaffinity")):
-        return 1
-    n = threads = len(os.sched_getaffinity(0))
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            threads = int(value)
-            break
-    return max(1, n // threads)
+    process's affinity set, or 1 where the platform cannot say or where this
+    process may not fork."""
+    if _forkable() and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
 
 
 def never(record) -> bool:
     return False
 
 
-def map_trials(trial, trials: int, stop, *, processes: int | None = None):
+def map_trials(trial, trials: int, stop, *, processes: int | None = None, fail_fast: bool = False):
     """Yield trial(t) for t = 0, 1, … in order, up to and including the
     first record for which stop(record) holds.
 
@@ -74,6 +61,13 @@ def map_trials(trial, trials: int, stop, *, processes: int | None = None):
     finishes, whether the caller reads to the end, closes it early or
     raises. A worker that ends without sending a result raises
     ChildProcessError (exit 3); it never counts as a pass.
+
+    With fail_fast, a worker's exception is raised as soon as this process
+    sees it, between its own trials or while it waits for the workers,
+    instead of where the serial loop would raise it: the trials before it
+    are then not all run, and where several trials fail, which exception is
+    raised depends on timing. quantize's layers take it: any failed layer
+    ends the run, so the layers before it need not finish.
     """
     n = max(1, min(cpus() if processes is None else processes, trials)) if _forkable() else 1
     ends = [trials * k // n for k in range(n + 1)]
@@ -86,13 +80,21 @@ def map_trials(trial, trials: int, stop, *, processes: int | None = None):
                 _worker(trial, ends[k], ends[k + 1], stop, w, [r, *(v[0] for v in workers.values())])
             os.close(w)
             workers[pid] = (r, ends[k], ends[k + 1])
+        pids, done = list(workers), {}  # done: pid -> (records, exception or None) of a worker reaped
         for t in range(ends[1]):
             record = _in_span(trial, t) if n > 1 else trial(t)
             yield record
             if stop(record):
                 return
-        for pid in list(workers):
-            records, error = _collect(pid, *workers.pop(pid))
+            if fail_fast and workers:
+                _collect_ready(workers, done, 0)
+        for pid in pids:
+            while pid in workers:
+                if fail_fast:
+                    _collect_ready(workers, done, None)
+                else:
+                    done[pid] = _collect(pid, *workers.pop(pid))
+            records, error = done.pop(pid)
             for record in records:
                 yield record
                 if stop(record):
@@ -145,6 +147,20 @@ def _worker(trial, start: int, end: int, stop, w: int, inherited: list[int]):
         code = 0
     finally:
         os._exit(code)
+
+
+def _collect_ready(workers: dict, done: dict, timeout: float | None):
+    """Reap into done every worker whose pipe is readable within timeout
+    seconds (None: until one is), and raise the first exception among their
+    results. A worker writes only once its span has ended, so a readable
+    pipe is read to its end at once."""
+    import select  # loaded only here, so importing sarqc loads no new module
+
+    ready, _, _ = select.select([v[0] for v in workers.values()], [], [], timeout)
+    for pid in [pid for pid, v in workers.items() if v[0] in ready]:
+        records, error = done[pid] = _collect(pid, *workers.pop(pid))
+        if error is not None:
+            raise error
 
 
 def _collect(pid: int, r: int, start: int, end: int):

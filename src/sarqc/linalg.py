@@ -25,6 +25,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +41,7 @@ _HALF_MAX = sys.float_info.max / 2.0
 
 
 _FLAPACK = "scipy.linalg._flapack"
+_FLAPACK_LOCK = threading.Lock()  # threads that reach the first factor together load the extension once
 
 
 def _scipy_file(*parts: str) -> Path:
@@ -84,12 +86,16 @@ def _lapack():
     module.
     """
     module = sys.modules.get(_FLAPACK)
-    if module is None:
-        path = _scipy_file("linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
-        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[_FLAPACK] = module
+    if module is not None:
+        return module
+    with _FLAPACK_LOCK:
+        module = sys.modules.get(_FLAPACK)
+        if module is None:
+            path = _scipy_file("linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
     return module
 
 

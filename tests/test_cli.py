@@ -1014,6 +1014,40 @@ class TestExitCodes:
         started = {p.name for p in marks.iterdir()}
         assert "l0" in started and len(started) <= 1 + 2
 
+    def test_jobs_worker_failure_ends_this_process_span(self, tmp_path, monkeypatch, capsys):
+        from sarqc import cli
+        from sarqc.linalg import NumericalFailure
+
+        rng = np.random.default_rng(8)
+        entries = []
+        for i in range(6):
+            lid = f"l{i}"
+            write_tensor(tmp_path / f"{lid}.w.sqt", rng.standard_normal((4, 8)))
+            write_tensor(tmp_path / f"{lid}.x.sqt", rng.standard_normal((8, 16)))
+            entries.append({"layer_id": lid, "weights": f"{lid}.w.sqt", "calib": f"{lid}.x.sqt",
+                            "d_out": 4, "d_in": 8, "n": 16})
+        write_manifest(tmp_path / "m.json", entries, {})
+        marks = tmp_path / "started"
+        marks.mkdir()
+
+        def quantize_one(entry, method, scheme, args):
+            (marks / entry["layer_id"]).touch()
+            if entry["layer_id"] == "l3":  # the worker's first layer
+                raise NumericalFailure("synthetic failure")
+            # this process's first layer ends only once the worker has exited
+            while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+                time.sleep(0.005)
+            return entry["layer_id"], {}, {}
+
+        monkeypatch.setattr(cli, "_quantize_one", quantize_one)
+        rc = cli.main(["quantize", "--manifest", str(tmp_path / "m.json"), "--method", "rtn",
+                       "--jobs", "2", "--out", str(tmp_path / "q")])
+        assert rc == 4
+        assert "layer l3" in capsys.readouterr().err
+        # this process's span is l0..l2: it stops after l0 instead of running l1 and l2
+        assert {p.name for p in marks.iterdir()} == {"l0", "l3"}
+        assert not (tmp_path / "q" / "report.json").exists()
+
     @staticmethod
     def quantize_rank_one(tmp_path, scale, method, flags):
         """(exit code, warnings) of quantize on the lossless layer with every

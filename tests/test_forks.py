@@ -5,6 +5,8 @@ serially."""
 
 import os
 import signal
+import threading
+import time
 
 import pytest
 
@@ -23,6 +25,12 @@ def set_workers(monkeypatch, n: int):
 def assert_no_worker_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def wait_for_a_worker_to_exit():
+    """Block until some child has exited, without reaping it."""
+    while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+        time.sleep(0.005)
 
 
 def squares_raising_at(raise_at: int, exc=NumericalFailure):
@@ -75,8 +83,9 @@ class TestMapTrials:
         records.close()
         assert_no_worker_left()
 
+    @pytest.mark.parametrize("fail_fast", [False, True])
     @pytest.mark.parametrize("end", ["exit-0", "sigkill"])
-    def test_a_worker_that_ends_without_a_result_fails_loudly(self, monkeypatch, end):
+    def test_a_worker_that_ends_without_a_result_fails_loudly(self, monkeypatch, end, fail_fast):
         set_workers(monkeypatch, 2)
 
         def trial(t):
@@ -87,7 +96,7 @@ class TestMapTrials:
             return t
 
         with pytest.raises(ChildProcessError, match=r"trials 5\.\.9 ended without a result"):
-            list(forks.map_trials(trial, 10, forks.never))
+            list(forks.map_trials(trial, 10, forks.never, fail_fast=fail_fast))
         assert_no_worker_left()
 
     def test_explicit_process_count(self, monkeypatch):
@@ -97,22 +106,68 @@ class TestMapTrials:
         assert_no_worker_left()
 
 
-class TestCpus:
-    """Outside a spread map, cpus() leaves each BLAS thread a CPU."""
+    @pytest.mark.parametrize("fail_fast, seen", [(False, [0, 1, 4, 9, 16]), (True, [0])])
+    def test_fail_fast_raises_a_workers_exception_between_this_process_trials(self, monkeypatch, fail_fast, seen):
+        # trial 5 opens the worker's span and fails; the parent's trial 0
+        # returns only once the worker has sent that failure and exited
+        set_workers(monkeypatch, 2)
+        raising = squares_raising_at(raise_at=5, exc=ValueError)
 
-    @pytest.mark.parametrize("env, want", [
-        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
-        ({"OMP_NUM_THREADS": "2"}, 2),
-        ({"OPENBLAS_NUM_THREADS": "x", "MKL_NUM_THREADS": "3"}, 1),
-        ({}, 1),  # the BLAS runs one thread per CPU
-    ])
-    def test_cpus_leaves_each_blas_thread_a_cpu(self, monkeypatch, env, want):
+        def trial(t):
+            if t == 0:
+                wait_for_a_worker_to_exit()
+            return raising(t)
+
+        records = []
+        with pytest.raises(ValueError, match="planted at trial 5"):
+            for record in forks.map_trials(trial, 10, forks.never, fail_fast=fail_fast):
+                records.append(record)
+        assert records == seen
+        assert_no_worker_left()
+
+    def test_fail_fast_does_not_wait_for_an_earlier_worker(self, monkeypatch):
+        # spans 0..2 (this process), 3..5 and 6..8: the second span's worker
+        # hangs, the third's fails; the hanging worker is killed, not awaited
+        set_workers(monkeypatch, 3)
+        raising = squares_raising_at(raise_at=6, exc=ValueError)
+
+        def trial(t):
+            if t == 3:
+                time.sleep(60)
+            return raising(t)
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="planted at trial 6"):
+            list(forks.map_trials(trial, 9, forks.never, fail_fast=True))
+        assert time.monotonic() - start < 30
+        assert_no_worker_left()
+
+
+class TestCpus:
+    """Outside a spread map, cpus() is the size of the affinity set, whatever
+    the BLAS thread variables say, and 1 while another thread runs."""
+
+    @pytest.mark.parametrize("blas_threads", [None, "1", "4"])
+    def test_cpus_is_the_affinity_count(self, monkeypatch, blas_threads):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        for var in forks.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        assert forks.cpus() == want
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            if blas_threads is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, blas_threads)
+        assert forks.cpus() == 4
+
+    def test_cpus_is_one_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            assert forks.cpus() == 1
+        finally:
+            release.set()
+            thread.join()
+        assert forks.cpus() == 4
 
 
 class TestNesting:
@@ -122,7 +177,6 @@ class TestNesting:
 
     def test_cpus_is_one_inside_a_spread_map(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         forked = []
         fork = os.fork
 

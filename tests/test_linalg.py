@@ -555,6 +555,34 @@ class TestLapackLoader:
             "assert linalg._lapack() is scipy.linalg.lapack._flapack is sys.modules['scipy.linalg._flapack']\n"
         )
 
+    def test_concurrent_first_loads_share_one_module(self):
+        # eight threads ask for the module at once; a slowed load widens the
+        # window in which a thread that found it missing would start a
+        # second load of the extension without the lock
+        run_python(
+            "import importlib.util, sys, threading, time\n"
+            "from sarqc import linalg\n"
+            "loads = []\n"
+            "spec_from_file_location = importlib.util.spec_from_file_location\n"
+            "def slow_spec(*args, **kwargs):\n"
+            "    loads.append(args[0])\n"
+            "    time.sleep(0.05)\n"
+            "    return spec_from_file_location(*args, **kwargs)\n"
+            "importlib.util.spec_from_file_location = slow_spec\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "start = threading.Barrier(8)\n"
+            "got = []\n"
+            "def first_load():\n"
+            "    start.wait(timeout=30)\n"
+            "    got.append(linalg._lapack())\n"
+            "threads = [threading.Thread(target=first_load) for _ in range(8)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(timeout=60)\n"
+            "assert not any(t.is_alive() for t in threads)\n"
+            "assert loads == ['scipy.linalg._flapack'], loads\n"
+            "assert len(got) == 8 and all(m is sys.modules['scipy.linalg._flapack'] for m in got)\n"
+        )
+
     def test_missing_extension_names_its_path(self, monkeypatch):
         # the loader reads scipy's private layout, scipy/linalg/_flapack<suffix>;
         # where that file is missing it raises, and there is no other route
