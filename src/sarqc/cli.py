@@ -295,8 +295,7 @@ def cmd_gen(args) -> int:
     layer_spec = _synth_layer_spec(spec, outlier_channels=0, outlier_scale=1.0)
     n = _spec_int(spec, "n", 128)
     m_x = _spec_float(spec, "m_x", UNCLIPPED)
-    val_fraction = _spec_float(spec, "val_fraction", 0.25)
-    check_calibration_args(n, m_x, val_fraction)
+    check_calibration_args(n, m_x)
     # the manifest's defaults are checked as quantize reads them
     scheme = QuantScheme(bits=4, mode="asymmetric", group_size=spec.get("group_size", 128))
     method = spec.get("method", "sarqc-gbs")
@@ -311,9 +310,9 @@ def cmd_gen(args) -> int:
         lseed = int(substream(args.seed, "gen-layer", i).integers(0, 2**31))
         cseed = int(substream(args.seed, "gen-calib", i).integers(0, 2**31))
         w = gen_layer(dataclasses.replace(layer_spec, seed=lseed))
-        batch = gen_calibration(layer_spec.d_in, n, m_x, cseed, val_fraction=val_fraction)
+        x = gen_calibration(layer_spec.d_in, n, m_x, cseed).x  # quantize --val-fraction splits it
         write_tensor(out / f"{lid}.w.sqt", w)
-        write_tensor(out / f"{lid}.x.sqt", batch.x)
+        write_tensor(out / f"{lid}.x.sqt", x)
         entries.append(
             {
                 "layer_id": lid,

@@ -1,8 +1,13 @@
 """Independent work spread over forked worker processes.
 
 `map_trials` is the one way sarqc runs independent work in parallel: the
-verify suites' trials, GBS selection's (λ, γ) pairs, the seeds of a sweep
-or of the calibration-size study, and quantize's layers at `--jobs N`.
+verify suites' trials, GBS selection's (λ, γ) pairs, SARQC-GS's α grid,
+the seeds of a sweep or of the calibration-size study, and quantize's
+layers at `--jobs N`.
+
+A map can place each of its processes on a CPU of its own for its life
+(`place`): the kernel would otherwise keep a short-lived worker on its
+parent's CPU, and the two would share it.
 
 One rule covers nesting: a process that runs a span of a map spread over
 more than one process maps serially. That holds for each forked worker
@@ -40,7 +45,40 @@ def never(record) -> bool:
     return False
 
 
-def map_trials(trial, trials: int, stop, *, processes: int | None = None, fail_fast: bool = False):
+def _placement(n: int) -> list[int]:
+    """The sorted affinity CPUs that the n processes of a map are placed on,
+    or [] where none is placed: a serial map, a one-CPU affinity set or a
+    platform without sched_setaffinity."""
+    if n < 2 or not hasattr(os, "sched_setaffinity"):
+        return []
+    mask = sorted(os.sched_getaffinity(0))
+    return mask if len(mask) > 1 else []
+
+
+def _pin(cpus, tid: int = 0) -> None:
+    """Set the affinity of thread tid (0: the calling one) to cpus; a CPU
+    that has left the cpuset, or a thread that has ended, is ignored, since
+    placement is only an optimisation."""
+    try:
+        os.sched_setaffinity(tid, cpus)
+    except OSError:
+        pass
+
+
+def _unpin(cpus) -> None:
+    """Give every thread of this process the affinity set cpus: a BLAS
+    thread started while this process ran its span inherited that span's
+    one CPU, and would keep it."""
+    try:
+        tids = [int(tid) for tid in os.listdir("/proc/self/task")]
+    except OSError:  # no procfs: only the calling thread is known
+        tids = [0]
+    for tid in tids:
+        _pin(cpus, tid)
+
+
+def map_trials(trial, trials: int, stop, *, processes: int | None = None, fail_fast: bool = False,
+               place: bool = False):
     """Yield trial(t) for t = 0, 1, … in order, up to and including the
     first record for which stop(record) holds.
 
@@ -62,6 +100,17 @@ def map_trials(trial, trials: int, stop, *, processes: int | None = None, fail_f
     raises. A worker that ends without sending a result raises
     ChildProcessError (exit 3); it never counts as a pass.
 
+    With place, where the affinity set has more than one CPU, worker k
+    runs on its k-th CPU (in sorted order, modulo their count) and this
+    process on the first, until the generator finishes, however it
+    finishes; then every thread of this process gets the whole affinity set
+    back. It is for short maps, whose worker the kernel would otherwise keep
+    on this process's CPU. A map whose trials run LAPACK is not placed:
+    OpenBLAS sizes its thread pool from the affinity set it loads on, so
+    with the BLAS thread variables unset a library first loaded in a placed
+    span runs one thread and its bytes change, and one loaded outside it
+    runs all its threads on the placed process's one CPU.
+
     With fail_fast, a worker's exception is raised as soon as this process
     sees it, between its own trials or while it waits for the workers,
     instead of where the serial loop would raise it: the trials before it
@@ -72,14 +121,18 @@ def map_trials(trial, trials: int, stop, *, processes: int | None = None, fail_f
     n = max(1, min(cpus() if processes is None else processes, trials)) if _forkable() else 1
     ends = [trials * k // n for k in range(n + 1)]
     workers = {}  # pid -> (read end of its pipe, first trial, end), for every worker not yet reaped
+    mask = _placement(n) if place else []
     try:
         for k in range(1, n):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:  # the read ends it inherits are closed, so a closed pipe ends a writing worker
-                _worker(trial, ends[k], ends[k + 1], stop, w, [r, *(v[0] for v in workers.values())])
+                cpu = [mask[k % len(mask)]] if mask else None
+                _worker(trial, ends[k], ends[k + 1], stop, w, [r, *(v[0] for v in workers.values())], cpu)
             os.close(w)
             workers[pid] = (r, ends[k], ends[k + 1])
+        if mask:
+            _pin(mask[:1])
         pids, done = list(workers), {}  # done: pid -> (records, exception or None) of a worker reaped
         for t in range(ends[1]):
             record = _in_span(trial, t) if n > 1 else trial(t)
@@ -109,6 +162,8 @@ def map_trials(trial, trials: int, stop, *, processes: int | None = None, fail_f
                 os.close(r)
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        if mask:
+            _unpin(mask)
 
 
 def _in_span(trial, t: int):
@@ -121,16 +176,18 @@ def _in_span(trial, t: int):
         _spread = False
 
 
-def _worker(trial, start: int, end: int, stop, w: int, inherited: list[int]):
-    """A forked worker's whole life: close the inherited read ends, run
-    trials start…end−1, write (records, the exception that ended them or
-    None) to w and exit. Its body sits inside try/finally os._exit, so
-    nothing it raises unwinds into the caller's stack, and it exits 0 only
-    once its result is written."""
+def _worker(trial, start: int, end: int, stop, w: int, inherited: list[int], cpu: list[int] | None):
+    """A forked worker's whole life: move onto `cpu` (None: stay), close the
+    inherited read ends, run trials start…end−1, write (records, the
+    exception that ended them or None) to w and exit. Its body sits inside
+    try/finally os._exit, so nothing it raises unwinds into the caller's
+    stack, and it exits 0 only once its result is written."""
     global _spread
     _spread = True
     code = 1
     try:
+        if cpu is not None:
+            _pin(cpu)
         for fd in inherited:
             os.close(fd)
         records, error = [], None

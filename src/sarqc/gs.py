@@ -12,10 +12,12 @@ the joint score does, so `run_gs` scores the α grid, fixed at
 ALPHA_GRID_DEFAULT = {k/20 : k = 0..20}, once per layer and
 `select_lambda_gs` re-picks the winner for each λ from the stored losses.
 A fixed λ is a one-entry grid; a λ sweep scores the grid once per layer
-and passes it to one `select_lambda_gs` call per row. Candidates are
-scored one at a time and dropped; `candidate` is deterministic, so each
+and passes it to one `select_lambda_gs` call per row. The candidates are
+independent, so `run_gs` scores them through `forks.map_trials`; each
+process builds, scores and drops one candidate at a time, and only the
+(recon, sar) pairs come back. `candidate` is deterministic, so each
 distinct winner is rebuilt with the same bytes. Peak memory is a few
-W-sized arrays, not one per candidate.
+W-sized arrays per process, not one per candidate.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationBatch
+from .forks import map_trials, never
 from .linalg import as_matrix
 from .objective import joint_score, minmax_normalize, recon_loss, sar_loss
 from .quantizer import QuantizedLayer, QuantScheme, quantize_matrix
@@ -89,10 +92,11 @@ def select_joint(recon_raw, sar_raw, lam: float):
 
 
 def run_gs(w, x, scheme: QuantScheme, saliency_kind: str) -> GsGrid:
-    """Build each candidate of ALPHA_GRID_DEFAULT in turn, score its recon
-    loss on the training columns x and its sar loss under the profile of
+    """Build each candidate of ALPHA_GRID_DEFAULT, score its recon loss on
+    the training columns x and its sar loss under the profile of
     `saliency_kind` ("gs" or "identity"), and drop it; none of this
-    depends on λ."""
+    depends on λ. The candidates are scored through `forks.map_trials`, each
+    process on a CPU of its own."""
     w = as_matrix(w, "W")
     x = as_matrix(x, "X")
     stats = channel_stats(w, x)
@@ -101,13 +105,12 @@ def run_gs(w, x, scheme: QuantScheme, saliency_kind: str) -> GsGrid:
     else:
         profile = saliency_vector_gs(stats)
 
-    recon = np.empty(len(ALPHA_GRID_DEFAULT))
-    sar = np.empty(len(ALPHA_GRID_DEFAULT))
-    for k, alpha in enumerate(ALPHA_GRID_DEFAULT):
-        deq = candidate(w, stats, alpha, scheme).dequantized
-        recon[k] = recon_loss(w, deq, x)
-        sar[k] = sar_loss(w, deq, profile)
-        del deq  # before the next candidate is built
+    def score(t: int) -> tuple[float, float]:
+        deq = candidate(w, stats, ALPHA_GRID_DEFAULT[t], scheme).dequantized
+        return recon_loss(w, deq, x), sar_loss(w, deq, profile)
+
+    pairs = map_trials(score, len(ALPHA_GRID_DEFAULT), never, place=True)  # a short map, and no LAPACK in it
+    recon, sar = (np.array(v, dtype=np.float64) for v in zip(*pairs))
     return GsGrid(stats=stats, profile=profile, recon=recon, sar=sar)
 
 

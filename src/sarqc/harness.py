@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibration import CalibrationBatch, check_val_fraction, clip_columns, split_batch
+from .calibration import CalibrationBatch, clip_columns, split_batch
 from .forks import map_trials, never
 from .gbs import (
     BLOCK_DEFAULT,
@@ -253,14 +253,13 @@ def activation_factor(d_in: int, rank: int, strength: float, seed: int) -> np.nd
     return strength * rng.standard_normal((d_in, rank)) / math.sqrt(rank)
 
 
-def check_calibration_args(n: int, m_x: float, val_fraction: float) -> None:
-    """Raise unless `gen_calibration` takes n, m_x and val_fraction. Needs no
-    data, so `gen` calls it before it writes anything."""
+def check_calibration_args(n: int, m_x: float) -> None:
+    """Raise unless `gen_calibration` takes n and m_x. Needs no data, so
+    `gen` calls it before it writes anything."""
     if n < 2:
         raise ValueError(f"calibration batch needs at least 2 columns, got n = {n}")
     if not m_x > 0.0:  # NaN too
         raise ValueError(f"m_x must be positive, got {m_x}")
-    check_val_fraction(val_fraction)
 
 
 def gen_calibration(
@@ -280,7 +279,7 @@ def gen_calibration(
     N(0, I + FFᵀ)); `cov_diag` then scales the per-channel standard
     deviations, which is how the scarcity study models calibration shift.
     """
-    check_calibration_args(n, m_x, val_fraction)
+    check_calibration_args(n, m_x)
     rng = substream(seed, stream)
     x = rng.standard_normal((d_in, n))
     if cov_factor is not None:

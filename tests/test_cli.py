@@ -523,10 +523,10 @@ class TestForkSafety:
                            env=env, timeout=300)
         assert r.returncode == 0, r.stderr
 
-    def test_quantize_and_sweep_exit_0_and_jobs_keep_the_bytes(self, tmp_path):
+    def assert_jobs_keep_the_bytes(self, tmp_path, method, files_per_layer):
         m = random_manifest(tmp_path, 2, d_out=64, d_in=256, n=128)
         for jobs in ("1", "2"):
-            self.run_unpinned("quantize", "--manifest", m, "--method", "sarqc-gbs", "--jobs", jobs,
+            self.run_unpinned("quantize", "--manifest", m, "--method", method, "--jobs", jobs,
                               "--out", tmp_path / jobs)
         docs = []
         for jobs in ("1", "2"):
@@ -539,13 +539,24 @@ class TestForkSafety:
         assert docs[0] == docs[1]
         assert all(v is None for v in docs[0]["versions"]["blas"]["threads"].values())
         files = sorted(p.name for p in (tmp_path / "1").glob("*.sqt"))
-        assert len(files) == 2 * 4
+        assert len(files) == 2 * files_per_layer
         for name in files:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_quantize_and_sweep_exit_0_and_jobs_keep_the_bytes(self, tmp_path):
+        self.assert_jobs_keep_the_bytes(tmp_path, "sarqc-gbs", 4)
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps({"d_out": 16, "d_in": 64, "n_calib": 96, "n_heldout": 64}))
         self.run_unpinned("sweep", "--spec", spec, "--seeds", 3, "--lambda-grid", "0,0.5", "--out", tmp_path / "s.csv")
         assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 3 * 2
+
+    @pytest.mark.parametrize("method, files_per_layer", [("sarqc-gs", 5), ("awq", 5), ("gptq", 4)])
+    def test_placed_workers_keep_the_bytes_at_both_job_counts(self, tmp_path, method, files_per_layer):
+        # at --jobs 1 an awq or sarqc-gs layer scores its α grid over the
+        # CPUs, each process placed on a CPU of its own, and at --jobs 2
+        # serially in its layer worker; gptq's layer workers are not placed,
+        # so LAPACK sizes its BLAS thread pool as in one process
+        self.assert_jobs_keep_the_bytes(tmp_path, method, files_per_layer)
 
 
 class TestSweep:
@@ -836,8 +847,7 @@ class TestExitCodes:
         [("group_size", 4.5, "group_size must be an integer"), ("group_size", 0, "group_size must be >= 1"),
          ("group_size", "per_row", "group_size must be an integer"), ("method", "foo", 'spec "method" must be'),
          ("n", 1, "calibration batch needs at least 2 columns"), ("m_x", -1, "m_x must be positive"),
-         ("m_x", "1", 'spec "m_x" must be a number'), ("val_fraction", 1.5, "val_fraction must lie in (0, 1)"),
-         ("d_out", 0, "layer dimensions must be positive")],
+         ("m_x", "1", 'spec "m_x" must be a number'), ("d_out", 0, "layer dimensions must be positive")],
     )
     def test_bad_gen_defaults_exit_2_before_out_is_touched(self, tmp_path, capsys, key, value, message):
         # gen writes no manifest that quantize would refuse, and makes no

@@ -3,6 +3,7 @@ forked workers, and the callers that map through it: their outputs do not
 depend on the process count, and a map inside a spread map runs
 serially."""
 
+import errno
 import os
 import signal
 import threading
@@ -10,16 +11,35 @@ import time
 
 import pytest
 
-from sarqc import forks
+from sarqc import forks, gs
 from sarqc.gbs import GAMMA_GRID_DEFAULT, LAMBDA_GRID_GBS_DEFAULT, select_hparams_gbs
+from sarqc.gs import ALPHA_GRID_DEFAULT, run_gs
 from sarqc.harness import SynthLayerSpec, calib_size_study, gen_calibration, gen_layer, sweep_lambda
 from sarqc.linalg import NumericalFailure, gram
 from sarqc.quantizer import QuantScheme
 from sarqc.saliency import channel_stats
 
 
+AFFINITY = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
 def set_workers(monkeypatch, n: int):
     monkeypatch.setattr(forks, "cpus", lambda: n)
+
+
+def count_forks(monkeypatch, log) -> None:
+    """Append a line to the file `log` at every os.fork, in any process."""
+    fork = os.fork
+
+    def logging_fork():
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, b"fork\n")
+        finally:
+            os.close(fd)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", logging_fork)
 
 
 def assert_no_worker_left():
@@ -143,6 +163,118 @@ class TestMapTrials:
         assert_no_worker_left()
 
 
+@pytest.mark.skipif(len(AFFINITY) < 2 or not hasattr(os, "sched_setaffinity"),
+                    reason="placement needs an affinity set of 2 or more CPUs")
+class TestPlacement:
+    """Each process of a spread map with `place` runs on a CPU of its own for
+    the map's life, and this process gets its whole affinity set back
+    however the map ends; a map without it sets no affinity."""
+
+    def test_a_map_without_place_sets_no_affinity(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: calls.append(mask))
+        set_workers(monkeypatch, 2)
+        records = list(forks.map_trials(lambda t: (len(calls), os.sched_getaffinity(0)), 4, forks.never))
+        assert records == [(0, set(AFFINITY))] * 4 and calls == []
+        assert_no_worker_left()
+
+    def test_each_process_runs_on_its_own_cpu(self, monkeypatch):
+        n = min(len(AFFINITY), 4)
+        set_workers(monkeypatch, n)
+        where = lambda t: (os.getpid(), os.sched_getaffinity(0))
+        records = list(forks.map_trials(where, 2 * n, forks.never, place=True))
+        assert [mask for _, mask in records] == [{AFFINITY[k]} for k in range(n) for _ in range(2)]
+        assert records[0][0] == records[1][0] == os.getpid() != records[2][0]
+        assert os.sched_getaffinity(0) == set(AFFINITY)
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("end", ["to-the-end", "stop", "raise-here", "raise-in-worker", "fail-fast", "close"])
+    def test_the_affinity_set_comes_back_however_the_map_ends(self, monkeypatch, end):
+        # spans 0..4 (this process) and 5..9 (the worker)
+        set_workers(monkeypatch, 2)
+        raise_at = {"raise-here": 2, "raise-in-worker": 7, "fail-fast": 7}.get(end, -1)
+        stop = (lambda r: r == 4) if end == "stop" else forks.never
+        records = forks.map_trials(squares_raising_at(raise_at, exc=ValueError), 10, stop, fail_fast=end == "fail-fast",
+                                   place=True)
+        assert next(records) == 0
+        assert os.sched_getaffinity(0) == {AFFINITY[0]}
+        if end == "close":
+            records.close()
+        elif raise_at >= 0:
+            with pytest.raises(ValueError, match=f"planted at trial {raise_at}"):
+                list(records)
+        else:
+            assert list(records) == [t * t for t in range(1, 3 if end == "stop" else 10)]
+        assert os.sched_getaffinity(0) == set(AFFINITY)
+        assert_no_worker_left()
+
+    def test_a_thread_started_in_this_process_span_gets_the_set_back(self, monkeypatch):
+        # as a BLAS thread started by the span's first BLAS call would be
+        set_workers(monkeypatch, 2)
+        parent, release, started = os.getpid(), threading.Event(), []
+
+        def trial(t):
+            if os.getpid() == parent and not started:
+                started.append(threading.Thread(target=release.wait, args=(30,)))
+                started[0].start()
+                assert os.sched_getaffinity(started[0].native_id) == {AFFINITY[0]}
+            return t
+
+        try:
+            assert list(forks.map_trials(trial, 4, forks.never, place=True)) == list(range(4))
+            assert os.sched_getaffinity(started[0].native_id) == set(AFFINITY)
+        finally:
+            release.set()
+            for thread in started:
+                thread.join(30)
+                assert not thread.is_alive()
+        assert_no_worker_left()
+
+    def test_the_gs_grid_is_placed(self, monkeypatch):
+        # each candidate's recon records the CPUs its process may run on
+        set_workers(monkeypatch, 2)
+        monkeypatch.setattr(gs, "recon_loss", lambda w, deq, x: float(sum(2 ** c for c in os.sched_getaffinity(0))))
+        w = gen_layer(SynthLayerSpec(d_out=4, d_in=8, outlier_channels=1, outlier_scale=4.0))
+        grid = run_gs(w, gen_calibration(8, 16, 1e18, seed=0).train, QuantScheme(bits=4, group_size=8), "gs")
+        spans = [len(ALPHA_GRID_DEFAULT) // 2, len(ALPHA_GRID_DEFAULT) - len(ALPHA_GRID_DEFAULT) // 2]
+        assert list(grid.recon) == [2.0 ** AFFINITY[0]] * spans[0] + [2.0 ** AFFINITY[1]] * spans[1]
+        assert os.sched_getaffinity(0) == set(AFFINITY)
+        assert_no_worker_left()
+
+    def test_a_one_cpu_set_makes_no_affinity_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {AFFINITY[0]})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: calls.append(mask))
+        assert forks.cpus() == 1
+        records = list(forks.map_trials(lambda t: (os.getpid(), len(calls)), 4, forks.never, processes=2, place=True))
+        assert len({pid for pid, _ in records}) == 2  # a worker ran, and made no call either
+        assert [n for _, n in records] == [0] * 4 and calls == []
+        assert_no_worker_left()
+
+    def test_a_worker_that_cannot_move_keeps_its_records(self, monkeypatch):
+        parent, setaffinity = os.getpid(), os.sched_setaffinity
+
+        def failing_in_a_worker(pid, mask):
+            if os.getpid() != parent:
+                raise OSError(errno.EINVAL, "the CPU has left the cpuset")
+            setaffinity(pid, mask)
+
+        monkeypatch.setattr(os, "sched_setaffinity", failing_in_a_worker)
+        set_workers(monkeypatch, 2)
+        records = list(forks.map_trials(lambda t: (t * t, os.sched_getaffinity(0)), 6, forks.never, place=True))
+        assert [r for r, _ in records] == [t * t for t in range(6)]
+        assert records[3][1] == set(AFFINITY)  # the worker stayed where it was forked
+        assert os.sched_getaffinity(0) == set(AFFINITY)
+        assert_no_worker_left()
+
+    def test_no_placement_without_sched_setaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity")
+        set_workers(monkeypatch, 2)
+        records = list(forks.map_trials(lambda t: os.sched_getaffinity(0), 4, forks.never, place=True))
+        assert records == [set(AFFINITY)] * 4
+        assert_no_worker_left()
+
+
 class TestCpus:
     """Outside a spread map, cpus() is the size of the affinity set, whatever
     the BLAS thread variables say, and 1 while another thread runs."""
@@ -200,12 +332,39 @@ class TestNesting:
         assert forks.cpus() == 4
         assert_no_worker_left()
 
+    def test_a_gs_sweep_forks_once(self, monkeypatch, tmp_path):
+        # the two seeds are spread over two processes, so the α grid inside
+        # each seed is scored serially: only the seed map forks
+        spec = SynthLayerSpec(d_out=8, d_in=16, outlier_channels=2, outlier_scale=6.0)
+        scheme = QuantScheme(bits=3, mode="asymmetric", group_size=16)
+        log = tmp_path / "forks.log"
+        set_workers(monkeypatch, 2)
+        count_forks(monkeypatch, log)
+        spread = sweep_lambda(spec, scheme, "gs", (0.0, 0.5), range(2), n_calib=32, n_heldout=32)
+        assert log.read_text().splitlines() == ["fork"]
+        set_workers(monkeypatch, 1)
+        assert repr(spread) == repr(sweep_lambda(spec, scheme, "gs", (0.0, 0.5), range(2), n_calib=32, n_heldout=32))
+        assert log.read_text().splitlines() == ["fork"]
+        assert_no_worker_left()
+
 
 class TestProcessCountLeavesOutputsUnchanged:
-    """GBS selection, the sweep and the calibration-size study give the same
-    output at 1, 2 and 3 processes."""
+    """GBS selection, the GS α grid, the sweep and the calibration-size study
+    give the same output at 1, 2 and 3 processes."""
 
     SCHEME = QuantScheme(bits=3, mode="asymmetric", group_size=16)
+
+    @pytest.mark.parametrize("saliency_kind", ["gs", "identity"])
+    def test_gs_grid(self, monkeypatch, saliency_kind):
+        w = gen_layer(SynthLayerSpec(d_out=16, d_in=64, outlier_channels=4, outlier_scale=6.0, seed=3))
+        x = gen_calibration(64, 96, 1e18, seed=3).train
+        runs = {}
+        for n in (1, 2, 3):
+            set_workers(monkeypatch, n)
+            grid = run_gs(w, x, self.SCHEME, saliency_kind)
+            runs[n] = (grid.recon.tobytes(), grid.sar.tobytes(), grid.recon.flags.c_contiguous)
+        assert runs[2] == runs[1] and runs[3] == runs[1]
+        assert_no_worker_left()
 
     def test_gbs_selection(self, monkeypatch):
         d_in = 64  # the subset is the first 32 channels

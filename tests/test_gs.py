@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sarqc import gs
+from sarqc import forks, gs
 from sarqc.calibration import split_batch
 from sarqc.gs import (
     ALPHA_GRID_DEFAULT,
@@ -290,7 +290,9 @@ class TestOnePassSelection:
 
     def test_candidates_built_once(self, monkeypatch):
         # the grid pass builds each α once; selection rebuilds each distinct
-        # λ-winner once, in the order the λ grid first picks it
+        # λ-winner once, in the order the λ grid first picks it (one process:
+        # a forked worker's calls do not reach this list)
+        monkeypatch.setattr(forks, "cpus", lambda: 1)
         calls = []
 
         def counting_candidate(*args, **kwargs):
@@ -319,10 +321,12 @@ class TestOnePassSelection:
 
 
 class TestPeakMemory:
-    def test_selection_peak_does_not_grow_with_the_alpha_grid(self):
+    def test_selection_peak_does_not_grow_with_the_alpha_grid(self, monkeypatch):
         # candidates are scored one at a time: the traced peak is the kept
         # best winner plus the one being built, under 5 W-sized arrays where
-        # keeping all 21 candidates took about 34
+        # keeping all 21 candidates took about 34 (one process, so the
+        # whole grid is traced here)
+        monkeypatch.setattr(forks, "cpus", lambda: 1)
         w, batch, scheme = production_shape_layer()
         tracemalloc.start()
         try:
